@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
+from functools import partial
 from multiprocessing import Pool
 
 from . import catalog, moves, sandpile, torsor
@@ -70,10 +70,13 @@ def _load_tree(path):
     return frozenset(obj)
 
 
-def _load_divisor(path) -> Divisor:
+def _load_divisor(path, g: Multigraph) -> Divisor:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or not all(isinstance(v, int) for v in obj.values()):
+    if not isinstance(obj, dict) or not all(type(n) is int for n in obj.values()):
         raise InputError("divisor file must map vertex ids to integers")
+    unknown = sorted(set(obj) - set(g.vertices))
+    if unknown:
+        raise InputError(f"divisor names vertices not in the graph: {unknown}")
     return Divisor(obj)
 
 
@@ -156,14 +159,14 @@ def cmd_route(args):
 def cmd_act(args):
     rg = _load_ribbon(args.graph)
     tree = _load_tree(args.tree)
-    d = _load_divisor(args.divisor)
+    d = _load_divisor(args.divisor, rg.graph)
     action = torsor.TorsorAction(rg, args.variant)
     _emit({"tree": sorted(action.act(d, tree)), "variant": args.variant})
 
 
 def cmd_reduce(args):
     g = _load_graph(args.graph)
-    d = _load_divisor(args.divisor)
+    d = _load_divisor(args.divisor, g)
     q = args.sink if args.sink else g.vertices[0]
     _emit({"reduced": sandpile.reduce(g, d, q).to_dict(), "sink": q})
 
@@ -261,26 +264,15 @@ def cmd_bby(args):
 # -- verification suites --------------------------------------------------------
 
 
-def _graph_key(rg: RibbonGraph) -> str:
-    return rg.to_json()
-
-def _run_torsor(payload):
+def _run_check(suite, payload):
     text, variant = payload
     rg = RibbonGraph.from_json(text)
-    rep = torsor.verify_torsor_axioms(rg, variant=variant)
-    return text, rep.checked, rep.violations, rep.notes
-
-
-def _run_sink(payload):
-    rg = RibbonGraph.from_json(payload[0])
-    rep = torsor.verify_sink_invariance(rg)
-    return payload[0], rep.checked, rep.violations, rep.notes
-
-
-def _run_consistency(payload):
-    text, variant = payload
-    rg = RibbonGraph.from_json(text)
-    rep = torsor.verify_consistency(rg, variant)
+    if suite == "torsor":
+        rep = torsor.verify_torsor_axioms(rg, variant=variant)
+    elif suite == "consistency":
+        rep = torsor.verify_consistency(rg, variant)
+    else:
+        rep = torsor.verify_sink_invariance(rg)
     return text, rep.checked, rep.violations, rep.notes
 
 
@@ -334,7 +326,7 @@ def _pool_map(fn, payloads, workers):
 def cmd_verify(args):
     t0 = time.time()
     seed = args.seed if args.seed is not None else random.randrange(2**32)
-    workers = args.workers or int(os.environ.get("ROTORSAND_WORKERS", "1"))
+    workers = args.workers or 1
     suite = args.suite
     config = {
         "suite": suite,
@@ -358,13 +350,8 @@ def cmd_verify(args):
     if suite in ("torsor", "sink-invariance", "consistency", "moves"):
         two_connected = suite == "moves"
         graphs = catalog.plane_graphs(args.max_edges, two_connected=two_connected)
-        runner = {
-            "torsor": _run_torsor,
-            "sink-invariance": _run_sink,
-            "consistency": _run_consistency,
-            "moves": _run_moves,
-        }[suite]
-        payloads = sorted((_graph_key(rg), args.variant) for rg in graphs)
+        runner = _run_moves if suite == "moves" else partial(_run_check, suite)
+        payloads = sorted((rg.to_json(), args.variant) for rg in graphs)
         results = _pool_map(runner, payloads, workers)
         for key, checked, violations, notes in sorted(results):
             report["instances"] += 1
@@ -382,14 +369,14 @@ def cmd_verify(args):
                 if rep.violations:
                     report["findings"].append(
                         {
-                            "graph": _graph_key(rg),
+                            "graph": rg.to_json(),
                             "disagreements": len(rep.violations),
                             "expected": "sink dependence is forced off the plane",
                         }
                     )
     elif suite == "unicycle":
         graphs = catalog.ribbon_graphs(args.max_edges)
-        payloads = sorted((_graph_key(rg),) for rg in graphs)
+        payloads = sorted((rg.to_json(),) for rg in graphs)
         results = _pool_map(_run_unicycle, payloads, workers)
         for key, checked, violations, _notes in sorted(results):
             report["instances"] += 1

@@ -35,12 +35,21 @@ def det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank(matrix) -> int:
-    """Rank over the rationals."""
+def rref(matrix, ncols=None):
+    """Gauss-Jordan over the rationals: (reduced rows, pivot columns).
+
+    Rows come back as Fractions, pivot rows first, each pivot 1 and alone
+    in its column.  Stops as soon as every row holds a pivot.  ncols gives
+    the width when the matrix may have no rows.
+    """
     rows = [[Fraction(x) for x in row] for row in matrix]
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
@@ -51,10 +60,26 @@ def rank(matrix) -> int:
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def rank(matrix) -> int:
+    """Rank over the rationals."""
+    return len(rref(matrix)[1])
+
+
+def nullspace(matrix, n) -> list[list[Fraction]]:
+    """Basis of {y in Q^n : matrix . y = 0}, one vector per free column."""
+    rows, pivots = rref(matrix, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        y = [Fraction(0)] * n
+        y[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            y[pc] = -rows[i][fc]
+        basis.append(y)
+    return basis
 
 
 def smith_diagonal(matrix) -> list[int]:
@@ -157,20 +182,16 @@ class ColumnLattice:
 
     def _eliminate(self, vector):
         v = list(vector)
-        coeffs = []
         for k, r in enumerate(self.pivot_rows):
-            p = self.basis[k][r]
-            q = v[r] // p
-            coeffs.append(q)
+            q = v[r] // self.basis[k][r]
             if q != 0:
                 col = self.basis[k]
                 for i in range(self.dim):
                     v[i] -= q * col[i]
-        return v, coeffs
+        return v
 
     def contains(self, vector) -> bool:
-        v, _ = self._eliminate(vector)
-        return all(x == 0 for x in v)
+        return all(x == 0 for x in self._eliminate(vector))
 
     def reduce(self, vector) -> tuple[int, ...]:
         """Canonical representative of vector + L (unique per coset).
@@ -180,8 +201,7 @@ class ColumnLattice:
         """
         if self.lattice_rank != self.dim:
             raise ValueError("canonical reduction needs a full-rank lattice")
-        v, _ = self._eliminate(vector)
-        return tuple(v)
+        return tuple(self._eliminate(vector))
 
 
 def _hermite_columns(dim, cols):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvariantViolation
-from .intlinalg import ColumnLattice, det, rank
+from .intlinalg import ColumnLattice, det, nullspace, rank
 from .lp import separating_functional
 from .multigraph import Multigraph
 
@@ -114,17 +114,11 @@ class RegularMatroid:
 
     def _kernel_vector(self, support):
         js = [self._index[e] for e in support]
-        cols = [[Fraction(row[j]) for row in self.matrix] for j in js]
-        coeffs = [Fraction(1)]
-        rest = _solve_exact(
-            [[cols[i][r] for i in range(1, len(cols))] for r in range(len(self.matrix))],
-            [-cols[0][r] for r in range(len(self.matrix))],
-        )
-        if rest is None:
+        ys = nullspace([[row[j] for j in js] for row in self.matrix], len(js))
+        if len(ys) != 1:
             raise InvariantViolation("circuit support without a kernel vector")
-        coeffs += rest
         vec = [Fraction(0)] * self.size
-        for j, c in zip(js, coeffs):
+        for j, c in zip(js, ys[0]):
             vec[j] = c
         return self._normalize_signs(vec, support)
 
@@ -152,8 +146,8 @@ class RegularMatroid:
         zero_js = [self._index[e] for e in self.labels if e not in support]
         nrows = len(self.matrix)
         # find y with y^T A zero outside the support
-        system = [[Fraction(self.matrix[i][j]) for i in range(nrows)] for j in zero_js]
-        ys = _nullspace(system, nrows)
+        system = [[self.matrix[i][j] for i in range(nrows)] for j in zero_js]
+        ys = nullspace(system, nrows)
         for y in ys:
             vec = [
                 sum(y[i] * self.matrix[i][j] for i in range(nrows))
@@ -215,61 +209,6 @@ class RegularMatroid:
                 orientation = default_orientation(g)
             return from_graph(g, orientation)
         return cls(obj["labels"], obj["matrix"])
-
-
-def _solve_exact(rows, rhs):
-    """Solve rows . x = rhs exactly; None if inconsistent; minimal vars."""
-    n = len(rows[0]) if rows and rows[0] else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][-1] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][-1]
-    return x
-
-
-def _nullspace(rows, n):
-    """Basis of {y in Q^n : rows . y = 0} where each row has length n."""
-    aug = [[Fraction(x) for x in row] for row in rows]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        y = [Fraction(0)] * n
-        y[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            y[pc] = -aug[i][fc]
-        basis.append(y)
-    return basis
 
 
 def default_orientation(g: Multigraph) -> dict:

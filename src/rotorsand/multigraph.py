@@ -198,12 +198,6 @@ class Multigraph:
         ]
         out = []
 
-        def find(parent, i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         def rec(idx, chosen, parent):
             if len(chosen) == need:
                 out.append(frozenset(self._edge_ids[i] for i in chosen))
@@ -211,7 +205,7 @@ class Multigraph:
             if m - idx < need - len(chosen):
                 return
             u, v = epairs[idx]
-            ru, rv = find(parent, u), find(parent, v)
+            ru, rv = find_root(parent, u), find_root(parent, v)
             if ru != rv:
                 p2 = list(parent)
                 p2[ru] = rv
@@ -230,18 +224,11 @@ class Multigraph:
             return False
         ix = {v: i for i, v in enumerate(self._vertices)}
         parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for e in edge_set:
             pair = self._ends.get(e)
             if pair is None:
                 return False
-            a, b = find(ix[pair[0]]), find(ix[pair[1]])
+            a, b = find_root(parent, ix[pair[0]]), find_root(parent, ix[pair[1]])
             if a == b:
                 return False
             parent[a] = b
@@ -289,13 +276,26 @@ class Multigraph:
     @classmethod
     def from_obj(cls, obj) -> "Multigraph":
         try:
-            return cls(obj["vertices"], {e["id"]: tuple(e["ends"]) for e in obj["edges"]})
+            edges = {}
+            for e in obj["edges"]:
+                if e["id"] in edges:
+                    raise ValueError(f"duplicate edge id {e['id']!r}")
+                edges[e["id"]] = tuple(e["ends"])
+            return cls(obj["vertices"], edges)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph object: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "Multigraph":
         return cls.from_obj(json.loads(text))
+
+
+def find_root(parent: list[int], i: int) -> int:
+    """Union-find root of i, halving the path on the way up."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def complete_graph(n: int) -> Multigraph:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InvariantViolation
-from .multigraph import Multigraph
+from .multigraph import Multigraph, find_root
 
 
 def canonical_rotation(seq) -> tuple[str, ...]:
@@ -368,23 +368,16 @@ def classify_sides(rg: RibbonGraph, cycle) -> SideClassification:
             face_of[d] = i
 
     parent = list(range(len(faces)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for e in g.edges:
         if e not in cyc_edges:
             u, w = g.ends(e)
-            a, b = find(face_of[(e, u)]), find(face_of[(e, w)])
+            a, b = find_root(parent, face_of[(e, u)]), find_root(parent, face_of[(e, w)])
             parent[a] = b
 
     # face tracing leaves along the next edge counterclockwise, which puts
     # the tail dart of a traversal on the face to its left
-    left_roots = {find(face_of[(e, v)]) for v, e in cyc}
-    right_roots = {find(face_of[(e, g.other(e, v))]) for v, e in cyc}
+    left_roots = {find_root(parent, face_of[(e, v)]) for v, e in cyc}
+    right_roots = {find_root(parent, face_of[(e, g.other(e, v))]) for v, e in cyc}
     if len(left_roots) != 1 or len(right_roots) != 1:
         raise InvariantViolation("cycle sides did not merge into two regions")
     left_root, right_root = left_roots.pop(), right_roots.pop()
@@ -396,7 +389,7 @@ def classify_sides(rg: RibbonGraph, cycle) -> SideClassification:
         if e in cyc_edges:
             continue
         u, _ = g.ends(e)
-        root = find(face_of[(e, u)])
+        root = find_root(parent, face_of[(e, u)])
         (left_edges if root == left_root else right_edges).add(e)
     cyc_vertices = set(tails)
     left_vertices, right_vertices = set(), set()
@@ -404,7 +397,7 @@ def classify_sides(rg: RibbonGraph, cycle) -> SideClassification:
         if v in cyc_vertices:
             continue
         e = g.incident(v)[0]
-        root = find(face_of[(e, v)])
+        root = find_root(parent, face_of[(e, v)])
         (left_vertices if root == left_root else right_vertices).add(v)
     return SideClassification(
         frozenset(left_edges),

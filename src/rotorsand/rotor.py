@@ -92,54 +92,41 @@ def rotors_to_tree(g: Multigraph, rho: RotorConfig):
     """The spanning tree whose rotors these are, or None if a cycle exists."""
     rotor_map = rho.as_dict()
     validate_rotor_map(g, rotor_map, skip=rho.sink)
-    if _find_cycle(g, rotor_map) is not None:
+    if all_cycles(g, rotor_map):
         return None
     return frozenset(rotor_map.values())
 
 
-def _find_cycle(g: Multigraph, rotor_map):
-    """Some directed rotor cycle as a list of (vertex, edge), else None."""
-    state = {}  # 0 in progress, 1 done
-    for start in sorted(rotor_map):
-        if start in state:
+def functional_cycles(succ) -> list[list[int]]:
+    """Every cycle of the functional graph i -> succ[i] on range(len(succ)).
+
+    succ[i] is None where the walk stops (the sink).  Starts are tried in
+    increasing order and each cycle is listed from the first node reached.
+    """
+    cycles = []
+    color = [0] * len(succ)  # 0 unseen, 1 on the current path, 2 done
+    for start in range(len(succ)):
+        if color[start]:
             continue
         path = []
         x = start
-        while x in rotor_map and state.get(x) is None:
-            state[x] = 0
-            e = rotor_map[x]
-            path.append((x, e))
-            x = g.other(e, x)
-        if x in rotor_map and state.get(x) == 0:
-            i = next(k for k, (v, _) in enumerate(path) if v == x)
-            for v, _ in path:
-                state[v] = 1
-            return path[i:]
-        for v, _ in path:
-            state[v] = 1
-    return None
+        while x is not None and color[x] == 0:
+            color[x] = 1
+            path.append(x)
+            x = succ[x]
+        if x is not None and color[x] == 1:
+            cycles.append(path[path.index(x) :])
+        for v in path:
+            color[v] = 2
+    return cycles
 
 
 def all_cycles(g: Multigraph, rotor_map) -> list[list[tuple[str, str]]]:
-    """Every directed cycle of the rotor map (functional graph cycles)."""
-    cycles = []
-    color = {}
-    for start in sorted(rotor_map):
-        if start in color:
-            continue
-        path = []
-        x = start
-        while x in rotor_map and color.get(x) is None:
-            color[x] = 0
-            e = rotor_map[x]
-            path.append((x, e))
-            x = g.other(e, x)
-        if x in rotor_map and color.get(x) == 0:
-            i = next(k for k, (v, _) in enumerate(path) if v == x)
-            cycles.append(path[i:])
-        for v, _ in path:
-            color[v] = 1
-    return cycles
+    """Every directed cycle of the rotor map, as lists of (vertex, edge)."""
+    vs = sorted(rotor_map)
+    index = {v: i for i, v in enumerate(vs)}
+    succ = [index.get(g.other(rotor_map[v], v)) for v in vs]
+    return [[(vs[i], rotor_map[vs[i]]) for i in cyc] for cyc in functional_cycles(succ)]
 
 
 def rotate_one(rg: RibbonGraph, rho: RotorConfig, x: str) -> RotorConfig:
@@ -317,6 +304,7 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
     vi = {v: i for i, v in enumerate(vs)}
     ei = {e: j for j, e in enumerate(g.edges)}
     incident = [tuple(ei[e] for e in g.incident(v)) for v in vs]
+    heads = [tuple(vi[g.other(e, v)] for e in g.incident(v)) for v in vs]
     other = {}
     for e in g.edges:
         u, w = g.ends(e)
@@ -333,8 +321,10 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
 
     from itertools import product as iproduct
 
-    for combo in iproduct(*incident):
-        cycles = _index_cycles(combo, other, n)
+    # successors come from a product in lockstep with the rotors'; building
+    # them per combo instead is slower
+    for combo, succ in zip(iproduct(*incident), iproduct(*heads)):
+        cycles = functional_cycles(succ)
         if len(cycles) != 1:
             continue
         for chip0 in cycles[0]:
@@ -362,26 +352,6 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
     return report
 
 
-def _index_cycles(rotors, other, n):
-    """Cycles of the functional graph v -> other end of rotors[v] (indexed)."""
-    cycles = []
-    color = [0] * n  # 0 unseen, 1 in progress, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        path = []
-        x = start
-        while color[x] == 0:
-            color[x] = 1
-            path.append(x)
-            x = other[(rotors[x], x)]
-        if color[x] == 1:
-            cycles.append(path[path.index(x):])
-        for v in path:
-            color[v] = 2
-    return cycles
-
-
 def verify_reversal_equivalence(rg: RibbonGraph) -> dict:
     """Does every unicycle orbit contain the reversal of its configuration?
 
@@ -389,15 +359,16 @@ def verify_reversal_equivalence(rg: RibbonGraph) -> dict:
     and every unicycle whose orbit misses its reversal.
     """
     g = rg.graph
+    unicycles = all_unicycles(g)
     misses = []
-    for u in all_unicycles(g):
+    for u in unicycles:
         orbit = set(unicycle_orbit(rg, u, 2 * len(g.edges) + 1))
         target = reverse_unicycle(g, u)
         if Unicycle(target.rotors, u.chip) not in orbit:
             misses.append(u)
     return {
         "plane": rg.is_plane(),
-        "unicycles": len(all_unicycles(g)),
+        "unicycles": len(unicycles),
         "misses": misses,
         "equivalence_holds": rg.is_plane() == (not misses),
     }

@@ -252,13 +252,7 @@ def canonical_class(g: Multigraph, d: Divisor) -> Divisor:
 
 
 def same_class(g: Multigraph, d1: Divisor, d2: Divisor) -> bool:
-    if d1.degree() != d2.degree():
-        return False
-    if d1.degree() != 0:
-        return canonical_class(g, d1 - Divisor({g.vertices[0]: d1.degree()})) == canonical_class(
-            g, d2 - Divisor({g.vertices[0]: d2.degree()})
-        )
-    return canonical_class(g, d1) == canonical_class(g, d2)
+    return d1.degree() == d2.degree() and canonical_class(g, d1) == canonical_class(g, d2)
 
 
 def laplacian_image_contains(g: Multigraph, d: Divisor) -> bool:

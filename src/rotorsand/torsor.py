@@ -79,12 +79,23 @@ class TorsorAction:
             self._chip_tables[key] = table
         return self._chip_tables[key]
 
-    def table(self, classes=None, trees=None) -> dict:
-        """Full action table {class key: {tree: tree}} built from chip tables.
+    def fold(self, rep: Divisor, s: str, trees) -> dict:
+        """tree -> tree for routing rep, nonnegative off s, chip by chip to s.
 
-        Single-chip permutations are composed along the decomposition of each
-        representative into (v - s) steps, exactly how route_divisor folds.
+        Single-chip tables are composed in vertex order, exactly how
+        route_divisor folds.
         """
+        perm = {t: t for t in trees}
+        for v, k in rep.items():
+            if v == s or k <= 0:
+                continue
+            tab = self.chip_table(v, s)
+            for _ in range(k):
+                perm = {t: tab[perm[t]] for t in trees}
+        return perm
+
+    def table(self, classes=None, trees=None) -> dict:
+        """Full action table {class key: {tree: tree}} built from chip tables."""
         g = self.graph
         if classes is None:
             classes = sandpile.enumerate_classes(g)
@@ -95,16 +106,7 @@ class TorsorAction:
         for d in classes:
             dd = -d if self.variant in ("rinv", "rbarinv") else d
             rep = sandpile.move_to_sink(g, self.class_key(dd), s)
-            perm = {t: t for t in trees}
-            for v in g.vertices:
-                if v == s:
-                    continue
-                tab = None
-                for _ in range(rep[v]):
-                    if tab is None:
-                        tab = self.chip_table(v, s)
-                    perm = {t: tab[perm[t]] for t in trees}
-            out[self.class_key(d)] = perm
+            out[self.class_key(d)] = self.fold(rep, s, trees)
         return out
 
 
@@ -124,11 +126,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def merge(self, other: "Report"):
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-        self.notes.extend(other.notes)
 
 
 def verify_torsor_axioms(
@@ -220,18 +217,7 @@ def verify_sink_invariance(rg: RibbonGraph) -> Report:
     rep = Report()
     per_sink = {}
     for s in g.vertices:
-        tables = {}
-        for d in classes:
-            drep = sandpile.move_to_sink(g, d, s)
-            perm = {t: t for t in trees}
-            for v in g.vertices:
-                if v == s:
-                    continue
-                for _ in range(drep[v]):
-                    tab = action.chip_table(v, s)
-                    perm = {t: tab[perm[t]] for t in trees}
-            tables[d] = perm
-        per_sink[s] = tables
+        per_sink[s] = {d: action.fold(sandpile.move_to_sink(g, d, s), s, trees) for d in classes}
     base = g.vertices[0]
     for s in g.vertices[1:]:
         for d in classes:
@@ -354,10 +340,6 @@ def verify_consistency(
     return rep
 
 
-def action_tables_equal(a: dict, b: dict) -> bool:
-    return a == b
-
-
 def distinct_variant_count(rg: RibbonGraph) -> int:
     """How many of the four companion actions differ as full action tables."""
     classes = sandpile.enumerate_classes(rg.graph)
@@ -367,6 +349,6 @@ def distinct_variant_count(rg: RibbonGraph) -> int:
         tables.append(TorsorAction(rg, tag).table(classes, trees))
     distinct = []
     for t in tables:
-        if not any(action_tables_equal(t, u) for u in distinct):
+        if t not in distinct:
             distinct.append(t)
     return len(distinct)

@@ -237,3 +237,87 @@ def test_workers_option_matches_serial(tmp_path, capsys):
         r.pop("wall_time_s")
         r["config"].pop("workers")
     assert ra == rb
+
+
+def _write(tmp_path, name, obj):
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def test_duplicate_edge_ids_are_rejected(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "dup",
+        {
+            "vertices": ["a", "b"],
+            "edges": [{"id": "x", "ends": ["a", "b"]}, {"id": "x", "ends": ["a", "b"]}],
+        },
+    )
+    for cmd in ("trees", "group"):
+        assert main([cmd, path]) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.fixture
+def triangle_files(tmp_path):
+    return {
+        "graph": _write(
+            tmp_path,
+            "triangle",
+            {
+                "vertices": ["a", "b", "c"],
+                "edges": [
+                    {"id": "ab", "ends": ["a", "b"]},
+                    {"id": "bc", "ends": ["b", "c"]},
+                    {"id": "ac", "ends": ["a", "c"]},
+                ],
+                "rotation": {"a": ["ab", "ac"], "b": ["bc", "ab"], "c": ["ac", "bc"]},
+            },
+        ),
+        "tree": _write(tmp_path, "tree", ["ab", "bc"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "divisor",
+    [{"zz": 1, "a": -1}, {"b": True, "a": -1}, {"b": 1.0, "a": -1}],
+    ids=["unknown-vertex", "bool-count", "float-count"],
+)
+def test_bad_divisors_are_rejected(triangle_files, tmp_path, capsys, divisor):
+    dpath = _write(tmp_path, "divisor", divisor)
+    g = triangle_files["graph"]
+    assert main(["reduce", "--graph", g, "--divisor", dpath]) == 2
+    assert main(["act", "--graph", g, "--tree", triangle_files["tree"], "--divisor", dpath]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_good_divisor_still_reduces(triangle_files, tmp_path, capsys):
+    dpath = _write(tmp_path, "divisor", {"b": 1, "a": -1})
+    rc, out = run(capsys, ["reduce", "--graph", triangle_files["graph"], "--divisor", dpath])
+    assert rc == 0
+    assert json.loads(out) == {"reduced": {"a": -1, "b": 1}, "sink": "a"}
+
+
+# Verdicts of the sweeps at small sizes; a refactor that changes what a suite
+# covers changes these counts.
+VERIFY_VERDICTS = [
+    (["torsor", "--max-edges", "4"], 22, 682),
+    (["consistency", "--max-edges", "4"], 22, 872),
+    (["sink-invariance", "--max-edges", "4"], 22, 311),
+    (["moves", "--max-edges", "5"], 13, 712),
+    (["unicycle", "--max-edges", "5"], 116, 423),
+    (["telescope"], 39, 39),
+    (["matroid", "--max-edges", "3"], 32, 136),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,instances,checked", VERIFY_VERDICTS, ids=[v[0][0] for v in VERIFY_VERDICTS]
+)
+def test_verify_verdicts_pinned(capsys, argv, instances, checked):
+    rc, out = run(capsys, ["verify", *argv, "--seed", "0"])
+    rep = json.loads(out)
+    assert rc == 0
+    assert (rep["instances"], rep["checked"]) == (instances, checked)
+    assert rep["violations"] == [] and rep["findings"] == []

@@ -11,6 +11,7 @@ from rotorsand.rotor import (
     arc_rearrangements,
     check_cycle_reversal,
     check_no_repeated_crossing,
+    functional_cycles,
     make_unicycle,
     reverse_unicycle,
     rotate_one,
@@ -184,3 +185,29 @@ def test_arc_rearrangements_leave_output_unchanged():
         for variant in arc_rearrangements(rg, t, u, w, rng, samples=3):
             got, _ = route_chip(variant, t, u, w)
             assert got == expected
+
+
+def naive_cycles(succ):
+    """Node sets of the cycles: x is cyclic iff its walk comes back to it."""
+    out = set()
+    for x in range(len(succ)):
+        seen = [x]
+        y = succ[x]
+        while y is not None and y != x and len(seen) <= len(succ):
+            seen.append(y)
+            y = succ[y]
+        if y == x:
+            out.add(frozenset(seen))
+    return out
+
+
+def test_functional_cycles_match_naive_enumeration():
+    rng = random.Random(2203)
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        succ = [rng.choice([None, *range(n)]) for _ in range(n)]
+        cycles = functional_cycles(succ)
+        assert {frozenset(c) for c in cycles} == naive_cycles(succ)
+        assert len(cycles) == len(naive_cycles(succ))
+        for c in cycles:
+            assert [succ[x] for x in c] == c[1:] + c[:1]
