@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from functools import partial
+from itertools import product as iproduct
 from multiprocessing import Pool
 
 from . import catalog, moves, sandpile, torsor
@@ -65,7 +66,7 @@ def _load_tree(path):
     obj = _load_json(path)
     if isinstance(obj, dict):
         obj = obj.get("edges")
-    if not isinstance(obj, list):
+    if not isinstance(obj, list) or not all(isinstance(e, str) for e in obj):
         raise InputError("tree file must be a list of edge ids")
     return frozenset(obj)
 
@@ -263,57 +264,50 @@ def cmd_bby(args):
 
 # -- verification suites --------------------------------------------------------
 
+SUITES = ("torsor", "sink-invariance", "consistency", "moves", "unicycle", "telescope", "matroid")
+POOLED = SUITES[:5]  # checked one catalog graph per payload, through _pool_map
 
-def _run_check(suite, payload):
+
+def _check(suite, payload):
+    """Check one pooled instance; returns (graph json, checked, violations, notes)."""
     text, variant = payload
     rg = RibbonGraph.from_json(text)
     if suite == "torsor":
         rep = torsor.verify_torsor_axioms(rg, variant=variant)
     elif suite == "consistency":
         rep = torsor.verify_consistency(rg, variant)
-    else:
+    elif suite == "sink-invariance":
         rep = torsor.verify_sink_invariance(rg)
+    elif suite == "unicycle":
+        rep = verify_full_spin(rg)
+        return text, rep["orbits"], list(rep["violations"]), []
+    else:
+        return (text, *_check_moves(rg))
     return text, rep.checked, rep.violations, rep.notes
 
 
-def _run_moves(payload):
-    rg = RibbonGraph.from_json(payload[0])
+def _check_moves(rg):
+    """Source-turn paths, then leaf-swap paths, between every ordered tree pair."""
     g = rg.graph
     trees = g.spanning_trees()
+    finders = (
+        ("", "bad path", lambda a, b: [a] + [mv.result for mv in moves.source_turn_path(rg, a, b)]),
+        ("leaf swap: ", "bad leaf path", lambda a, b: moves.leaf_swap_path(g, a, b)),
+    )
     checked = 0
     violations = []
-    for t1 in trees:
-        for t2 in trees:
+    for prefix, bad, find in finders:
+        for t1, t2 in iproduct(trees, repeat=2):
             checked += 1
+            pair = [sorted(t1), sorted(t2)]
             try:
-                seq = moves.source_turn_path(rg, t1, t2)
+                path = find(t1, t2)
             except InvariantViolation as exc:
-                violations.append({"pair": [sorted(t1), sorted(t2)], "error": str(exc)})
-                continue
-            cur = t1
-            for mv in seq:
-                cur = mv.result
-            if cur != t2:
-                violations.append({"pair": [sorted(t1), sorted(t2)], "error": "bad path"})
-    for t1 in trees:
-        for t2 in trees:
-            checked += 1
-            try:
-                path = moves.leaf_swap_path(g, t1, t2)
-            except InvariantViolation as exc:
-                violations.append(
-                    {"pair": [sorted(t1), sorted(t2)], "error": f"leaf swap: {exc}"}
-                )
+                violations.append({"pair": pair, "error": f"{prefix}{exc}"})
                 continue
             if path[0] != t1 or path[-1] != t2:
-                violations.append({"pair": [sorted(t1), sorted(t2)], "error": "bad leaf path"})
-    return payload[0], checked, violations, []
-
-
-def _run_unicycle(payload):
-    rg = RibbonGraph.from_json(payload[0])
-    rep = verify_full_spin(rg)
-    return payload[0], rep["orbits"], list(rep["violations"]), []
+                violations.append({"pair": pair, "error": bad})
+    return checked, violations, []
 
 
 def _pool_map(fn, payloads, workers):
@@ -323,92 +317,79 @@ def _pool_map(fn, payloads, workers):
         return list(pool.imap(fn, payloads, chunksize=4))
 
 
+def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements=6, workers=1):
+    """Run one verification suite; return the verdict part of its report.
+
+    The keys are `instances`, `checked`, `violations`, `findings` and `notes`.
+    The pooled suites check one catalog graph per payload, in sorted order.
+    """
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    out = {"instances": 0, "checked": 0, "violations": [], "findings": [], "notes": []}
+    if suite in POOLED:
+        if suite == "unicycle":
+            graphs = catalog.ribbon_graphs(max_edges)
+        else:
+            graphs = catalog.plane_graphs(max_edges, two_connected=suite == "moves")
+        payloads = sorted((rg.to_json(), variant) for rg in graphs)
+        for key, checked, violations, notes in _pool_map(partial(_check, suite), payloads, workers):
+            out["instances"] += 1
+            out["checked"] += checked
+            out["violations"].extend({"graph": key, "detail": v} for v in violations)
+            out["notes"].extend(notes)
+    if suite == "sink-invariance" and include_nonplanar:
+        for rg in catalog.ribbon_graphs(max_edges):
+            if rg.is_plane():
+                continue
+            rep = torsor.verify_sink_invariance(rg)
+            out["instances"] += 1
+            out["checked"] += rep.checked
+            if rep.violations:
+                out["findings"].append(
+                    {
+                        "graph": rg.to_json(),
+                        "disagreements": len(rep.violations),
+                        "expected": "sink dependence is forced off the plane",
+                    }
+                )
+    elif suite == "unicycle":
+        for rg, name in reversal_instances():
+            out["instances"] += 1
+            if not verify_reversal_equivalence(rg)["equivalence_holds"]:
+                out["violations"].append({"graph": name, "detail": "reversal equivalence failed"})
+    elif suite == "telescope":
+        for n in range(3):
+            for ks in iproduct(range(3), repeat=n + 1):
+                rg, labels = moves.telescope(n, list(ks))
+                out["instances"] += 1
+                out["checked"] += 1
+                if not moves.verify_telescope_equivalence(rg, labels):
+                    out["violations"].append({"telescope": [n, list(ks)]})
+    elif suite == "matroid":
+        found = conjecture_search(max_edges, include_r10=max_elements >= 10)
+        out["instances"] = found["instances"]
+        out["checked"] = found["checked"]
+        out["findings"] = found["findings"]
+        out["notes"].append("matroid consistency findings are reported, not asserted")
+    return out
+
+
 def cmd_verify(args):
     t0 = time.time()
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     workers = args.workers or 1
-    suite = args.suite
     config = {
-        "suite": suite,
+        "suite": args.suite,
         "max_edges": args.max_edges,
         "variant": args.variant,
         "include_nonplanar": args.include_nonplanar,
         "seed": seed,
         "workers": workers,
     }
-    report = {
-        "schema": SCHEMA,
-        "tool_version": _version(),
-        "config": config,
-        "instances": 0,
-        "checked": 0,
-        "violations": [],
-        "findings": [],
-        "notes": [],
-    }
-
-    if suite in ("torsor", "sink-invariance", "consistency", "moves"):
-        two_connected = suite == "moves"
-        graphs = catalog.plane_graphs(args.max_edges, two_connected=two_connected)
-        runner = _run_moves if suite == "moves" else partial(_run_check, suite)
-        payloads = sorted((rg.to_json(), args.variant) for rg in graphs)
-        results = _pool_map(runner, payloads, workers)
-        for key, checked, violations, notes in sorted(results):
-            report["instances"] += 1
-            report["checked"] += checked
-            for v in violations:
-                report["violations"].append({"graph": key, "detail": v})
-            report["notes"].extend(notes)
-        if suite == "sink-invariance" and args.include_nonplanar:
-            for rg in catalog.ribbon_graphs(args.max_edges):
-                if rg.is_plane():
-                    continue
-                rep = torsor.verify_sink_invariance(rg)
-                report["instances"] += 1
-                report["checked"] += rep.checked
-                if rep.violations:
-                    report["findings"].append(
-                        {
-                            "graph": rg.to_json(),
-                            "disagreements": len(rep.violations),
-                            "expected": "sink dependence is forced off the plane",
-                        }
-                    )
-    elif suite == "unicycle":
-        graphs = catalog.ribbon_graphs(args.max_edges)
-        payloads = sorted((rg.to_json(),) for rg in graphs)
-        results = _pool_map(_run_unicycle, payloads, workers)
-        for key, checked, violations, _notes in sorted(results):
-            report["instances"] += 1
-            report["checked"] += checked
-            for v in violations:
-                report["violations"].append({"graph": key, "detail": v})
-        for rg, name in _reversal_instances():
-            rep = verify_reversal_equivalence(rg)
-            report["instances"] += 1
-            if not rep["equivalence_holds"]:
-                report["violations"].append(
-                    {"graph": name, "detail": "reversal equivalence failed"}
-                )
-    elif suite == "telescope":
-        from itertools import product as iproduct
-
-        for n in range(0, 3):
-            for ks in iproduct(range(3), repeat=n + 1):
-                rg, labels = moves.telescope(n, list(ks))
-                report["instances"] += 1
-                report["checked"] += 1
-                if not moves.verify_telescope_equivalence(rg, labels):
-                    report["violations"].append({"telescope": [n, list(ks)]})
-    elif suite == "matroid":
-        sweep = conjecture_search(args.max_edges, include_r10=args.max_elements >= 10)
-        report["instances"] = sweep["instances"]
-        report["checked"] = sweep["checked"]
-        report["findings"] = sweep["findings"]
-        report["notes"].append("matroid consistency findings are reported, not asserted")
-    else:
-        raise InputError(f"unknown suite {suite!r}")
-
+    verdict = sweep(
+        args.suite, args.max_edges, args.variant, args.include_nonplanar, args.max_elements, workers
+    )
+    report = {"schema": SCHEMA, "tool_version": _version(), "config": config, **verdict}
     report["wall_time_s"] = round(time.time() - t0, 3)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.report:
@@ -420,7 +401,8 @@ def cmd_verify(args):
     return 0
 
 
-def _reversal_instances():
+def reversal_instances():
+    """The named triple-edge and K4 structures, each plane and genus 1."""
     from .multigraph import banana_graph, complete_graph
 
     e3 = banana_graph(3)
@@ -435,13 +417,8 @@ def _reversal_instances():
         "v2": ("e0_2", "e2_3", "e1_2"),
         "v3": ("e1_3", "e2_3", "e0_3"),
     }
-    rg_plane = RibbonGraph(k4, plane_rot)
-    out.append((rg_plane, "complete graph on 4, plane"))
-    genus1 = None
-    for rg in catalog.rotation_systems(k4):
-        if rg.euler_genus() == 1:
-            genus1 = rg
-            break
+    genus1 = next(rg for rg in catalog.rotation_systems(k4) if rg.euler_genus() == 1)
+    out.append((RibbonGraph(k4, plane_rot), "complete graph on 4, plane"))
     out.append((genus1, "complete graph on 4, genus 1"))
     return out
 
@@ -514,18 +491,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_bby)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument(
-        "suite",
-        choices=[
-            "torsor",
-            "sink-invariance",
-            "consistency",
-            "moves",
-            "unicycle",
-            "telescope",
-            "matroid",
-        ],
-    )
+    sp.add_argument("suite", choices=SUITES)
     sp.add_argument("--max-edges", type=int, default=5)
     sp.add_argument("--max-elements", type=int, default=6)
     sp.add_argument("--variant", default="r", choices=list(torsor.VARIANTS))

@@ -46,7 +46,9 @@ class RegularMatroid:
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate ground set labels")
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(tuple(row) for row in matrix)
+        if any(type(x) is not int for row in self.matrix for x in row):
+            raise ValueError("matrix entries must be integers")
         if any(len(row) != len(self.labels) for row in self.matrix):
             raise ValueError("matrix width must match the ground set")
         if check_unimodular and not _is_totally_unimodular(self.matrix):

@@ -75,10 +75,6 @@ class Multigraph:
     def degree(self, v: str) -> int:
         return len(self.incident(v))
 
-    def edge_count(self, u: str, v: str) -> int:
-        pair = (u, v) if u <= v else (v, u)
-        return sum(1 for e in self._incident.get(u, ()) if self._ends[e] == pair)
-
     def parallel_class(self, e: str) -> tuple[str, ...]:
         """All edges sharing both endpoints with e (including e itself)."""
         pair = self.ends(e)

@@ -66,7 +66,7 @@ class RibbonGraph:
             if sorted(seq) != sorted(graph.incident(v)):
                 raise ValueError(f"rotation at {v!r} is not a cyclic order of its edges")
             rot[v] = canonical_rotation(seq)
-        if len(rot) != len(graph.vertices):
+        if set(rotation) != set(rot):
             raise ValueError("rotation has extra vertices")
         self.graph = graph
         self.rotation = rot

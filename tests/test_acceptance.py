@@ -2,20 +2,20 @@
 
 Each test prints one line `ACCEPTANCE <nn> <name>: PASS/FAIL (<details>)`.
 Run with `pytest tests/test_acceptance.py -v -s` to watch the lines appear;
-the whole suite is deterministic and needs no network or fixtures.
+the whole suite is deterministic and needs no network.  Criteria 02-07, 09
+and 11 run `rotorsand.cli.sweep`, the code behind `rotorsand verify`.
 """
 
 import time
-from itertools import product
 
 from rotorsand import sandpile
-from rotorsand.catalog import connected_multigraphs, plane_graphs, ribbon_graphs
+from rotorsand.catalog import connected_multigraphs, plane_graphs
+from rotorsand.cli import reversal_instances, sweep
 from rotorsand.matroid import (
     bby_act,
     bby_table,
     bby_vector,
     check_acyclic_pair,
-    conjecture_search,
     default_signatures,
     from_graph,
 )
@@ -23,26 +23,18 @@ from rotorsand.moves import (
     TelescopeLabels,
     classify_pair,
     complements_are_trees,
-    leaf_swap_path,
     matches_telescope,
-    source_turn_path,
     telescope,
-    verify_telescope_equivalence,
 )
-from rotorsand.multigraph import Multigraph, banana_graph, complete_graph
+from rotorsand.multigraph import Multigraph
 from rotorsand.ribbon import RibbonGraph
-from rotorsand.rotor import (
-    check_cycle_reversal,
-    verify_full_spin,
-    verify_reversal_equivalence,
-)
+from rotorsand.rotor import check_cycle_reversal
 from rotorsand.sandpile import chip
 from rotorsand.torsor import (
     TorsorAction,
     distinct_variant_count,
     verify_consistency,
     verify_sink_invariance,
-    verify_torsor_axioms,
 )
 
 
@@ -52,90 +44,48 @@ def report(num, name, ok, details):
     assert ok, line
 
 
-def drawn_ribbon():
-    g = Multigraph(
-        ["a", "b", "c", "s"],
-        {
-            "sa": ("s", "a"),
-            "ab": ("a", "b"),
-            "ac": ("a", "c"),
-            "bc": ("b", "c"),
-            "cs": ("c", "s"),
-        },
-    )
-    return RibbonGraph(
-        g,
-        {
-            "a": ("ab", "ac", "sa"),
-            "b": ("bc", "ab"),
-            "c": ("cs", "ac", "bc"),
-            "s": ("cs", "sa"),
-        },
-    )
+def named_structure(name):
+    return next(rg for rg, label in reversal_instances() if label == name)
 
 
-def e3_pair():
-    e3 = banana_graph(3)
-    plane = RibbonGraph(e3, {"x": ("e0", "e1", "e2"), "y": ("e2", "e1", "e0")})
-    twisted = RibbonGraph(e3, {"x": ("e0", "e1", "e2"), "y": ("e0", "e1", "e2")})
-    return plane, twisted
-
-
-def test_01_matrix_tree():
+def test_01_matrix_tree(fig_graph):
     t0 = time.time()
     mismatches = 0
     graphs = connected_multigraphs(6)
     for g in graphs:
         if sandpile.group_structure(g).order != len(g.spanning_trees()):
             mismatches += 1
-    fig = Multigraph(
-        ["a", "b", "c", "d"],
-        {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "ac": ("a", "c"), "ad": ("a", "d")},
-    )
     ok = (
         mismatches == 0
-        and sandpile.group_structure(fig).order == 8
-        and len(fig.spanning_trees()) == 8
+        and sandpile.group_structure(fig_graph).order == 8
+        and len(fig_graph.spanning_trees()) == 8
     )
     report(1, "matrix-tree", ok, f"{len(graphs)} graphs, {mismatches} mismatches, {time.time()-t0:.1f}s")
 
 
 def test_02_torsor_axioms():
     t0 = time.time()
-    bad = 0
-    checked = 0
-    graphs = plane_graphs(7)
-    for rg in graphs:
-        rep = verify_torsor_axioms(rg)
-        checked += rep.checked
-        bad += len(rep.violations)
-    report(2, "torsor-axioms", bad == 0, f"{len(graphs)} plane graphs, {checked} checks, {bad} violations, {time.time()-t0:.0f}s")
+    v = sweep("torsor", 7)
+    bad = len(v["violations"])
+    report(2, "torsor-axioms", bad == 0, f"{v['instances']} plane graphs, {v['checked']} checks, {bad} violations, {time.time()-t0:.0f}s")
 
 
 def test_03_sink_invariance():
     t0 = time.time()
-    bad = 0
-    graphs = plane_graphs(7)
-    for rg in graphs:
-        bad += len(verify_sink_invariance(rg).violations)
-    _, twisted = e3_pair()
-    forced = len(verify_sink_invariance(twisted).violations)
+    v = sweep("sink-invariance", 7)
+    bad = len(v["violations"])
+    forced = len(verify_sink_invariance(named_structure("triple edge, genus 1")).violations)
     ok = bad == 0 and forced > 0
-    report(3, "sink-invariance", ok, f"{len(graphs)} plane graphs clean, twisted triple edge forced {forced} disagreements, {time.time()-t0:.0f}s")
+    report(3, "sink-invariance", ok, f"{v['instances']} plane graphs clean, twisted triple edge forced {forced} disagreements, {time.time()-t0:.0f}s")
 
 
-def test_04_consistency():
+def test_04_consistency(square_ribbon):
     t0 = time.time()
-    bad = 0
-    checked = 0
-    graphs = plane_graphs(7)
-    for rg in graphs:
-        rep = verify_consistency(rg)
-        checked += rep.checked
-        bad += len(rep.violations)
+    v = sweep("consistency", 7)
+    bad = len(v["violations"])
 
     # the drawn contraction and deletion instances, bit-exact
-    rg = drawn_ribbon()
+    rg = square_ribbon
     g = rg.graph
     t = frozenset({"ac", "bc", "cs"})
     t2 = TorsorAction(rg).act(chip("c", "s"), t)
@@ -158,23 +108,20 @@ def test_04_consistency():
     )
     relaxed = verify_consistency(pent_rg, relax_adjacency=True)
     relax_ok = any(
-        v["condition"] == 1 and set(v["f"]) == {"c", "s"} for v in relaxed.violations
+        x["condition"] == 1 and set(x["f"]) == {"c", "s"} for x in relaxed.violations
     )
 
     ok = bad == 0 and contract_ok and relax_ok
-    report(4, "consistency", ok, f"{len(graphs)} plane graphs, {checked} checks, {bad} violations, drawn instances exact, relaxation fails as documented, {time.time()-t0:.0f}s")
+    report(4, "consistency", ok, f"{v['instances']} plane graphs, {v['checked']} checks, {bad} violations, drawn instances exact, relaxation fails as documented, {time.time()-t0:.0f}s")
 
 
 def test_05_variants():
     t0 = time.time()
-    graphs = plane_graphs(7)
     bad = 0
     for tag in ("rbar", "rinv", "rbarinv"):
-        for rg in graphs:
-            if not verify_torsor_axioms(rg, variant=tag).ok:
-                bad += 1
-            if not verify_consistency(rg, tag).ok:
-                bad += 1
+        for suite in ("torsor", "consistency"):
+            v = sweep(suite, 7, variant=tag)
+            bad += len(v["violations"])
 
     miscounted = 0
     counted = 0
@@ -191,74 +138,24 @@ def test_05_variants():
         if distinct_variant_count(rg) != expected:
             miscounted += 1
     ok = bad == 0 and miscounted == 0
-    report(5, "variants", ok, f"3 extra variants over {len(graphs)} graphs, {counted} distinctness counts, {bad}+{miscounted} failures, {time.time()-t0:.0f}s")
+    report(5, "variants", ok, f"3 extra variants over {v['instances']} graphs, {counted} distinctness counts, {bad}+{miscounted} failures, {time.time()-t0:.0f}s")
 
 
 def test_06_source_turn_reachability():
     t0 = time.time()
-    failures = 0
-    pairs = 0
-    graphs = plane_graphs(7, two_connected=True)
-    for rg in graphs:
-        g = rg.graph
-        trees = g.spanning_trees()
-        for t1 in trees:
-            for t2 in trees:
-                pairs += 2
-                try:
-                    seq = source_turn_path(rg, t1, t2)
-                    cur = t1
-                    for mv in seq:
-                        cur = mv.result
-                    if cur != t2:
-                        failures += 1
-                except Exception:
-                    failures += 1
-                try:
-                    path = leaf_swap_path(g, t1, t2)
-                    if path[0] != t1 or path[-1] != t2:
-                        failures += 1
-                except Exception:
-                    failures += 1
-    report(6, "source-turn-reachability", failures == 0, f"{len(graphs)} graphs, {pairs} ordered pairs incl. leaf swaps, {failures} failures, {time.time()-t0:.0f}s")
+    v = sweep("moves", 7)
+    failures = len(v["violations"])
+    report(6, "source-turn-reachability", failures == 0, f"{v['instances']} graphs, {v['checked']} ordered pairs incl. leaf swaps, {failures} failures, {time.time()-t0:.0f}s")
 
 
 def test_07_unicycles():
     t0 = time.time()
-    bad = 0
-    orbits = 0
-    graphs = ribbon_graphs(8)
-    for rg in graphs:
-        rep = verify_full_spin(rg)
-        orbits += rep["orbits"]
-        bad += len(rep["violations"])
-
-    plane3, twisted3 = e3_pair()
-    k4 = complete_graph(4)
-    k4_plane = RibbonGraph(
-        k4,
-        {
-            "v0": ("e0_1", "e0_3", "e0_2"),
-            "v1": ("e1_2", "e1_3", "e0_1"),
-            "v2": ("e0_2", "e2_3", "e1_2"),
-            "v3": ("e2_3", "e0_3", "e1_3"),
-        },
-    )
-    from rotorsand.catalog import rotation_systems
-
-    k4_torus = next(rg for rg in rotation_systems(k4) if rg.euler_genus() == 1)
-    equiv_ok = all(
-        verify_reversal_equivalence(rg)["equivalence_holds"]
-        and verify_reversal_equivalence(rg)["plane"] == expect_plane
-        for rg, expect_plane in [
-            (plane3, True),
-            (twisted3, False),
-            (k4_plane, True),
-            (k4_torus, False),
-        ]
-    )
-    ok = bad == 0 and equiv_ok
-    report(7, "unicycles", ok, f"{len(graphs)} ribbon graphs, {orbits} orbits spun, {bad} violations, reversal equivalence on 4 named structures, {time.time()-t0:.0f}s")
+    v = sweep("unicycle", 8)
+    bad = len(v["violations"])
+    named = reversal_instances()
+    plane_ok = all(rg.is_plane() == name.endswith(", plane") for rg, name in named)
+    ok = bad == 0 and plane_ok
+    report(7, "unicycles", ok, f"{v['instances'] - len(named)} ribbon graphs, {v['checked']} orbits spun, {bad} violations, reversal equivalence on {len(named)} named structures, {time.time()-t0:.0f}s")
 
 
 def test_08_rotor_lemmas():
@@ -294,27 +191,12 @@ def test_09_telescopes():
         and set(rg5.graph.ends("g")) == {"c", "z0"}
         and set(rg5.graph.ends("f")) == {"c", "z5"}
     )
-    holds = 0
-    fails = 0
-    for n in range(0, 3):
-        for ks in product(range(3), repeat=n + 1):
-            rg, lab = telescope(n, list(ks))
-            if verify_telescope_equivalence(rg, lab):
-                holds += 1
-            else:
-                fails += 1
+    v = sweep("telescope")
+    fails = len(v["violations"])
 
     # a non-telescope plane graph with the same setup must break closure
-    k4 = complete_graph(4)
-    k4_rg = RibbonGraph(
-        k4,
-        {
-            "v0": ("e0_1", "e0_3", "e0_2"),
-            "v1": ("e1_2", "e1_3", "e0_1"),
-            "v2": ("e0_2", "e2_3", "e1_2"),
-            "v3": ("e2_3", "e0_3", "e1_3"),
-        },
-    )
+    k4_rg = named_structure("complete graph on 4, plane")
+    k4 = k4_rg.graph
     lab = None
     for t in k4.spanning_trees():
         for c in k4.vertices:
@@ -335,7 +217,7 @@ def test_09_telescopes():
         and not complements_are_trees(k4_rg, lab)
     )
     ok = structure_ok and fails == 0 and counterexample_ok
-    report(9, "telescopes", ok, f"drawn instance exact, {holds} equivalences, non-telescope complement fails, {time.time()-t0:.0f}s")
+    report(9, "telescopes", ok, f"drawn instance exact, {v['instances'] - fails} equivalences, non-telescope complement fails, {time.time()-t0:.0f}s")
 
 
 def test_10_bby():
@@ -377,13 +259,13 @@ def test_10_bby():
 
 def test_11_conjecture_harness():
     t0 = time.time()
-    sweep = conjecture_search(4, include_r10=True)
+    v = sweep("matroid", 4, max_elements=10)
     # completion plus a well-formed findings report is the acceptance bar;
     # a counterexample would be preserved verbatim in the findings list
-    ok = sweep["checked"] > 0 and isinstance(sweep["findings"], list)
+    ok = v["checked"] > 0 and isinstance(v["findings"], list)
     note = (
-        f"{sweep['instances']} instances, {sweep['checked']} checks incl. the "
-        f"ten-element non-graphic matroid, {len(sweep['findings'])} findings, "
+        f"{v['instances']} instances, {v['checked']} checks incl. the "
+        f"ten-element non-graphic matroid, {len(v['findings'])} findings, "
         f"{time.time()-t0:.0f}s"
     )
     report(11, "conjecture-harness", ok, note)

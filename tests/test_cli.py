@@ -225,12 +225,18 @@ def test_verify_matroid_emits_findings_report(tmp_path, capsys):
     assert isinstance(rep["findings"], list)
 
 
-def test_workers_option_matches_serial(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "suite,max_edges",
+    [("consistency", "3"), ("moves", "4"), ("unicycle", "4")],
+    ids=["consistency", "moves", "unicycle"],
+)
+def test_workers_option_matches_serial(tmp_path, capsys, suite, max_edges):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    main(["verify", "consistency", "--max-edges", "3", "--seed", "1", "--report", str(a)])
+    argv = ["verify", suite, "--max-edges", max_edges, "--seed", "1"]
+    main([*argv, "--report", str(a)])
     capsys.readouterr()
-    main(["verify", "consistency", "--max-edges", "3", "--seed", "1", "--workers", "2", "--report", str(b)])
+    main([*argv, "--workers", "2", "--report", str(b)])
     capsys.readouterr()
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     for r in (ra, rb):
@@ -289,6 +295,21 @@ def test_bad_divisors_are_rejected(triangle_files, tmp_path, capsys, divisor):
     g = triangle_files["graph"]
     assert main(["reduce", "--graph", g, "--divisor", dpath]) == 2
     assert main(["act", "--graph", g, "--tree", triangle_files["tree"], "--divisor", dpath]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_tree_entries_must_be_edge_ids(triangle_files, tmp_path, capsys):
+    tree = _write(tmp_path, "nested", [["ab"], "bc"])
+    divisor = _write(tmp_path, "divisor", {"b": 1, "a": -1})
+    argv = ["act", "--graph", triangle_files["graph"], "--tree", tree, "--divisor", divisor]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
+def test_matroid_entries_must_be_integers(tmp_path, capsys, entry):
+    path = _write(tmp_path, "m", {"labels": ["a", "b"], "matrix": [[entry, 1]]})
+    assert main(["bby", "vector", "--matroid", path, "--basis", "a"]) == 2
     assert capsys.readouterr().out == ""
 
 

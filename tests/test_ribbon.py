@@ -30,6 +30,12 @@ def test_rotation_must_cover_incident_edges(triangle):
         RibbonGraph(triangle, {"u": ("uv",), "v": ("uv", "vw"), "w": ("vw", "uw")})
 
 
+def test_rotation_must_not_name_extra_vertices(triangle):
+    rot = {"u": ("uv", "uw"), "v": ("uv", "vw"), "w": ("vw", "uw"), "zz": ()}
+    with pytest.raises(ValueError, match="extra vertices"):
+        RibbonGraph(triangle, rot)
+
+
 def test_next_edge_degree_one():
     g = Multigraph(["a", "b"], {"e": ("a", "b")})
     rg = RibbonGraph(g, {"a": ("e",), "b": ("e",)})
