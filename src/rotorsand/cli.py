@@ -211,7 +211,10 @@ def cmd_telescope(args):
 
 
 def _load_matroid(args) -> RegularMatroid:
-    return RegularMatroid.from_obj(_load_json(args.matroid))
+    try:
+        return RegularMatroid.from_obj(_load_json(args.matroid))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _load_signatures(args, m: RegularMatroid) -> SignaturePair:
@@ -220,11 +223,12 @@ def _load_signatures(args, m: RegularMatroid) -> SignaturePair:
     obj = _load_json(args.signatures)
     try:
         pair = SignaturePair(
-            tuple(tuple(int(x) for x in v) for v in obj["circuits"]),
-            tuple(tuple(int(x) for x in v) for v in obj["cocircuits"]),
+            tuple(tuple(v) for v in obj["circuits"]), tuple(tuple(v) for v in obj["cocircuits"])
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed signature file: {exc}") from exc
+    if any(type(x) is not int for v in pair.circuits + pair.cocircuits for x in v):
+        raise InputError("signature entries must be integers")
     _check_signature_choice(pair.circuits, set(m.circuits()), "circuit")
     _check_signature_choice(pair.cocircuits, set(m.cocircuits()), "cocircuit")
     if not check_acyclic_pair(pair):

@@ -204,13 +204,16 @@ class RegularMatroid:
 
     @classmethod
     def from_obj(cls, obj) -> "RegularMatroid":
-        if "graph" in obj:
-            g = Multigraph.from_obj(obj["graph"])
-            orientation = {e: tuple(p) for e, p in obj.get("orientation", {}).items()}
-            if not orientation:
-                orientation = default_orientation(g)
-            return from_graph(g, orientation)
-        return cls(obj["labels"], obj["matrix"])
+        try:
+            if "graph" in obj:
+                g = Multigraph.from_obj(obj["graph"])
+                orientation = {e: tuple(p) for e, p in obj.get("orientation", {}).items()}
+                if not orientation:
+                    orientation = default_orientation(g)
+                return from_graph(g, orientation)
+            return cls(obj["labels"], obj["matrix"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed matroid object: {exc}") from exc
 
 
 def default_orientation(g: Multigraph) -> dict:

@@ -143,34 +143,12 @@ def source_turn_path(rg: RibbonGraph, start, goal) -> list[MovePair]:
     Guaranteed to exist on 2-connected ribbon graphs; a failed search on one
     is an invariant violation rather than a value.
     """
-    g = rg.graph
-    if not g.is_two_connected():
-        raise ValueError("source-turn reachability needs a 2-connected graph")
-    start, goal = frozenset(start), frozenset(goal)
-    for t in (start, goal):
-        if not g.is_spanning_tree(t):
-            raise ValueError("inputs must be spanning trees")
-    if start == goal:
-        return []
-    frontier = deque([start])
-    back = {start: None}
-    while frontier:
-        t = frontier.popleft()
+
+    def turns(t):
         for mv in source_turn_neighbors(rg, t):
-            t2 = mv.result
-            if t2 not in back:
-                back[t2] = mv
-                if t2 == goal:
-                    moves = []
-                    cur = t2
-                    while back[cur] is not None:
-                        mv = back[cur]
-                        moves.append(mv)
-                        cur = mv.tree
-                    moves.reverse()
-                    return moves
-                frontier.append(t2)
-    raise InvariantViolation("no source-turn path found on a 2-connected graph")
+            yield mv, mv.result
+
+    return _tree_path(rg.graph, start, goal, "source-turn", turns)
 
 
 def leaf_swap_path(g: Multigraph, start, goal) -> list[frozenset]:
@@ -178,36 +156,49 @@ def leaf_swap_path(g: Multigraph, start, goal) -> list[frozenset]:
 
     Needs no ribbon structure at all; 2-connectedness guarantees success.
     """
-    if not g.is_two_connected():
-        raise ValueError("leaf-swap reachability needs a 2-connected graph")
-    start, goal = frozenset(start), frozenset(goal)
-    for t in (start, goal):
-        if not g.is_spanning_tree(t):
-            raise ValueError("inputs must be spanning trees")
-    if start == goal:
-        return [start]
-    frontier = deque([start])
-    back = {start: None}
-    while frontier:
-        t = frontier.popleft()
+
+    def swaps(t):
         for c in g.vertices:
             inc = [e for e in t if c in g.ends(e)]
             if len(inc) != 1:
                 continue
             for f in g.incident(c):
-                if f == inc[0] or f in t:
-                    continue
-                t2 = t - {inc[0]} | {f}
-                if t2 not in back:
-                    back[t2] = t
-                    if t2 == goal:
-                        path = [t2]
-                        while back[path[-1]] is not None:
-                            path.append(back[path[-1]])
-                        path.reverse()
-                        return path
-                    frontier.append(t2)
-    raise InvariantViolation("no leaf-swap path found on a 2-connected graph")
+                if f != inc[0] and f not in t:
+                    t2 = t - {inc[0]} | {f}
+                    yield t2, t2
+
+    trees = _tree_path(g, start, goal, "leaf-swap", swaps)
+    return [frozenset(start)] + trees
+
+
+def _tree_path(g: Multigraph, start, goal, kind: str, step) -> list:
+    """The moves of a shortest path from tree start to tree goal.
+
+    Breadth-first search with back-pointers; step(t) yields (move, tree)
+    pairs in a fixed order, so the path found is deterministic.
+    """
+    if not g.is_two_connected():
+        raise ValueError(f"{kind} reachability needs a 2-connected graph")
+    start, goal = frozenset(start), frozenset(goal)
+    for t in (start, goal):
+        if not g.is_spanning_tree(t):
+            raise ValueError("inputs must be spanning trees")
+    back = {start: None}
+    frontier = deque([start])
+    while frontier and goal not in back:
+        t = frontier.popleft()
+        for mv, t2 in step(t):
+            if t2 not in back:
+                back[t2] = (mv, t)
+                frontier.append(t2)
+    if goal not in back:
+        raise InvariantViolation(f"no {kind} path found on a 2-connected graph")
+    moves = []
+    while back[goal] is not None:
+        mv, goal = back[goal]
+        moves.append(mv)
+    moves.reverse()
+    return moves
 
 
 # -- telescope graphs ----------------------------------------------------------

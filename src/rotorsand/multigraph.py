@@ -19,7 +19,7 @@ class Multigraph:
     immutable data.
     """
 
-    __slots__ = ("_vertices", "_ends", "_edge_ids", "_incident", "_hash")
+    __slots__ = ("_vertices", "_ends", "_edge_ids", "_incident", "_hash", "_cuts")
 
     def __init__(self, vertices, edges):
         vs = tuple(sorted(vertices))
@@ -43,6 +43,7 @@ class Multigraph:
             incident[v].append(eid)
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._hash = hash((self._vertices, tuple((e, ends[e]) for e in self._edge_ids)))
+        self._cuts = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -118,14 +119,16 @@ class Multigraph:
         return len(self._components()) <= 1
 
     def cut_vertices(self) -> frozenset[str]:
-        """Vertices whose removal disconnects the remaining graph."""
-        if not self.is_connected():
-            raise ValueError("graph must be connected")
-        cuts = set()
-        for v in self._vertices:
-            if len(self._vertices) > 2 and len(self._components(skip_vertex=v)) > 1:
-                cuts.add(v)
-        return frozenset(cuts)
+        """Vertices whose removal disconnects the remaining graph (cached)."""
+        if self._cuts is None:
+            if not self.is_connected():
+                raise ValueError("graph must be connected")
+            self._cuts = frozenset(
+                v
+                for v in self._vertices
+                if len(self._vertices) > 2 and len(self._components(skip_vertex=v)) > 1
+            )
+        return self._cuts
 
     def is_two_connected(self) -> bool:
         """Connected with no cut vertices (so E_k and the single edge count)."""

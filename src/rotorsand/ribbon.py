@@ -5,16 +5,21 @@ canonicalized so the smallest id comes first; two structures are equal iff
 the cyclic orders agree.  Faces, genus, minors, reversal, isomorphism and the
 left/right classification of embedded directed cycles all live here.
 
-A dart is a pair ``(edge, vertex)`` read as "arrival at vertex along edge";
-face tracing leaves along the next edge counterclockwise.  The traced walk
-keeps its face on the right, so the face to the left of a traversal is the
-one holding the traversal's tail dart.
+A dart ``(edge, vertex)`` is numbered as in Lando and Zvonkin's permutation
+pair: ``2i`` is edge ``graph.edges[i]`` at its lower endpoint, ``2i + 1`` at
+its higher one, so the edge involution is ``d ^ 1`` and integer order is tuple
+order.  ``sigma[d]`` is the next dart counterclockwise around the same vertex,
+whose index in ``graph.vertices`` is ``dart_vertex[d]``.  Read as "arrival at
+vertex along edge", a dart's face walk leaves along the next edge
+counterclockwise (``sigma[d] ^ 1``); the walk keeps its face on the right, so
+the face to the left of a traversal is the one holding its tail dart.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import InvariantViolation
@@ -51,10 +56,27 @@ class SideClassification:
     right_vertices: frozenset
 
 
+@lru_cache(maxsize=4096)
+def _dart_numbering(graph: Multigraph):
+    """The (edge, vertex) -> dart lookup and each dart's vertex position.
+
+    Depends on the graph alone, so every rotation system on it shares one.
+    """
+    vix = {v: i for i, v in enumerate(graph.vertices)}
+    dart = {}
+    dart_vertex = []
+    for i, e in enumerate(graph.edges):
+        lo, hi = graph.ends(e)
+        dart[e, lo] = 2 * i
+        dart[e, hi] = 2 * i + 1
+        dart_vertex += (vix[lo], vix[hi])
+    return dart, tuple(dart_vertex)
+
+
 class RibbonGraph:
     """A connected multigraph with a rotation system."""
 
-    __slots__ = ("graph", "rotation", "_hash", "_next", "_faces")
+    __slots__ = ("graph", "rotation", "sigma", "dart_vertex", "_dart", "_hash", "_faces")
 
     def __init__(self, graph: Multigraph, rotation):
         rot = {}
@@ -71,11 +93,12 @@ class RibbonGraph:
         self.graph = graph
         self.rotation = rot
         self._hash = hash((graph, tuple(sorted(rot.items()))))
-        nxt = {}
+        self._dart, self.dart_vertex = _dart_numbering(graph)
+        sigma = [0] * len(self.dart_vertex)
         for v, seq in rot.items():
-            for i, e in enumerate(seq):
-                nxt[(v, e)] = seq[(i + 1) % len(seq)]
-        self._next = nxt
+            for e, f in zip(seq, seq[1:] + seq[:1]):
+                sigma[self._dart[e, v]] = self._dart[f, v]
+        self.sigma = tuple(sigma)
         self._faces = None
 
     def __eq__(self, other):
@@ -92,12 +115,16 @@ class RibbonGraph:
         g = self.graph
         return f"RibbonGraph({len(g.vertices)} vertices, {len(g.edges)} edges, genus {self.euler_genus()})"
 
-    def next_edge(self, x: str, e: str) -> str:
-        """The edge after e in the counterclockwise order at x."""
+    def dart(self, e: str, x: str) -> int:
+        """The number of edge e's dart at vertex x."""
         try:
-            return self._next[(x, e)]
+            return self._dart[e, x]
         except KeyError:
             raise ValueError(f"edge {e!r} is not incident to {x!r}") from None
+
+    def next_edge(self, x: str, e: str) -> str:
+        """The edge after e in the counterclockwise order at x."""
+        return self.graph.edges[self.sigma[self.dart(e, x)] >> 1]
 
     def prev_edge(self, x: str, e: str) -> str:
         seq = self.rotation[x]
@@ -106,34 +133,29 @@ class RibbonGraph:
 
     # -- faces and genus -----------------------------------------------------
 
-    def darts(self):
-        return [(e, v) for e in self.graph.edges for v in self.graph.ends(e)]
-
-    def face_next(self, dart):
-        """Next arrival dart along the face to the left of the walk."""
-        e, w = dart
-        f = self.next_edge(w, e)
-        return (f, self.graph.other(f, w))
-
     def faces(self) -> list[tuple]:
-        """Face boundary walks as tuples of darts; every dart appears once."""
+        """Face boundary walks as tuples of darts; every dart appears once.
+
+        Each walk is an orbit of ``d -> sigma[d] ^ 1`` listed from its
+        smallest dart, and the walks come in order of those darts.
+        """
         if self._faces is not None:
             return self._faces
         if not self.graph.is_connected():
             raise ValueError("faces need a connected graph")
-        remaining = set(self.darts())
+        edges, vs, dv, sigma = self.graph.edges, self.graph.vertices, self.dart_vertex, self.sigma
+        seen = [False] * len(sigma)
         out = []
-        while remaining:
-            start = min(remaining)
-            walk = [start]
-            remaining.discard(start)
-            d = self.face_next(start)
-            while d != start:
-                walk.append(d)
-                remaining.discard(d)
-                d = self.face_next(d)
+        for start in range(len(sigma)):
+            if seen[start]:
+                continue
+            walk = []
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                walk.append((edges[d >> 1], vs[dv[d]]))
+                d = sigma[d] ^ 1
             out.append(tuple(walk))
-        out.sort()
         self._faces = out
         return out
 
@@ -258,38 +280,20 @@ class RibbonGraph:
         Minimum over anchor darts of a breadth-first relabeling of the
         (rotation, edge-involution) permutation pair.
         """
-        g = self.graph
-        edge_ix = {e: i for i, e in enumerate(g.edges)}
-        nd = 2 * len(g.edges)
-        sigma = [0] * nd
-        alpha = [0] * nd
-
-        def dart_id(e, v):
-            lo, hi = g.ends(e)
-            return 2 * edge_ix[e] + (0 if v == lo else 1)
-
-        for e in g.edges:
-            lo, hi = g.ends(e)
-            alpha[dart_id(e, lo)] = dart_id(e, hi)
-            alpha[dart_id(e, hi)] = dart_id(e, lo)
-        for v, seq in self.rotation.items():
-            for i, e in enumerate(seq):
-                sigma[dart_id(e, v)] = dart_id(seq[(i + 1) % len(seq)], v)
-        if nd == 0:
-            return (len(g.vertices),)
-        best = None
-        for start in range(nd):
+        sigma = self.sigma
+        best = ()
+        for start in range(len(sigma)):
             labels = {start: 0}
             order = [start]
             for d in order:
-                for nb in (sigma[d], alpha[d]):
+                for nb in (sigma[d], d ^ 1):
                     if nb not in labels:
                         labels[nb] = len(labels)
                         order.append(nb)
-            enc = tuple(x for d in order for x in (labels[sigma[d]], labels[alpha[d]]))
-            if best is None or enc < best:
+            enc = tuple(x for d in order for x in (labels[sigma[d]], labels[d ^ 1]))
+            if not best or enc < best:
                 best = enc
-        return (len(g.vertices),) + best
+        return (len(self.graph.vertices),) + best
 
     # -- serialization ---------------------------------------------------------
 

@@ -143,30 +143,33 @@ def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
 
     Returns (tree', steps) where steps is the recorded trace (empty when
     trace is false).  The final rotor configuration is asserted acyclic.
+    Rotors are darts of rg, indexed by vertex position; the sink has none.
     """
     g = rg.graph
     if c not in g.vertices or s not in g.vertices:
         raise KeyError("unknown chip or sink vertex")
-    rotors = tree_to_rotors(g, tree, s).as_dict()
+    vs, edges, sigma, dv = g.vertices, g.edges, rg.sigma, rg.dart_vertex
+    rotors = [None] * len(vs)
+    for v, e in tree_to_rotors(g, tree, s).rotors:
+        d = rg.dart(e, v)
+        rotors[dv[d]] = d
     steps: list[RouteStep] = []
-    bound = 2 * len(g.edges) * (len(g.vertices) + 1) + 8
-    x = c
+    bound = 2 * len(edges) * (len(vs) + 1) + 8
+    x, sink = vs.index(c), vs.index(s)
     n = 0
-    while x != s:
+    while x != sink:
         if n >= bound:
             raise InvariantViolation("routing exceeded its step bound")
-        e = rg.next_edge(x, rotors[x])
-        rotors[x] = e
-        y = g.other(e, x)
+        d = sigma[rotors[x]]
+        rotors[x] = d
+        y = dv[d ^ 1]
         if trace:
-            steps.append(RouteStep(n, x, x, e, y))
+            steps.append(RouteStep(n, vs[x], vs[x], edges[d >> 1], vs[y]))
         x = y
         n += 1
-    out = RotorConfig.make(s, rotors)
-    tree2 = rotors_to_tree(g, out)
-    if tree2 is None:
+    if functional_cycles([None if d is None else dv[d ^ 1] for d in rotors]):
         raise InvariantViolation("routing finished on a cyclic rotor configuration")
-    return tree2, steps
+    return frozenset(edges[d >> 1] for d in rotors if d is not None), steps
 
 
 def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
@@ -297,33 +300,22 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
     so shifted starts see the same crossing multiset and the same return
     time): the walk returns to its start at step 2|E| and not earlier, each
     edge is crossed exactly once in each direction, and each rotor turns a
-    full circle.  Runs on an indexed copy of the graph for speed.
+    full circle.  Rotors are darts of rg and the chip a vertex position.
     """
-    g = rg.graph
-    vs = g.vertices
-    vi = {v: i for i, v in enumerate(vs)}
-    ei = {e: j for j, e in enumerate(g.edges)}
-    incident = [tuple(ei[e] for e in g.incident(v)) for v in vs]
-    heads = [tuple(vi[g.other(e, v)] for e in g.incident(v)) for v in vs]
-    other = {}
-    for e in g.edges:
-        u, w = g.ends(e)
-        other[(ei[e], vi[u])] = vi[w]
-        other[(ei[e], vi[w])] = vi[u]
-    nxt = {}
-    for v, seq in rg.rotation.items():
-        for i, e in enumerate(seq):
-            nxt[(vi[v], ei[e])] = ei[seq[(i + 1) % len(seq)]]
+    from itertools import product
 
-    n, m = len(vs), len(g.edges)
+    sigma, dv = rg.sigma, rg.dart_vertex
+    n, nd = len(rg.graph.vertices), len(sigma)
+    around = [[] for _ in range(n)]
+    for d in range(nd):
+        around[dv[d]].append(d)
+    heads = [[dv[d ^ 1] for d in ds] for ds in around]
     report = {"unicycles": 0, "orbits": 0, "violations": []}
     visited = set()
 
-    from itertools import product as iproduct
-
     # successors come from a product in lockstep with the rotors'; building
     # them per combo instead is slower
-    for combo, succ in zip(iproduct(*incident), iproduct(*heads)):
+    for combo, succ in zip(product(*around), product(*heads)):
         cycles = functional_cycles(succ)
         if len(cycles) != 1:
             continue
@@ -334,20 +326,20 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
             report["orbits"] += 1
             rotors = list(combo)
             chip = chip0
-            crossings = set()
+            crossed = set()
             turns = [0] * n
-            for _ in range(2 * m):
+            for _ in range(nd):
                 visited.add((tuple(rotors), chip))
-                e = nxt[(chip, rotors[chip])]
-                rotors[chip] = e
+                d = sigma[rotors[chip]]
+                rotors[chip] = d
                 turns[chip] += 1
-                crossings.add((e, chip))
-                chip = other[(e, chip)]
+                crossed.add(d)
+                chip = dv[d ^ 1]
             if (tuple(rotors), chip) != (combo, chip0):
                 report["violations"].append("orbit did not close after a full sweep")
-            if len(crossings) != 2 * m:
+            if len(crossed) != nd:
                 report["violations"].append("an edge was not crossed once per direction")
-            if any(turns[v] != len(incident[v]) for v in range(n)):
+            if any(turns[v] != len(around[v]) for v in range(n)):
                 report["violations"].append("a rotor did not make one full turn")
     return report
 

@@ -19,18 +19,15 @@ from .multigraph import Multigraph
 class Divisor:
     """An immutable vertex -> int chip map; missing vertices hold 0 chips."""
 
-    __slots__ = ("_chips", "_hash")
+    __slots__ = ("_map", "_chips", "_hash")
 
     def __init__(self, chips=None):
-        items = tuple(sorted((v, int(n)) for v, n in dict(chips or {}).items() if n != 0))
-        self._chips = items
-        self._hash = hash(items)
+        self._map = {v: int(n) for v, n in dict(chips or {}).items() if n != 0}
+        self._chips = tuple(sorted(self._map.items()))
+        self._hash = hash(self._chips)
 
     def __getitem__(self, v) -> int:
-        for w, n in self._chips:
-            if w == v:
-                return n
-        return 0
+        return self._map.get(v, 0)
 
     def items(self):
         return self._chips

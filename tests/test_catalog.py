@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations_with_replacement, permutations, product
 
 from rotorsand.catalog import (
@@ -97,3 +99,14 @@ def test_ribbon_counts_small():
 def test_two_connected_filter():
     for rg in plane_graphs(5, two_connected=True):
         assert rg.graph.is_two_connected()
+
+
+# sha256 of ribbon_graphs(6) as a JSON pair: the to_json list, then the
+# canonical_form list.  Pins the catalog's order, labels and canonical forms.
+RIBBON_6_SHA256 = "2b764491a6489750866a1150c007d1b084e07b3667ca7366b1d87ca281ecce17"
+
+
+def test_ribbon_catalog_pinned():
+    gs = ribbon_graphs(6)
+    text = json.dumps([[rg.to_json() for rg in gs], [list(rg.canonical_form()) for rg in gs]])
+    assert hashlib.sha256(text.encode()).hexdigest() == RIBBON_6_SHA256

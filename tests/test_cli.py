@@ -313,6 +313,48 @@ def test_matroid_entries_must_be_integers(tmp_path, capsys, entry):
     assert capsys.readouterr().out == ""
 
 
+TRIANGLE_MATROID = {
+    "graph": {
+        "vertices": ["a", "b", "c"],
+        "edges": [
+            {"id": "e1", "ends": ["a", "b"]},
+            {"id": "e2", "ends": ["b", "c"]},
+            {"id": "e3", "ends": ["a", "c"]},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "matroid",
+    [
+        {"labels": ["a", "b"], "matrix": 5},
+        {**TRIANGLE_MATROID, "orientation": {"e1": 5}},
+    ],
+    ids=["matrix-not-rows", "orientation-not-pair"],
+)
+def test_malformed_matroid_is_input_error(tmp_path, capsys, matroid):
+    path = _write(tmp_path, "m", matroid)
+    assert main(["bby", "vector", "--matroid", path, "--basis", "e1,e2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "signatures",
+    [
+        {"circuits": [[-1.5, -1, 1]], "cocircuits": [[1, 0, 1], [1, -1, 0], [0, 1, 1]]},
+        {"circuits": [[-1, -1, 1]], "cocircuits": [[1, 0, 1], [1, -1, 0], [0, 1, True]]},
+    ],
+    ids=["float", "bool"],
+)
+def test_signature_entries_must_be_integers(tmp_path, capsys, signatures):
+    matroid = _write(tmp_path, "m", TRIANGLE_MATROID)
+    sig = _write(tmp_path, "sig", signatures)
+    argv = ["bby", "vector", "--matroid", matroid, "--signatures", sig, "--basis", "e1,e2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_good_divisor_still_reduces(triangle_files, tmp_path, capsys):
     dpath = _write(tmp_path, "divisor", {"b": 1, "a": -1})
     rc, out = run(capsys, ["reduce", "--graph", triangle_files["graph"], "--divisor", dpath])

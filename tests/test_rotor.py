@@ -7,6 +7,7 @@ from rotorsand.multigraph import Multigraph, banana_graph
 from rotorsand.ribbon import RibbonGraph
 from rotorsand.rotor import (
     RotorConfig,
+    RouteStep,
     all_unicycles,
     arc_rearrangements,
     check_cycle_reversal,
@@ -134,6 +135,33 @@ def test_full_spin_sweep_small():
         rep = verify_full_spin(rg)
         assert rep["violations"] == [], rg
         assert rep["unicycles"] >= rep["orbits"]
+
+
+def test_full_spin_counts_match_unicycle_enumeration():
+    for rg in ribbon_graphs(4):
+        unicycles = all_unicycles(rg.graph)
+        orbits = {frozenset(unicycle_orbit(rg, u, 2 * len(rg.graph.edges))) for u in unicycles}
+        rep = verify_full_spin(rg)
+        assert (rep["unicycles"], rep["orbits"]) == (len(unicycles), len(orbits)), rg
+
+
+def test_route_chip_matches_rotate_one_loop():
+    """route_chip against routing spelled out with rotate_one and rotors_to_tree."""
+    for rg in plane_graphs(4):
+        g = rg.graph
+        for tree in g.spanning_trees():
+            for c in g.vertices:
+                for s in g.vertices:
+                    rho = tree_to_rotors(g, tree, s)
+                    steps = []
+                    x = c
+                    while x != s:
+                        rho = rotate_one(rg, rho, x)
+                        e = rho.rotor(x)
+                        steps.append(RouteStep(len(steps), x, x, e, g.other(e, x)))
+                        x = g.other(e, x)
+                    expected = (rotors_to_tree(g, rho), steps)
+                    assert route_chip(rg, tree, c, s, trace=True) == expected
 
 
 def test_plane_orbits_contain_reversal():
