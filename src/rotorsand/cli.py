@@ -169,6 +169,8 @@ def cmd_reduce(args):
     g = _load_graph(args.graph)
     d = _load_divisor(args.divisor, g)
     q = args.sink if args.sink else g.vertices[0]
+    if q not in g.vertices:
+        raise InputError(f"unknown sink {q!r}")
     _emit({"reduced": sandpile.reduce(g, d, q).to_dict(), "sink": q})
 
 

@@ -7,6 +7,7 @@ point anywhere.  Matrices are sequences of equal-length integer rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def det(matrix) -> int:
@@ -85,70 +86,27 @@ def nullspace(matrix, n) -> list[list[Fraction]]:
 def smith_diagonal(matrix) -> list[int]:
     """Diagonal d1 | d2 | ... of the Smith normal form (nonnegative).
 
-    Classic elementary-operation reduction; returns one entry per rank,
-    padded with zeros up to min(rows, cols).
+    Column Hermite reduction of the matrix, then of the transpose of what
+    it left, in turn until that is diagonal: each round is a unimodular
+    change of basis on one side, and each round that leaves a leading entry
+    in place clears its row and column.  gcd/lcm swaps then make the
+    diagonal a divisor chain.  Returns one entry per rank, padded with zeros
+    up to min(rows, cols).
     """
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
+    if not matrix or not matrix[0]:
         return []
-    nr, nc = len(m), len(m[0])
-    diag = []
-    t = 0
-    while t < min(nr, nc):
-        # find a nonzero pivot in the remaining block
-        pos = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(m[i][j])
-                if v != 0 and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
+    dim, cols = len(matrix), [list(c) for c in zip(*matrix)]
+    while True:
+        cols, _ = _hermite_columns(dim, cols)
+        if all(x == 0 for k, c in enumerate(cols) for i, x in enumerate(c) if i != k):
             break
-        i, j = pos
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        # clear row and column t, restarting whenever a remainder appears
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, nc):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j] != 0:
-                        for i in range(t, nr):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of everything below by the pivot
-        p = m[t][t]
-        fixed = True
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % p != 0:
-                    for jj in range(t, nc):
-                        m[t][jj] += m[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        diag.append(abs(p))
-        t += 1
-    diag += [0] * (min(nr, nc) - len(diag))
-    return diag
+        dim, cols = len(cols), [list(r) for r in zip(*cols)]
+    diag = [c[k] for k, c in enumerate(cols)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (min(len(matrix), len(matrix[0])) - len(diag))
 
 
 class ColumnLattice:

@@ -226,6 +226,9 @@ def from_graph(g: Multigraph, orientation=None) -> RegularMatroid:
         raise ValueError("graph must be connected")
     if orientation is None:
         orientation = default_orientation(g)
+    unknown = sorted(set(orientation) - set(g.edges))
+    if unknown:
+        raise ValueError(f"orientation names edges not in the graph: {unknown}")
     vs = g.vertices
     vi = {v: i for i, v in enumerate(vs)}
     matrix = [[0] * len(g.edges) for _ in vs]

@@ -1,15 +1,19 @@
 """Divisors, chip-firing, canonical class representatives, group structure.
 
 A divisor is an integer chip vector on the vertices; degree-zero divisors
-modulo the integer image of the Laplacian form the sandpile group.  Classes
-are keyed by their unique reduced representative relative to a sink, found
-by the burning-and-firing loop.  All arithmetic is exact.
+modulo the integer image of the Laplacian form the sandpile group.  A class
+is keyed by its degree and the Hermite reduction of its chips off the first
+vertex modulo the reduced-Laplacian lattice.  Dhar's burning loop
+(``reduce``) finds the q-reduced representative for any sink q: routing and
+the ``reduce`` command use it, and it cross-checks the lattice keys.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .errors import InvariantViolation
 from .intlinalg import ColumnLattice, det, smith_diagonal
@@ -98,13 +102,9 @@ def laplacian(g: Multigraph) -> list[list[int]]:
     return m
 
 
-def reduced_laplacian(g: Multigraph, q=None) -> list[list[int]]:
-    vs = g.vertices
-    if q is None:
-        q = vs[0]
-    keep = [i for i, v in enumerate(vs) if v != q]
-    full = laplacian(g)
-    return [[full[i][j] for j in keep] for i in keep]
+def reduced_laplacian(g: Multigraph) -> list[list[int]]:
+    """The Laplacian without the row and column of vertices[0]."""
+    return [row[1:] for row in laplacian(g)[1:]]
 
 
 def fire(g: Multigraph, d: Divisor, v: str) -> Divisor:
@@ -130,10 +130,10 @@ def fire_set(g: Multigraph, d: Divisor, vs) -> Divisor:
     return Divisor(out)
 
 
-def stabilize(g: Multigraph, d: Divisor, s: str, step_limit: int | None = None) -> Divisor:
+def stabilize(g: Multigraph, d: Divisor, s: str) -> Divisor:
     """Fire non-sink vertices holding at least their degree until none do.
 
-    The fixed point is independent of the firing order; the step limit only
+    The fixed point is independent of the firing order; the step bound only
     guards against bugs, since termination is guaranteed for inputs that are
     nonnegative off the sink with bounded total chips.
     """
@@ -142,9 +142,8 @@ def stabilize(g: Multigraph, d: Divisor, s: str, step_limit: int | None = None) 
     cur = {v: d[v] for v in g.vertices}
     if any(cur[v] < 0 for v in g.vertices if v != s):
         raise ValueError("stabilize needs a divisor nonnegative off the sink")
-    if step_limit is None:
-        total = sum(n for n in cur.values() if n > 0) + 1
-        step_limit = 4 * len(g.vertices) ** 2 * len(g.edges) * total + 64
+    total = sum(n for n in cur.values() if n > 0) + 1
+    step_limit = 4 * len(g.vertices) ** 2 * len(g.edges) * total + 64
     steps = 0
     active = [v for v in g.vertices if v != s and cur[v] >= g.degree(v)]
     while active:
@@ -207,6 +206,8 @@ def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
     from q and fire whatever survives; once the fire consumes the whole
     graph, no nonempty set off q can fire without going negative.
     """
+    if q not in g.vertices:
+        raise KeyError(f"unknown vertex id {q!r}")
     m = max((-d[v] for v in g.vertices if v != q), default=0)
     cur = d + m * _sink_boost(g, q) if m > 0 else d
     spread = sum(abs(n) for _, n in cur.items()) + 1
@@ -243,19 +244,29 @@ def is_reduced(g: Multigraph, d: Divisor, q: str) -> bool:
     return not _unburnt_set(g, d, q)
 
 
-def canonical_class(g: Multigraph, d: Divisor) -> Divisor:
-    """Class key: the reduced form relative to the smallest vertex id."""
-    return reduce(g, d, g.vertices[0])
+@lru_cache(maxsize=4096)
+def _class_lattice(g: Multigraph) -> ColumnLattice:
+    """The lattice spanned by the reduced Laplacian at vertices[0].
+
+    Degree-0 classes are its cosets in Z^(V - q), read off the chips away
+    from q = vertices[0].  Cached per graph, an immutable value.
+    """
+    return ColumnLattice(len(g.vertices) - 1, reduced_laplacian(g))
+
+
+def canonical_class(g: Multigraph, d: Divisor) -> tuple:
+    """Class key: the degree, and the canonical coset vector off vertices[0]."""
+    return d.degree(), _class_lattice(g).reduce([d[v] for v in g.vertices[1:]])
 
 
 def same_class(g: Multigraph, d1: Divisor, d2: Divisor) -> bool:
-    return d1.degree() == d2.degree() and canonical_class(g, d1) == canonical_class(g, d2)
+    return canonical_class(g, d1) == canonical_class(g, d2)
 
 
 def laplacian_image_contains(g: Multigraph, d: Divisor) -> bool:
     """Membership of d in the integer span of the Laplacian columns.
 
-    Independent of the burning machinery; used to cross-check same_class.
+    Independent of the class keys and of burning; a cross-check for both.
     """
     vs = g.vertices
     lap = laplacian(g)
@@ -268,46 +279,37 @@ def group_structure(g: Multigraph) -> GroupStructure:
     """Invariant factors of the sandpile group from the reduced Laplacian."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    if len(g.vertices) == 1:
-        return GroupStructure((), 1)
     diag = smith_diagonal(reduced_laplacian(g))
     if any(x == 0 for x in diag):
         raise InvariantViolation("reduced Laplacian is singular on a connected graph")
-    order = 1
-    for x in diag:
-        order *= x
-    return GroupStructure(tuple(x for x in diag if x > 1), order)
+    return GroupStructure(tuple(x for x in diag if x > 1), prod(diag))
 
 
 def tree_count(g: Multigraph) -> int:
     """Number of spanning trees via the reduced Laplacian determinant."""
-    if len(g.vertices) == 1:
-        return 1
     return abs(det(reduced_laplacian(g)))
 
 
 def enumerate_classes(g: Multigraph) -> list[Divisor]:
-    """Canonical representatives of every sandpile class, in a fixed order.
+    """One representative of every sandpile class, in a fixed order.
 
-    Breadth-first closure under adding the generators [v - q]; the size must
-    match the determinant count, which is asserted.
+    Breadth-first closure of the zero class under adding the generators
+    [v - q], q = vertices[0].  Each class is represented by the first
+    generator sum that reaches it, so every representative is nonnegative
+    off q; it need not be q-reduced.  The count must match the lattice
+    index, the number of spanning trees, which is asserted.
     """
     q = g.vertices[0]
-    zero = canonical_class(g, Divisor({}))
-    seen = {zero}
-    frontier = [zero]
-    order = [zero]
-    gens = [chip(v, q) for v in g.vertices if v != q]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for gen in gens:
-                c = canonical_class(g, d + gen)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-                    order.append(c)
-        frontier = nxt
-    if len(order) != group_structure(g).order:
+    gens = [chip(v, q) for v in g.vertices[1:]]
+    order = [Divisor({})]
+    seen = {canonical_class(g, order[0])}
+    for d in order:
+        for gen in gens:
+            c = d + gen
+            key = canonical_class(g, c)
+            if key not in seen:
+                seen.add(key)
+                order.append(c)
+    if len(order) != _class_lattice(g).index_in_ambient():
         raise InvariantViolation("class enumeration disagrees with the group order")
     return order

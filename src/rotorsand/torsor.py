@@ -1,8 +1,9 @@
 """Sandpile torsor actions on plane ribbon graphs and their verifiers.
 
-The rotor-routing action evaluates a class on a tree by picking a sink,
-moving the class representative into the sink monoid and routing chip by
-chip.  Three companion actions come from reversing the rotation, negating
+The rotor-routing action evaluates a class on a tree by routing its reduced
+representative at the first vertex into that sink, chip by chip; classes are
+memo keys through ``sandpile.canonical_class``, whichever representative is
+given.  Three companion actions come from reversing the rotation, negating
 the class, or both.  Verifiers below check the torsor axioms, independence
 of the sink choice, and compatibility with contraction, deletion and cut
 vertices, exhaustively over whatever instances they are handed.
@@ -20,6 +21,10 @@ from .sandpile import Divisor, chip
 
 VARIANTS = ("r", "rbar", "rinv", "rbarinv")
 
+# verify_torsor_axioms checks additivity on all class pairs up to this many
+# (class, class, tree) triples, and on (generator, class) pairs beyond it.
+PAIR_LIMIT = 200_000
+
 
 class TorsorAction:
     """A free transitive action of the sandpile group on spanning trees.
@@ -27,7 +32,8 @@ class TorsorAction:
     ``variant`` selects among rotor-routing ("r"), its mirror ("rbar",
     rotors turn the other way), its inverse ("rinv", the class is negated),
     and both ("rbarinv").  Evaluations are memoized per (class, tree), with
-    classes keyed by canonical reduced form.
+    classes keyed by ``sandpile.canonical_class``; a miss routes the class's
+    reduced representative at the first vertex, which serves as the sink.
     """
 
     def __init__(self, rg: RibbonGraph, variant: str = "r", require_plane: bool = True):
@@ -45,14 +51,14 @@ class TorsorAction:
     def graph(self) -> Multigraph:
         return self.rg.graph
 
-    def class_key(self, d: Divisor) -> Divisor:
+    def class_key(self, d: Divisor) -> tuple:
         return sandpile.canonical_class(self.graph, d)
 
-    def act(self, d: Divisor, tree, sink: str | None = None):
+    def act(self, d: Divisor, tree):
         """Apply the class of d to the tree.
 
-        The sink is an evaluation detail; for plane inputs the result does
-        not depend on it (which verify_sink_invariance demonstrates).
+        The sink, vertices[0], is an evaluation detail; for plane inputs the
+        result does not depend on it (which verify_sink_invariance shows).
         """
         g = self.graph
         if d.degree() != 0:
@@ -60,14 +66,11 @@ class TorsorAction:
         tree = frozenset(tree)
         if self.variant in ("rinv", "rbarinv"):
             d = -d
-        key = (self.class_key(d), tree, sink)
-        if key in self._memo:
-            return self._memo[key]
-        s = sink if sink is not None else g.vertices[0]
-        rep = sandpile.move_to_sink(g, self.class_key(d), s)
-        out = route_divisor(self._routing_rg, tree, rep, s)
-        self._memo[key] = out
-        return out
+        key = (self.class_key(d), tree)
+        if key not in self._memo:
+            s = g.vertices[0]
+            self._memo[key] = route_divisor(self._routing_rg, tree, sandpile.reduce(g, d, s), s)
+        return self._memo[key]
 
     def chip_table(self, c: str, s: str) -> dict:
         """tree -> routed tree for a single chip c - s on the routing ribbon."""
@@ -105,8 +108,7 @@ class TorsorAction:
         out = {}
         for d in classes:
             dd = -d if self.variant in ("rinv", "rbarinv") else d
-            rep = sandpile.move_to_sink(g, self.class_key(dd), s)
-            out[self.class_key(d)] = self.fold(rep, s, trees)
+            out[self.class_key(d)] = self.fold(sandpile.reduce(g, dd, s), s, trees)
         return out
 
 
@@ -128,15 +130,13 @@ class Report:
         return not self.violations
 
 
-def verify_torsor_axioms(
-    rg: RibbonGraph, act=None, pair_limit: int = 200_000, variant: str = "r"
-) -> Report:
+def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Report:
     """Exhaustively test identity, additivity, freeness and transitivity.
 
     ``act`` may be any callable (divisor, tree) -> tree, so corrupted actions
     can be fed in; defaults to the chosen routing variant on rg.  Additivity
     is checked on all class pairs when the cube of the group order stays
-    under pair_limit, otherwise on all (generator, class) pairs, which
+    under PAIR_LIMIT, otherwise on all (generator, class) pairs, which
     reaches every sum by induction; the report notes which mode ran.
     """
     g = rg.graph
@@ -183,7 +183,7 @@ def verify_torsor_axioms(
             rep.violations.append({"axiom": "transitivity", "tree": sorted(t)})
 
     n = len(classes)
-    exhaustive_pairs = n * n * len(trees) <= pair_limit
+    exhaustive_pairs = n * n * len(trees) <= PAIR_LIMIT
     if not exhaustive_pairs:
         rep.notes.append("additivity on generator pairs only")
     q = g.vertices[0]

@@ -330,8 +330,12 @@ TRIANGLE_MATROID = {
     [
         {"labels": ["a", "b"], "matrix": 5},
         {**TRIANGLE_MATROID, "orientation": {"e1": 5}},
+        {
+            **TRIANGLE_MATROID,
+            "orientation": {"e1": ["a", "b"], "e2": ["b", "c"], "e3": ["a", "c"], "zz": ["x", "y"]},
+        },
     ],
-    ids=["matrix-not-rows", "orientation-not-pair"],
+    ids=["matrix-not-rows", "orientation-not-pair", "orientation-unknown-edge"],
 )
 def test_malformed_matroid_is_input_error(tmp_path, capsys, matroid):
     path = _write(tmp_path, "m", matroid)
@@ -362,25 +366,39 @@ def test_good_divisor_still_reduces(triangle_files, tmp_path, capsys):
     assert json.loads(out) == {"reduced": {"a": -1, "b": 1}, "sink": "a"}
 
 
+def test_unknown_reduce_sink_is_input_error(triangle_files, tmp_path, capsys):
+    dpath = _write(tmp_path, "divisor", {"a": 1, "b": 0})
+    argv = ["reduce", "--graph", triangle_files["graph"], "--divisor", dpath, "--sink", "zz"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "zz" in out.err
+
+
 # Verdicts of the sweeps at small sizes; a refactor that changes what a suite
 # covers changes these counts.
 VERIFY_VERDICTS = [
-    (["torsor", "--max-edges", "4"], 22, 682),
-    (["consistency", "--max-edges", "4"], 22, 872),
-    (["sink-invariance", "--max-edges", "4"], 22, 311),
-    (["moves", "--max-edges", "5"], 13, 712),
-    (["unicycle", "--max-edges", "5"], 116, 423),
-    (["telescope"], 39, 39),
-    (["matroid", "--max-edges", "3"], 32, 136),
+    (["torsor", "--max-edges", "4"], 22, 682, 0, 0),
+    (["consistency", "--max-edges", "4"], 22, 872, 0, 0),
+    (["sink-invariance", "--max-edges", "4"], 22, 311, 0, 0),
+    (["moves", "--max-edges", "5"], 13, 712, 0, 0),
+    (["unicycle", "--max-edges", "5"], 116, 423, 0, 0),
+    (["telescope"], 39, 39, 0, 0),
+    (["matroid", "--max-edges", "3"], 32, 136, 0, 0),
+    # off the plane, sink dependence is expected and reported as findings
+    (["sink-invariance", "--max-edges", "4", "--include-nonplanar"], 28, 452, 6, 76),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,instances,checked", VERIFY_VERDICTS, ids=[v[0][0] for v in VERIFY_VERDICTS]
+    "argv,instances,checked,findings,disagreements",
+    VERIFY_VERDICTS,
+    ids=[v[0][0] + "-nonplanar" * ("--include-nonplanar" in v[0]) for v in VERIFY_VERDICTS],
 )
-def test_verify_verdicts_pinned(capsys, argv, instances, checked):
+def test_verify_verdicts_pinned(capsys, argv, instances, checked, findings, disagreements):
     rc, out = run(capsys, ["verify", *argv, "--seed", "0"])
     rep = json.loads(out)
     assert rc == 0
     assert (rep["instances"], rep["checked"]) == (instances, checked)
-    assert rep["violations"] == [] and rep["findings"] == []
+    assert rep["violations"] == []
+    assert len(rep["findings"]) == findings
+    assert sum(f["disagreements"] for f in rep["findings"]) == disagreements

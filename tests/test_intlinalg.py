@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -61,6 +62,25 @@ def test_smith_divisibility_and_determinant(m):
     for x in diag:
         prod *= x
     assert abs(d) == prod
+
+
+def test_smith_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(3)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            # a product through k < min(nr, nc) dimensions is rank-deficient
+            k = rng.randint(0, min(nr, nc) - 1)
+            a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nr)]
+            b = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(k)]
+            m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+        else:
+            m = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        snf = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        assert smith_diagonal(m) == [abs(int(snf[i, i])) for i in range(min(nr, nc))], m
 
 
 def brute_membership(cols, v, box=3):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from rotorsand import sandpile
-from rotorsand.catalog import connected_multigraphs
+from rotorsand import moves, sandpile
+from rotorsand.catalog import connected_multigraphs, plane_graphs
 from rotorsand.multigraph import banana_graph, cycle_graph
 from rotorsand.sandpile import Divisor, chip
 
@@ -202,3 +202,33 @@ def test_enumerate_classes_sizes():
 def test_move_to_sink_requires_degree_zero(triangle):
     with pytest.raises(ValueError):
         sandpile.move_to_sink(triangle, Divisor({"u": 1}), "u")
+
+
+def test_lattice_keys_split_like_burning():
+    # every plane graph with at most 6 edges: each class representative, a
+    # firing-shifted copy of it, and random divisors of any degree fall into
+    # the same classes under lattice keys as under burning at vertices[0]
+    rng = random.Random(11)
+    for g in dict.fromkeys(rg.graph for rg in plane_graphs(6)):
+        q = g.vertices[0]
+        classes = sandpile.enumerate_classes(g)
+        assert all(d[v] >= 0 for d in classes for v in g.vertices[1:])
+        divs = list(classes)
+        divs += [sandpile.fire(g, d, rng.choice(g.vertices)) for d in classes]
+        divs += [Divisor({v: rng.randrange(-3, 4) for v in g.vertices}) for _ in range(10)]
+        lattice = [sandpile.canonical_class(g, d) for d in divs]
+        burnt = [sandpile.reduce(g, d, q) for d in divs]
+        assert len(set(lattice)) == len(set(burnt)) == len(set(zip(lattice, burnt)))
+        assert len(set(lattice[: len(classes)])) == len(classes)
+
+
+def test_reduce_rejects_unknown_sink(triangle):
+    with pytest.raises(KeyError):
+        sandpile.reduce(triangle, Divisor({"u": 1}), "zz")
+
+
+def test_telescope_group_structure():
+    g = moves.telescope(7, [1, 2, 1, 2, 1, 2, 1, 2])[0].graph
+    s = sandpile.group_structure(g)
+    assert s.invariant_factors == (4, 4, 4, 1504976)
+    assert s.order == sandpile.tree_count(g) == 96_318_464
