@@ -167,6 +167,8 @@ def cmd_act(args):
 
 def cmd_reduce(args):
     g = _load_graph(args.graph)
+    if not g.is_connected():
+        raise InputError("graph must be connected")
     d = _load_divisor(args.divisor, g)
     q = args.sink if args.sink else g.vertices[0]
     if q not in g.vertices:

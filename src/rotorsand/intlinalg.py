@@ -36,16 +36,14 @@ def det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rref(matrix, ncols=None):
+def rref(matrix):
     """Gauss-Jordan over the rationals: (reduced rows, pivot columns).
 
     Rows come back as Fractions, pivot rows first, each pivot 1 and alone
-    in its column.  Stops as soon as every row holds a pivot.  ncols gives
-    the width when the matrix may have no rows.
+    in its column.  Stops as soon as every row holds a pivot.
     """
     rows = [[Fraction(x) for x in row] for row in matrix]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+    ncols = len(rows[0]) if rows else 0
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -68,19 +66,6 @@ def rref(matrix, ncols=None):
 def rank(matrix) -> int:
     """Rank over the rationals."""
     return len(rref(matrix)[1])
-
-
-def nullspace(matrix, n) -> list[list[Fraction]]:
-    """Basis of {y in Q^n : matrix . y = 0}, one vector per free column."""
-    rows, pivots = rref(matrix, n)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        y = [Fraction(0)] * n
-        y[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            y[pc] = -rows[i][fc]
-        basis.append(y)
-    return basis
 
 
 def smith_diagonal(matrix) -> list[int]:

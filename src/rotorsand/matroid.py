@@ -1,11 +1,14 @@
 """Regular oriented matroids, acyclic signatures, and the BBY torsor.
 
 A regular matroid is carried by a totally unimodular integer matrix whose
-columns are labeled by the ground set.  Signed circuits are the minimal
-support kernel vectors scaled to -1/0/+1, signed cocircuits the same in the
-row space; bases are the maximal independent column sets.  The sandpile
-group is Z^E modulo the direct sum of the circuit and cocircuit lattices,
-with canonical coset representatives from a Hermite basis.
+columns are labeled by the ground set.  Pivoting on +-1 entries keeps the
+matrix totally unimodular, so everything runs on -1/0/+1 ints: one walk
+over the basis-exchange graph, from the standard form [I | D], visits every
+basis, and each basis's tableau gives its fundamental circuits (kernel
+vectors) and fundamental cocircuits (row-space vectors), which between them
+are all the signed circuits and cocircuits.  The sandpile group is Z^E
+modulo the direct sum of the circuit and cocircuit lattices, with canonical
+coset representatives from a Hermite basis.
 
 The BBY action tags each basis with the 0/1 vector of fundamental-circuit
 and fundamental-cocircuit signs picked by a pair of acyclic signatures, and
@@ -15,14 +18,20 @@ acts by translation on the classes of those vectors.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import InvariantViolation
-from .intlinalg import ColumnLattice, det, nullspace, rank
+from .intlinalg import ColumnLattice, det
 from .lp import separating_functional
-from .multigraph import Multigraph
+from .multigraph import Multigraph, string_list, string_lists
+
+
+# Square minors _is_totally_unimodular may evaluate; K6's incidence matrix
+# (6 x 15) has 54,173, K7's (7 x 21) about 1.2 * 10^6.
+TU_MINOR_LIMIT = 250_000
 
 
 def _is_totally_unimodular(matrix) -> bool:
@@ -30,6 +39,9 @@ def _is_totally_unimodular(matrix) -> bool:
     cols = len(matrix[0]) if rows else 0
     if any(abs(x) > 1 for row in matrix for x in row):
         return False
+    minors = sum(comb(rows, k) * comb(cols, k) for k in range(2, min(rows, cols) + 1))
+    if minors > TU_MINOR_LIMIT:
+        raise ValueError(f"total unimodularity check needs {minors} minors, over {TU_MINOR_LIMIT}")
     for k in range(2, min(rows, cols) + 1):
         for ris in combinations(range(rows), k):
             for cis in combinations(range(cols), k):
@@ -37,6 +49,44 @@ def _is_totally_unimodular(matrix) -> bool:
                 if det(sub) not in (-1, 0, 1):
                     return False
     return True
+
+
+def _pivot(rows, i, c) -> None:
+    """Pivot the rows in place on the +-1 entry rows[i][c].
+
+    Row i is scaled to 1 at c and subtracted from every other row nonzero at
+    c.  On a totally unimodular matrix every entry stays in {-1, 0, 1}.
+    """
+    if rows[i][c] not in (1, -1):
+        raise InvariantViolation("pivot entry is not +-1")
+    rows[i] = pr = [rows[i][c] * x for x in rows[i]]
+    for k, row in enumerate(rows):
+        if k != i and row[c]:
+            f = row[c]
+            rows[k] = row = [a - f * b for a, b in zip(row, pr)]
+            if any(x not in (-1, 0, 1) for x in row):
+                raise InvariantViolation("pivoting left an entry outside -1/0/+1")
+
+
+def _standard_form(matrix, n):
+    """(rows, basis): the rows pivoted to [I | D] up to column order, zero
+    rows dropped, with row k pivoted on column basis[k]."""
+    rows = [list(row) for row in matrix]
+    basis = []
+    for c in range(n):
+        r = len(basis)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        _pivot(rows, r, c)
+        basis.append(c)
+    return rows[: len(basis)], basis
+
+
+def _lead_positive(vec) -> tuple[int, ...]:
+    lead = next(x for x in vec if x)
+    return tuple(vec) if lead > 0 else _neg(vec)
 
 
 class RegularMatroid:
@@ -53,10 +103,12 @@ class RegularMatroid:
             raise ValueError("matrix width must match the ground set")
         if check_unimodular and not _is_totally_unimodular(self.matrix):
             raise ValueError("representation matrix is not totally unimodular")
-        self.rank = rank(self.matrix) if self.matrix else 0
+        self._standard = _standard_form(self.matrix, self.size)
+        self.rank = len(self._standard[1])
         self._bases = None
         self._circuits = None
         self._cocircuits = None
+        self._fundamental = None
         self._lattice = None
         self._index = {e: i for i, e in enumerate(self.labels)}
 
@@ -68,19 +120,51 @@ class RegularMatroid:
         j = self._index[e]
         return [row[j] for row in self.matrix]
 
-    def _subrank(self, subset) -> int:
-        js = [self._index[e] for e in subset]
-        if not js:
-            return 0
-        return rank([[row[j] for j in js] for row in self.matrix])
+    def _walk(self) -> None:
+        """Breadth-first search over the basis-exchange graph, from the
+        standard form, pivoting on each nonzero tableau entry that leads to
+        an unseen basis.  In the tableau of basis B, row k is the fundamental
+        cocircuit of its pivot element, and column f, set to 1 at f and
+        negated on B, the fundamental circuit of f; every circuit and every
+        cocircuit is fundamental for some basis."""
+        if self._bases is not None:
+            return
+        seen = {frozenset(self._standard[1])}
+        queue = deque([self._standard])
+        fundamental, circuits, cocircuits = {}, set(), set()
+        while queue:
+            rows, basis = queue.popleft()
+            vectors = [None] * self.size
+            for k, e in enumerate(basis):
+                vectors[e] = _lead_positive(rows[k])
+                cocircuits.add(vectors[e])
+            for f in range(self.size):
+                if f in basis:
+                    continue
+                vec = [0] * self.size
+                vec[f] = 1
+                for k, row in enumerate(rows):
+                    if row[f]:
+                        vec[basis[k]] = -row[f]
+                        nxt = basis[:k] + [f] + basis[k + 1 :]
+                        if frozenset(nxt) not in seen:
+                            seen.add(frozenset(nxt))
+                            pivoted = list(rows)  # _pivot replaces rows, never edits one
+                            _pivot(pivoted, k, f)
+                            queue.append((pivoted, nxt))
+                vectors[f] = _lead_positive(vec)
+                circuits.add(vectors[f])
+            fundamental[tuple(sorted(basis))] = tuple(vectors)
+        # sorted index tuples are the order combinations() yields r-subsets in
+        self._fundamental = {
+            frozenset(self.labels[j] for j in key): fundamental[key] for key in sorted(fundamental)
+        }
+        self._bases = tuple(self._fundamental)
+        self._circuits = tuple(sorted(circuits))
+        self._cocircuits = tuple(sorted(cocircuits))
 
     def bases(self) -> tuple[frozenset, ...]:
-        if self._bases is None:
-            out = []
-            for combo in combinations(self.labels, self.rank):
-                if self._subrank(combo) == self.rank:
-                    out.append(frozenset(combo))
-            self._bases = tuple(out)
+        self._walk()
         return self._bases
 
     def is_loop(self, e) -> bool:
@@ -94,84 +178,21 @@ class RegularMatroid:
     def circuits(self) -> tuple[tuple[int, ...], ...]:
         """One signed vector per circuit, sign chosen so the minimal-label
         nonzero entry is positive; the antipode is its negation."""
-        if self._circuits is None:
-            self._circuits = tuple(sorted(self._minimal_kernel_vectors()))
+        self._walk()
         return self._circuits
 
     def cocircuits(self) -> tuple[tuple[int, ...], ...]:
-        if self._cocircuits is None:
-            self._cocircuits = tuple(sorted(self._minimal_rowspace_vectors()))
+        self._walk()
         return self._cocircuits
 
-    def _minimal_kernel_vectors(self):
-        out = []
-        for size in range(1, self.rank + 2):
-            for combo in combinations(self.labels, size):
-                if self._subrank(combo) != size - 1:
-                    continue
-                if any(self._subrank(sub) < len(sub) for sub in combinations(combo, size - 1)):
-                    continue
-                out.append(self._kernel_vector(combo))
-        return out
-
-    def _kernel_vector(self, support):
-        js = [self._index[e] for e in support]
-        ys = nullspace([[row[j] for j in js] for row in self.matrix], len(js))
-        if len(ys) != 1:
-            raise InvariantViolation("circuit support without a kernel vector")
-        vec = [Fraction(0)] * self.size
-        for j, c in zip(js, ys[0]):
-            vec[j] = c
-        return self._normalize_signs(vec, support)
-
-    def _minimal_rowspace_vectors(self):
-        # S is a cocircuit iff its complement is a hyperplane: removing S
-        # drops the rank by one and S has no redundant element.
-        out = []
-        full = self.rank
-        ground = set(self.labels)
-        for size in range(1, self.size - full + 2):
-            for combo in combinations(self.labels, size):
-                rest = sorted(ground - set(combo))
-                if self._subrank(rest) != full - 1:
-                    continue
-                if any(self._subrank(rest + [e]) != full for e in combo):
-                    continue
-                vec = self._rowspace_vector(combo)
-                if vec is None:
-                    raise InvariantViolation("hyperplane without a cocircuit vector")
-                out.append(vec)
-        return out
-
-    def _rowspace_vector(self, support):
-        """A row-space vector supported exactly on support, or None."""
-        zero_js = [self._index[e] for e in self.labels if e not in support]
-        nrows = len(self.matrix)
-        # find y with y^T A zero outside the support
-        system = [[self.matrix[i][j] for i in range(nrows)] for j in zero_js]
-        ys = nullspace(system, nrows)
-        for y in ys:
-            vec = [
-                sum(y[i] * self.matrix[i][j] for i in range(nrows))
-                for j in range(self.size)
-            ]
-            if all(vec[self._index[e]] != 0 for e in support):
-                return self._normalize_signs(vec, support)
-        return None
-
-    def _normalize_signs(self, vec, support):
-        nz = [x for x in vec if x != 0]
-        scale = min(abs(x) for x in nz)
-        vec = [x / scale for x in vec]
-        if any(x.denominator != 1 or abs(x) > 1 for x in vec):
-            raise InvariantViolation("signed vector not in -1/0/+1 after scaling")
-        lead = next(x for x in vec if x != 0)
-        if lead < 0:
-            vec = [-x for x in vec]
-        got = {self.labels[j] for j, x in enumerate(vec) if x != 0}
-        if got != set(support):
-            raise InvariantViolation("signed vector support mismatch")
-        return tuple(int(x) for x in vec)
+    def fundamental_vectors(self, basis) -> tuple[tuple[int, ...], ...]:
+        """Per element of the ground set: its fundamental cocircuit if it is
+        in the basis, else its fundamental circuit, signed as in circuits()."""
+        self._walk()
+        try:
+            return self._fundamental[frozenset(basis)]
+        except KeyError:
+            raise ValueError("not a basis") from None
 
     # -- the sandpile group -------------------------------------------------
 
@@ -207,11 +228,11 @@ class RegularMatroid:
         try:
             if "graph" in obj:
                 g = Multigraph.from_obj(obj["graph"])
-                orientation = {e: tuple(p) for e, p in obj.get("orientation", {}).items()}
+                orientation = string_lists(obj.get("orientation", {}), "orientation", 2)
                 if not orientation:
                     orientation = default_orientation(g)
                 return from_graph(g, orientation)
-            return cls(obj["labels"], obj["matrix"])
+            return cls(string_list(obj["labels"], "labels"), obj["matrix"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed matroid object: {exc}") from exc
 
@@ -289,19 +310,16 @@ def check_acyclic_pair(pair: SignaturePair) -> bool:
 
 def fundamental_circuit(m: RegularMatroid, basis: frozenset, e) -> tuple[int, ...]:
     """The circuit inside basis + e, as the signature-free signed vector."""
-    support = set(basis) | {e}
-    for v in m.circuits():
-        if {m.labels[j] for j, x in enumerate(v) if x != 0} <= support:
-            return v
-    raise InvariantViolation("no circuit inside basis plus element")
+    if e in basis:
+        raise ValueError(f"{e!r} is in the basis")
+    return m.fundamental_vectors(basis)[m._index[e]]
 
 
 def fundamental_cocircuit(m: RegularMatroid, basis: frozenset, e) -> tuple[int, ...]:
-    support = (set(m.labels) - set(basis)) | {e}
-    for v in m.cocircuits():
-        if {m.labels[j] for j, x in enumerate(v) if x != 0} <= support:
-            return v
-    raise InvariantViolation("no cocircuit inside complement plus element")
+    """The cocircuit inside the complement of basis plus e."""
+    if e not in basis:
+        raise ValueError(f"{e!r} is not in the basis")
+    return m.fundamental_vectors(basis)[m._index[e]]
 
 
 def _oriented(pair_vectors, base_vector):
@@ -316,14 +334,9 @@ def _oriented(pair_vectors, base_vector):
 
 def bby_vector(m: RegularMatroid, pair: SignaturePair, basis: frozenset) -> tuple[int, ...]:
     """0/1 tag of a basis: fundamental signs under the chosen signatures."""
-    if basis not in m.bases():
-        raise ValueError("not a basis")
     out = []
-    for j, e in enumerate(m.labels):
-        if e in basis:
-            chosen = _oriented(pair.cocircuits, fundamental_cocircuit(m, basis, e))
-        else:
-            chosen = _oriented(pair.circuits, fundamental_circuit(m, basis, e))
+    for j, vec in enumerate(m.fundamental_vectors(basis)):
+        chosen = _oriented(pair.cocircuits if m.labels[j] in basis else pair.circuits, vec)
         out.append(1 if chosen[j] > 0 else 0)
     return tuple(out)
 
@@ -390,12 +403,7 @@ def minor(m: RegularMatroid, pair: SignaturePair, e, op: str):
             raise ValueError("cannot contract a loop")
         rows = [list(row) for row in m.matrix]
         pivot = next(i for i in range(len(rows)) if rows[i][j] != 0)
-        pr = rows[pivot]
-        sign = pr[j]
-        for i in range(len(rows)):
-            if i != pivot and rows[i][j] != 0:
-                f = rows[i][j] * sign  # pr[j] is +-1 by unimodularity
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        _pivot(rows, pivot, j)
         rows.pop(pivot)
         matrix = [row[:j] + row[j + 1 :] for row in rows]
     labels = m.labels[:j] + m.labels[j + 1 :]
@@ -481,38 +489,26 @@ def verify_matroid_consistency(
         for b in m.bases():
             b2 = act_top(unit, b)
             for e in m.labels:
-                if e == f:
+                if e != f and e in b and e in b2:
+                    condition, op, start, expected = 1, "contract", b - {e}, b2 - {e}
+                elif e != f and e not in b and e not in b2:
+                    condition, op, start, expected = 2, "delete", b, b2
+                else:
                     continue
-                if e in b and e in b2:
-                    sub, act_sub = get_minor(e, "contract")
-                    got = act_sub([int(lbl == f) for lbl in sub.labels], b - {e})
-                    report["checked"] += 1
-                    if got != b2 - {e}:
-                        report["violations"].append(
-                            {
-                                "condition": 1,
-                                "f": f,
-                                "basis": sorted(b),
-                                "element": e,
-                                "expected": sorted(b2 - {e}),
-                                "actual": sorted(got),
-                            }
-                        )
-                elif e not in b and e not in b2:
-                    sub, act_sub = get_minor(e, "delete")
-                    got = act_sub([int(lbl == f) for lbl in sub.labels], b)
-                    report["checked"] += 1
-                    if got != b2:
-                        report["violations"].append(
-                            {
-                                "condition": 2,
-                                "f": f,
-                                "basis": sorted(b),
-                                "element": e,
-                                "expected": sorted(b2),
-                                "actual": sorted(got),
-                            }
-                        )
+                sub, act_sub = get_minor(e, op)
+                got = act_sub([int(lbl == f) for lbl in sub.labels], start)
+                report["checked"] += 1
+                if got != expected:
+                    report["violations"].append(
+                        {
+                            "condition": condition,
+                            "f": f,
+                            "basis": sorted(b),
+                            "element": e,
+                            "expected": sorted(expected),
+                            "actual": sorted(got),
+                        }
+                    )
             if extra_condition is not None:
                 finding = extra_condition(m, sig, f, b, b2)
                 if finding:
@@ -531,25 +527,22 @@ def conjecture_search(max_graph_edges: int, include_r10: bool = False) -> dict:
     """
     from .catalog import connected_multigraphs
 
+    def cases():
+        for g in connected_multigraphs(max_graph_edges):
+            m = from_graph(g)
+            yield m, m.to_obj(), BBY_VARIANTS
+        if include_r10:
+            yield r10(), "r10", ("bby",)
+
     report = {"instances": 0, "checked": 0, "findings": []}
-    for g in connected_multigraphs(max_graph_edges):
-        m = from_graph(g)
+    for m, name, tags in cases():
         pair = default_signatures(m)
-        for tag in BBY_VARIANTS:
+        for tag in tags:
             rep = verify_matroid_consistency(m, pair, tag)
             report["instances"] += 1
             report["checked"] += rep["checked"]
             for v in rep["violations"]:
-                report["findings"].append(
-                    {"matroid": m.to_obj(), "variant": tag, "detail": v}
-                )
-    if include_r10:
-        m = r10()
-        rep = verify_matroid_consistency(m, default_signatures(m))
-        report["instances"] += 1
-        report["checked"] += rep["checked"]
-        for v in rep["violations"]:
-            report["findings"].append({"matroid": "r10", "variant": "bby", "detail": v})
+                report["findings"].append({"matroid": name, "variant": tag, "detail": v})
     return report
 
 

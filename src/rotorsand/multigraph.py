@@ -277,16 +277,35 @@ class Multigraph:
         try:
             edges = {}
             for e in obj["edges"]:
-                if e["id"] in edges:
-                    raise ValueError(f"duplicate edge id {e['id']!r}")
-                edges[e["id"]] = tuple(e["ends"])
-            return cls(obj["vertices"], edges)
+                eid = e["id"]
+                if type(eid) is not str:
+                    raise ValueError(f"edge id {eid!r} is not a string")
+                if eid in edges:
+                    raise ValueError(f"duplicate edge id {eid!r}")
+                edges[eid] = tuple(string_list(e["ends"], f"ends of edge {eid!r}", 2))
+            return cls(string_list(obj["vertices"], "vertices"), edges)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph object: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "Multigraph":
         return cls.from_obj(json.loads(text))
+
+
+def string_list(obj, what: str, length=None) -> list:
+    """obj if it is a JSON list of strings, of the given length if any."""
+    if not isinstance(obj, list) or any(type(x) is not str for x in obj):
+        raise ValueError(f"{what} must be a list of strings")
+    if length is not None and len(obj) != length:
+        raise ValueError(f"{what} must hold {length} strings")
+    return obj
+
+
+def string_lists(obj, what: str, length=None) -> dict:
+    """A JSON object whose values are string_list()s, with tuple values."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
+    return {k: tuple(string_list(v, f"{what} of {k!r}", length)) for k, v in obj.items()}
 
 
 def find_root(parent: list[int], i: int) -> int:

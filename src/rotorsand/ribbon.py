@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import InvariantViolation
-from .multigraph import Multigraph, find_root
+from .multigraph import Multigraph, find_root, string_lists
 
 
 def canonical_rotation(seq) -> tuple[str, ...]:
@@ -310,7 +310,7 @@ class RibbonGraph:
         g = Multigraph.from_obj(obj)
         if "rotation" not in obj:
             raise ValueError("ribbon graph object needs a 'rotation' field")
-        return cls(g, obj["rotation"])
+        return cls(g, string_lists(obj["rotation"], "rotation"))
 
     @classmethod
     def from_json(cls, text: str) -> "RibbonGraph":

@@ -259,7 +259,7 @@ def test_10_bby():
 
 def test_11_conjecture_harness():
     t0 = time.time()
-    v = sweep("matroid", 4, max_elements=10)
+    v = sweep("matroid", 6, max_elements=10)
     # completion plus a well-formed findings report is the acceptance bar;
     # a counterexample would be preserved verbatim in the findings list
     ok = v["checked"] > 0 and isinstance(v["findings"], list)

@@ -334,8 +334,16 @@ TRIANGLE_MATROID = {
             **TRIANGLE_MATROID,
             "orientation": {"e1": ["a", "b"], "e2": ["b", "c"], "e3": ["a", "c"], "zz": ["x", "y"]},
         },
+        {**TRIANGLE_MATROID, "orientation": {"e1": "ab", "e2": "bc", "e3": "ac"}},
+        {**TRIANGLE_MATROID, "orientation": [["a", "b"], ["b", "c"], ["a", "c"]]},
     ],
-    ids=["matrix-not-rows", "orientation-not-pair", "orientation-unknown-edge"],
+    ids=[
+        "matrix-not-rows",
+        "orientation-not-pair",
+        "orientation-unknown-edge",
+        "orientation-strings",
+        "orientation-not-object",
+    ],
 )
 def test_malformed_matroid_is_input_error(tmp_path, capsys, matroid):
     path = _write(tmp_path, "m", matroid)
@@ -357,6 +365,59 @@ def test_signature_entries_must_be_integers(tmp_path, capsys, signatures):
     argv = ["bby", "vector", "--matroid", matroid, "--signatures", sig, "--basis", "e1,e2"]
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("labels", ["abc", ["a", 1, "c"]], ids=["string", "entry-not-string"])
+def test_matroid_labels_must_be_strings(tmp_path, capsys, labels):
+    path = _write(tmp_path, "m", {"labels": labels, "matrix": [[1, 0, 1], [0, 1, 1]]})
+    assert main(["bby", "vector", "--matroid", path, "--basis", "a,b"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": "ab", "edges": [{"id": "e1", "ends": ["a", "b"]}]},
+        {"vertices": ["a", "b"], "edges": [{"id": "e1", "ends": "ab"}]},
+        {"vertices": ["a", "b"], "edges": [{"id": 1, "ends": ["a", "b"]}]},
+    ],
+    ids=["vertices-string", "ends-string", "id-not-string"],
+)
+def test_graph_fields_must_be_strings(tmp_path, capsys, graph):
+    path = _write(tmp_path, "g", graph)
+    for cmd in ("trees", "group"):
+        assert main([cmd, path]) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [{"a": "xz", "b": "yx", "c": "zy"}, [["x", "z"], ["y", "x"], ["z", "y"]]],
+    ids=["strings", "not-object"],
+)
+def test_rotation_must_map_vertices_to_lists(tmp_path, capsys, rotation):
+    ribbon = {
+        "vertices": ["a", "b", "c"],
+        "edges": [
+            {"id": "x", "ends": ["a", "b"]},
+            {"id": "y", "ends": ["b", "c"]},
+            {"id": "z", "ends": ["a", "c"]},
+        ],
+        "rotation": rotation,
+    }
+    assert main(["genus", _write(tmp_path, "r", ribbon)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_reduce_rejects_disconnected_graph(tmp_path, capsys):
+    graph = {
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"id": "ab", "ends": ["a", "b"]}, {"id": "cd", "ends": ["c", "d"]}],
+    }
+    argv = ["reduce", "--graph", _write(tmp_path, "g", graph)]
+    assert main([*argv, "--divisor", _write(tmp_path, "d", {"b": 1, "a": -1})]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "connected" in out.err
 
 
 def test_good_divisor_still_reduces(triangle_files, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorsand.intlinalg import ColumnLattice, det, nullspace, rank, smith_diagonal
+from rotorsand.intlinalg import ColumnLattice, det, rank, smith_diagonal
 
 
 def brute_det(m):
@@ -117,23 +117,3 @@ def test_lattice_reduce_is_canonical_on_cosets():
 def test_lattice_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         ColumnLattice(2, [[1, 2, 3]])
-
-
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=4),
-        )
-    )
-)
-@settings(max_examples=200)
-def test_nullspace_is_a_kernel_basis(case):
-    n, m = case
-    basis = nullspace(m, n)
-    assert len(basis) == n - rank(m)
-    for y in basis:
-        assert len(y) == n
-        assert all(sum(a * b for a, b in zip(row, y)) == 0 for row in m)
-    if basis:
-        assert rank(basis) == len(basis)

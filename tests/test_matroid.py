@@ -1,10 +1,13 @@
+import hashlib
+import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from rotorsand import sandpile
+from rotorsand import matroid, sandpile
 from rotorsand.catalog import connected_multigraphs
+from rotorsand.intlinalg import rank
 from rotorsand.lp import separating_functional
 from rotorsand.matroid import (
     BBY_VARIANTS,
@@ -23,7 +26,7 @@ from rotorsand.matroid import (
     variant_pair,
     verify_matroid_consistency,
 )
-from rotorsand.multigraph import Multigraph, banana_graph
+from rotorsand.multigraph import Multigraph, banana_graph, complete_graph
 
 
 @pytest.fixture
@@ -59,6 +62,23 @@ WORKED_SIGMA_STAR = [
 def test_non_unimodular_matrix_rejected():
     with pytest.raises(ValueError):
         RegularMatroid(["a", "b"], [[1, 2], [0, 1]])
+
+
+def _incidence(n):
+    m = from_graph(complete_graph(n))
+    return m.labels, m.matrix
+
+
+def test_unimodularity_check_is_bounded(monkeypatch):
+    RegularMatroid(*_incidence(6))  # 54,173 square minors, under the limit
+    RegularMatroid(r10().labels, r10().matrix)
+
+    def no_minors(sub):
+        raise AssertionError("a square minor was evaluated")
+
+    monkeypatch.setattr(matroid, "det", no_minors)
+    with pytest.raises(ValueError, match="minors"):
+        RegularMatroid(*_incidence(9))
 
 
 def test_worked_matroid_shape(worked_matroid):
@@ -164,6 +184,12 @@ def test_fundamental_circuit_and_cocircuit(worked_matroid):
     b = frozenset({"e2", "e3", "e5"})
     assert fundamental_circuit(m, b, "e1") == (1, 1, 0, 0, -1)
     assert fundamental_cocircuit(m, b, "e2") == (1, -1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        fundamental_circuit(m, b, "e2")
+    with pytest.raises(ValueError):
+        fundamental_cocircuit(m, b, "e1")
+    with pytest.raises(ValueError):
+        fundamental_circuit(m, frozenset({"e1", "e2", "e5"}), "e3")  # a triangle
 
 
 def test_bby_vectors_match_worked_example(worked_matroid):
@@ -341,3 +367,69 @@ def test_r10_is_regular_with_matching_counts():
 def test_graphic_group_order_matches_sandpile():
     for g in connected_multigraphs(5):
         assert from_graph(g).group_order() == sandpile.group_structure(g).order
+
+
+def _kernel_cases():
+    """Every graphic matroid with at most 6 edges, R10, and each
+    single-element minor of these."""
+    for m in [from_graph(g) for g in connected_multigraphs(6)] + [r10()]:
+        yield m
+        pair = default_signatures(m)
+        for e in m.labels:
+            if not m.is_coloop(e):
+                yield minor(m, pair, e, "delete")[0]
+            if not m.is_loop(e):
+                yield minor(m, pair, e, "contract")[0]
+
+
+def _minimal(sets):
+    return {s for s in sets if not any(s - {x} in sets for x in s)}
+
+
+def _support(m, vec):
+    return frozenset(_supp(m, vec))
+
+
+def test_pivot_walk_matches_rank_oracle():
+    count = 0
+    for m in _kernel_cases():
+        count += 1
+        a = m.matrix
+        r = rank(a)
+        bases = [
+            frozenset(m.labels[j] for j in js)
+            for js in combinations(range(m.size), r)
+            if rank([[row[j] for j in js] for row in a]) == r
+        ]
+        assert (m.rank, m.bases()) == (r, tuple(bases))
+        subsets = [frozenset(c) for k in range(m.size + 1) for c in combinations(m.labels, k)]
+        dependent = {s for s in subsets if not any(s <= b for b in bases)}
+        transversal = {s for s in subsets if all(s & b for b in bases)}
+        for family, supports in ((m.circuits(), dependent), (m.cocircuits(), transversal)):
+            assert family == tuple(sorted(family))
+            assert all(set(v) <= {-1, 0, 1} and next(x for x in v if x) == 1 for v in family)
+            assert len({_support(m, v) for v in family}) == len(family)
+            assert {_support(m, v) for v in family} == _minimal(supports)
+        for v in m.circuits():
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+        for v in m.cocircuits():
+            assert rank([*a, v]) == r
+        for b in bases:
+            for e, v in zip(m.labels, m.fundamental_vectors(b)):
+                if e in b:
+                    assert v in m.cocircuits() and _support(m, v) & b == {e}
+                else:
+                    assert v in m.circuits() and _support(m, v) - b == {e}
+    assert count == 1551
+
+
+# sha256 of the bases, circuits and cocircuits of every graphic matroid with
+# at most 5 edges, then R10, as one JSON list; taken from the brute-force
+# subset search the pivot walk replaced.
+MATROID_5_SHA256 = "2666806aaf24f1ff738c3c134bbb019b1dd6db2296419806f2dbb3392e48bcfe"
+
+
+def test_matroid_families_pinned():
+    ms = [from_graph(g) for g in connected_multigraphs(5)] + [r10()]
+    text = json.dumps([[[sorted(b) for b in m.bases()], m.circuits(), m.cocircuits()] for m in ms])
+    assert hashlib.sha256(text.encode()).hexdigest() == MATROID_5_SHA256
