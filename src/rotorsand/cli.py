@@ -1,8 +1,10 @@
 """Command-line interface: one-shot computations and verification sweeps.
 
 Output is deterministic JSON on stdout (DOT with --dot where offered).
-Exit codes: 0 success, 2 malformed input, 3 a mathematical guarantee failed
-(either an InvariantViolation or a verification suite with violations).
+Exit codes: 0 success, 2 malformed input (an InputError, raised where a
+command reads its arguments), 3 a mathematical guarantee failed (either an
+InvariantViolation or a verification suite with violations).  Any other
+exception is a bug and ends in a traceback.
 Reports carry a schema tag, the configuration echo, the seed, and wall time.
 """
 
@@ -57,9 +59,11 @@ def _load_graph(path) -> Multigraph:
 
 def _load_ribbon(path) -> RibbonGraph:
     try:
-        return RibbonGraph.from_obj(_load_json(path))
+        rg = RibbonGraph.from_obj(_load_json(path))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    _require_connected(rg.graph)
+    return rg
 
 
 def _load_tree(path):
@@ -69,6 +73,23 @@ def _load_tree(path):
     if not isinstance(obj, list) or not all(isinstance(e, str) for e in obj):
         raise InputError("tree file must be a list of edge ids")
     return frozenset(obj)
+
+
+def _load_spanning_tree(path, g: Multigraph):
+    tree = _load_tree(path)
+    if not g.is_spanning_tree(tree):
+        raise InputError(f"{sorted(tree)} is not a spanning tree of the graph")
+    return tree
+
+
+def _require_connected(g: Multigraph):
+    if not g.is_connected():
+        raise InputError("graph must be connected")
+
+
+def _require_vertex(g: Multigraph, v, what):
+    if v not in g.vertices:
+        raise InputError(f"unknown {what} {v!r}")
 
 
 def _load_divisor(path, g: Multigraph) -> Divisor:
@@ -113,11 +134,13 @@ def _dot_rotors(g: Multigraph, tree, s) -> str:
 
 def cmd_trees(args):
     g = _load_graph(args.graph)
+    _require_connected(g)
     _emit([sorted(t) for t in g.spanning_trees()])
 
 
 def cmd_group(args):
     g = _load_graph(args.graph)
+    _require_connected(g)
     s = sandpile.group_structure(g)
     _emit({"invariant_factors": list(s.invariant_factors), "order": s.order})
 
@@ -138,7 +161,9 @@ def cmd_genus(args):
 
 def cmd_route(args):
     rg = _load_ribbon(args.graph)
-    tree = _load_tree(args.tree)
+    _require_vertex(rg.graph, args.chip, "chip")
+    _require_vertex(rg.graph, args.sink, "sink")
+    tree = _load_spanning_tree(args.tree, rg.graph)
     out, steps = route_chip(rg, tree, args.chip, args.sink, trace=args.trace)
     if args.dot:
         print(_dot_rotors(rg.graph, out, args.sink))
@@ -159,27 +184,31 @@ def cmd_route(args):
 
 def cmd_act(args):
     rg = _load_ribbon(args.graph)
-    tree = _load_tree(args.tree)
+    if not rg.is_plane():
+        raise InputError("act needs a plane ribbon graph")
+    tree = _load_spanning_tree(args.tree, rg.graph)
     d = _load_divisor(args.divisor, rg.graph)
+    if d.degree() != 0:
+        raise InputError(f"act needs a degree-0 divisor, this one has degree {d.degree()}")
     action = torsor.TorsorAction(rg, args.variant)
     _emit({"tree": sorted(action.act(d, tree)), "variant": args.variant})
 
 
 def cmd_reduce(args):
     g = _load_graph(args.graph)
-    if not g.is_connected():
-        raise InputError("graph must be connected")
+    _require_connected(g)
     d = _load_divisor(args.divisor, g)
     q = args.sink if args.sink else g.vertices[0]
-    if q not in g.vertices:
-        raise InputError(f"unknown sink {q!r}")
+    _require_vertex(g, q, "sink")
     _emit({"reduced": sandpile.reduce(g, d, q).to_dict(), "sink": q})
 
 
 def cmd_moves(args):
     rg = _load_ribbon(args.graph)
-    t1 = _load_tree(args.src)
-    t2 = _load_tree(args.dst)
+    if not rg.graph.is_two_connected():
+        raise InputError("move paths need a 2-connected graph")
+    t1 = _load_spanning_tree(args.src, rg.graph)
+    t2 = _load_spanning_tree(args.dst, rg.graph)
     if args.leaf_swap:
         path = moves.leaf_swap_path(rg.graph, t1, t2)
         _emit({"trees": [sorted(t) for t in path]})
@@ -197,7 +226,12 @@ def cmd_moves(args):
 
 
 def cmd_telescope(args):
-    ks = [int(x) for x in args.ks.split(",")] if args.ks else [0]
+    try:
+        ks = [int(x) for x in args.ks.split(",")] if args.ks else [0]
+    except ValueError as exc:
+        raise InputError(f"--ks must be comma-separated integers: {exc}") from exc
+    if args.n < 0 or len(ks) != args.n + 1 or min(ks) < 0:
+        raise InputError("telescope needs --n >= 0 and --ks of n+1 nonnegative counts")
     rg, labels = moves.telescope(args.n, ks)
     obj = rg.to_obj()
     obj["labels"] = {
@@ -257,6 +291,8 @@ def cmd_bby(args):
     m = _load_matroid(args)
     pair = _load_signatures(args, m)
     basis = frozenset(args.basis.split(","))
+    if basis not in m.bases():
+        raise InputError(f"{sorted(basis)} is not a basis of the matroid")
     if args.action == "vector":
         _emit({"vector": list(bby_vector(m, pair, basis))})
         return
@@ -517,9 +553,6 @@ def main(argv=None) -> int:
         out = args.fn(args)
         return out if isinstance(out, int) else 0
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

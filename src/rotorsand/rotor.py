@@ -138,24 +138,27 @@ def rotate_one(rg: RibbonGraph, rho: RotorConfig, x: str) -> RotorConfig:
     return RotorConfig.make(rho.sink, rotors)
 
 
-def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
-    """Route one chip from c to sink s starting from the tree's rotors.
-
-    Returns (tree', steps) where steps is the recorded trace (empty when
-    trace is false).  The final rotor configuration is asserted acyclic.
-    Rotors are darts of rg, indexed by vertex position; the sink has none.
-    """
-    g = rg.graph
-    if c not in g.vertices or s not in g.vertices:
-        raise KeyError("unknown chip or sink vertex")
-    vs, edges, sigma, dv = g.vertices, g.edges, rg.sigma, rg.dart_vertex
-    rotors = [None] * len(vs)
-    for v, e in tree_to_rotors(g, tree, s).rotors:
+def _tree_darts(rg: RibbonGraph, tree, s: str) -> list:
+    """The tree's rotors as darts of rg, indexed by vertex position; None at s."""
+    rotors = [None] * len(rg.graph.vertices)
+    for v, e in tree_to_rotors(rg.graph, tree, s).rotors:
         d = rg.dart(e, v)
-        rotors[dv[d]] = d
-    steps: list[RouteStep] = []
+        rotors[rg.dart_vertex[d]] = d
+    return rotors
+
+
+def _tree_of(rg: RibbonGraph, rotors: list) -> frozenset:
+    return frozenset(rg.graph.edges[d >> 1] for d in rotors if d is not None)
+
+
+def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, steps=None) -> None:
+    """Route one chip from position x to sink, turning the dart array in place.
+
+    Appends a RouteStep per move to steps when given.  The final rotors are
+    asserted acyclic.
+    """
+    vs, edges, sigma, dv = rg.graph.vertices, rg.graph.edges, rg.sigma, rg.dart_vertex
     bound = 2 * len(edges) * (len(vs) + 1) + 8
-    x, sink = vs.index(c), vs.index(s)
     n = 0
     while x != sink:
         if n >= bound:
@@ -163,29 +166,47 @@ def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
         d = sigma[rotors[x]]
         rotors[x] = d
         y = dv[d ^ 1]
-        if trace:
+        if steps is not None:
             steps.append(RouteStep(n, vs[x], vs[x], edges[d >> 1], vs[y]))
         x = y
         n += 1
     if functional_cycles([None if d is None else dv[d ^ 1] for d in rotors]):
         raise InvariantViolation("routing finished on a cyclic rotor configuration")
-    return frozenset(edges[d >> 1] for d in rotors if d is not None), steps
+
+
+def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
+    """Route one chip from c to sink s starting from the tree's rotors.
+
+    Returns (tree', steps) where steps is the recorded trace (empty when
+    trace is false).  The final rotor configuration is asserted acyclic.
+    """
+    vs = rg.graph.vertices
+    if c not in vs or s not in vs:
+        raise KeyError("unknown chip or sink vertex")
+    rotors = _tree_darts(rg, tree, s)
+    steps: list[RouteStep] = []
+    _route(rg, rotors, vs.index(c), vs.index(s), steps if trace else None)
+    return _tree_of(rg, rotors), steps
 
 
 def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
-    """Route a whole divisor of Div^0_s: one chip per positive unit, sorted order."""
-    g = rg.graph
+    """Route a whole divisor of Div^0_s: one chip per positive unit, sorted order.
+
+    The rotors carry over from chip to chip, and are asserted acyclic after
+    each one.
+    """
+    vs = rg.graph.vertices
     if d.degree() != 0:
         raise ValueError("route_divisor expects a degree-0 divisor")
-    if any(d[v] < 0 for v in g.vertices if v != s):
+    if any(d[v] < 0 for v in vs if v != s):
         raise ValueError("divisor must be nonnegative away from the sink")
-    cur = frozenset(tree)
-    for v in g.vertices:
-        if v == s:
-            continue
-        for _ in range(d[v]):
-            cur, _steps = route_chip(rg, cur, v, s)
-    return cur
+    rotors = _tree_darts(rg, tree, s)
+    sink = vs.index(s)
+    for i, v in enumerate(vs):
+        if i != sink:
+            for _ in range(d[v]):
+                _route(rg, rotors, i, sink)
+    return _tree_of(rg, rotors)
 
 
 # -- unicycles ---------------------------------------------------------------

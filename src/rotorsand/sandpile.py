@@ -7,6 +7,11 @@ vertex modulo the reduced-Laplacian lattice.  Dhar's burning loop
 (``reduce``) finds the q-reduced representative for any sink q: routing and
 the ``reduce`` command use it, and it cross-checks the lattice keys.  All
 arithmetic is exact.
+
+Burning and stabilization run on integer vertex positions: ``_neighbours``
+lists each position's (neighbour, edge multiplicity) pairs once per graph,
+``_burn`` is one pass of Dhar's fire over a chip list, and ``reduce`` fires
+the unburnt set as many times as it legally can before burning again.
 """
 
 from __future__ import annotations
@@ -117,17 +122,20 @@ def fire(g: Multigraph, d: Divisor, v: str) -> Divisor:
     return Divisor(out)
 
 
-def fire_set(g: Multigraph, d: Divisor, vs) -> Divisor:
-    """Fire every vertex of vs once (only boundary edges move chips)."""
-    vs = set(vs)
-    out = d.to_dict()
-    for v in vs:
-        for e in g.incident(v):
-            w = g.other(e, v)
-            if w not in vs:
-                out[v] = out.get(v, 0) - 1
-                out[w] = out.get(w, 0) + 1
-    return Divisor(out)
+@lru_cache(maxsize=4096)
+def _neighbours(g: Multigraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each vertex position's (neighbour position, multiplicity) pairs.
+
+    The chip-firing kernel runs on these instead of string ids.  Cached per
+    graph, an immutable value.
+    """
+    ix = {v: i for i, v in enumerate(g.vertices)}
+    out = [{} for _ in g.vertices]
+    for e in g.edges:
+        u, w = (ix[x] for x in g.ends(e))
+        out[u][w] = out[u].get(w, 0) + 1
+        out[w][u] = out[w].get(u, 0) + 1
+    return tuple(tuple(sorted(row.items())) for row in out)
 
 
 def stabilize(g: Multigraph, d: Divisor, s: str) -> Divisor:
@@ -139,30 +147,31 @@ def stabilize(g: Multigraph, d: Divisor, s: str) -> Divisor:
     """
     if s not in g.vertices:
         raise KeyError(f"unknown vertex id {s!r}")
-    cur = {v: d[v] for v in g.vertices}
-    if any(cur[v] < 0 for v in g.vertices if v != s):
+    vs, nbrs = g.vertices, _neighbours(g)
+    si = vs.index(s)
+    cur = [d[v] for v in vs]
+    if any(n < 0 for i, n in enumerate(cur) if i != si):
         raise ValueError("stabilize needs a divisor nonnegative off the sink")
-    total = sum(n for n in cur.values() if n > 0) + 1
-    step_limit = 4 * len(g.vertices) ** 2 * len(g.edges) * total + 64
+    deg = [sum(k for _, k in row) for row in nbrs]
+    total = sum(n for n in cur if n > 0) + 1
+    step_limit = 4 * len(vs) ** 2 * len(g.edges) * total + 64
     steps = 0
-    active = [v for v in g.vertices if v != s and cur[v] >= g.degree(v)]
+    active = [i for i, n in enumerate(cur) if i != si and n >= deg[i]]
     while active:
-        v = active.pop()
-        deg = g.degree(v)
-        if cur[v] < deg:
+        x = active.pop()
+        if cur[x] < deg[x]:
             continue
-        cur[v] -= deg
-        for e in g.incident(v):
-            w = g.other(e, v)
-            cur[w] += 1
-            if w != s and cur[w] >= g.degree(w):
-                active.append(w)
-        if v != s and cur[v] >= deg:
-            active.append(v)
+        cur[x] -= deg[x]
+        for y, k in nbrs[x]:
+            cur[y] += k
+            if y != si and cur[y] >= deg[y]:
+                active.append(y)
+        if cur[x] >= deg[x]:
+            active.append(x)
         steps += 1
         if steps > step_limit:
             raise InvariantViolation("stabilization exceeded its step bound")
-    return Divisor(cur)
+    return Divisor(dict(zip(vs, cur)))
 
 
 @lru_cache(maxsize=16384)
@@ -199,49 +208,70 @@ def move_to_sink(g: Multigraph, d: Divisor, s: str) -> Divisor:
     return out
 
 
+def _burn(nbrs, chips, qi):
+    """Dhar's fire from position qi over chips: (burnt flags, heat).
+
+    A vertex catches fire once more of its edges lead into the fire than it
+    holds chips.  heat[v] counts v's edges into the fire, so for every
+    unburnt v it is the number of chips v sheds when the unburnt set fires.
+    """
+    burnt = [False] * len(nbrs)
+    heat = [0] * len(nbrs)
+    burnt[qi] = True
+    stack = [qi]
+    while stack:
+        x = stack.pop()
+        for y, k in nbrs[x]:
+            if not burnt[y]:
+                heat[y] += k
+                if heat[y] > chips[y]:
+                    burnt[y] = True
+                    stack.append(y)
+    return burnt, heat
+
+
 def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
     """The unique q-reduced divisor equivalent to d (any degree).
 
     First lift all non-q vertices out of debt, then repeatedly burn outward
-    from q and fire whatever survives; once the fire consumes the whole
-    graph, no nonempty set off q can fire without going negative.
+    from q and fire whatever survives, as many times as it legally can in
+    one step; once the fire consumes the whole graph, no nonempty set off q
+    can fire without going negative.
     """
     if q not in g.vertices:
         raise KeyError(f"unknown vertex id {q!r}")
-    m = max((-d[v] for v in g.vertices if v != q), default=0)
-    cur = d + m * _sink_boost(g, q) if m > 0 else d
-    spread = sum(abs(n) for _, n in cur.items()) + 1
-    guard_limit = 64 + 16 * len(g.vertices) * len(g.edges) * spread
+    vs, nbrs = g.vertices, _neighbours(g)
+    qi = vs.index(q)
+    m = max((-d[v] for v in vs if v != q), default=0)
+    lifted = d + m * _sink_boost(g, q) if m > 0 else d
+    chips = [lifted[v] for v in vs]
+    spread = sum(abs(n) for n in chips) + 1
+    guard_limit = 64 + 16 * len(vs) * len(g.edges) * spread
     guard = 0
     while True:
-        unburnt = _unburnt_set(g, cur, q)
+        burnt, heat = _burn(nbrs, chips, qi)
+        unburnt = [v for v, b in enumerate(burnt) if not b]
         if not unburnt:
-            return cur
-        cur = fire_set(g, cur, unburnt)
+            return Divisor(dict(zip(vs, chips)))
+        # each unburnt v holds at least heat[v] chips, so this is at least 1;
+        # a set no edge joins to the fire (off a disconnected graph) moves
+        # nothing and runs into the guard
+        times = min((chips[v] // heat[v] for v in unburnt if heat[v]), default=1)
+        for v in unburnt:
+            chips[v] -= times * heat[v]
+            for y, k in nbrs[v]:
+                if burnt[y]:
+                    chips[y] += times * k
         guard += 1
         if guard > guard_limit:
             raise InvariantViolation("burning loop exceeded its step bound")
 
 
-def _unburnt_set(g: Multigraph, d: Divisor, q: str):
-    burnt = {q}
-    frontier = True
-    while frontier:
-        frontier = False
-        for v in g.vertices:
-            if v in burnt:
-                continue
-            k = sum(1 for e in g.incident(v) if g.other(e, v) in burnt)
-            if d[v] < k:
-                burnt.add(v)
-                frontier = True
-    return [v for v in g.vertices if v not in burnt]
-
-
 def is_reduced(g: Multigraph, d: Divisor, q: str) -> bool:
-    if any(d[v] < 0 for v in g.vertices if v != q):
+    vs = g.vertices
+    if any(d[v] < 0 for v in vs if v != q):
         return False
-    return not _unburnt_set(g, d, q)
+    return all(_burn(_neighbours(g), [d[v] for v in vs], vs.index(q))[0])
 
 
 @lru_cache(maxsize=4096)
@@ -263,16 +293,18 @@ def same_class(g: Multigraph, d1: Divisor, d2: Divisor) -> bool:
     return canonical_class(g, d1) == canonical_class(g, d2)
 
 
+@lru_cache(maxsize=4096)
+def _laplacian_lattice(g: Multigraph) -> ColumnLattice:
+    """The lattice spanned by the full Laplacian's columns, cached per graph."""
+    return ColumnLattice(len(g.vertices), [list(col) for col in zip(*laplacian(g))])
+
+
 def laplacian_image_contains(g: Multigraph, d: Divisor) -> bool:
     """Membership of d in the integer span of the Laplacian columns.
 
     Independent of the class keys and of burning; a cross-check for both.
     """
-    vs = g.vertices
-    lap = laplacian(g)
-    cols = [[lap[i][j] for i in range(len(vs))] for j in range(len(vs))]
-    lattice = ColumnLattice(len(vs), cols)
-    return lattice.contains([d[v] for v in vs])
+    return _laplacian_lattice(g).contains([d[v] for v in g.vertices])
 
 
 def group_structure(g: Multigraph) -> GroupStructure:

@@ -463,3 +463,54 @@ def test_verify_verdicts_pinned(capsys, argv, instances, checked, findings, disa
     assert rep["violations"] == []
     assert len(rep["findings"]) == findings
     assert sum(f["disagreements"] for f in rep["findings"]) == disagreements
+
+
+def test_internal_key_error_is_not_an_input_error(triangle_files, tmp_path, capsys, monkeypatch):
+    # a KeyError from inside the engine is a bug: it must surface as a
+    # traceback, not as exit 2 with "input error"
+    def broken(g, d, q):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("rotorsand.sandpile.reduce", broken)
+    dpath = _write(tmp_path, "divisor", {"b": 1, "a": -1})
+    with pytest.raises(KeyError, match="internal"):
+        main(["reduce", "--graph", triangle_files["graph"], "--divisor", dpath])
+    assert "input error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["route", "--graph", "{square}", "--tree", "{tree}", "--chip", "c", "--sink", "zz"], "unknown sink"),
+        (["route", "--graph", "{square}", "--tree", "{cycle}", "--chip", "c", "--sink", "s"], "spanning tree"),
+        (["act", "--graph", "{twisted}", "--tree", "{tree}", "--divisor", "{divisor}"], "plane"),
+        (["act", "--graph", "{square}", "--tree", "{tree}", "--divisor", "{degree1}"], "degree-0"),
+        (["moves", "path", "--graph", "{square}", "--from", "{tree}", "--to", "{cycle}"], "spanning tree"),
+        (["genus", "{apart}"], "connected"),
+        (["telescope", "--n", "2", "--ks", "1,x,1"], "integers"),
+        (["telescope", "--n", "2", "--ks", "1,1"], "n+1"),
+        (["bby", "vector", "--matroid", "{matroid}", "--basis", "e1,e2"], "not a basis"),
+    ],
+    ids=["unknown-sink", "tree-not-spanning", "nonplane-act", "nonzero-degree", "moves-tree", "disconnected-ribbon", "ks-not-int", "ks-length", "not-a-basis"],
+)
+def test_user_errors_are_input_errors(files, tmp_path, capsys, argv, message):
+    twisted = json.loads(open(files["graph"]).read())
+    twisted["rotation"]["a"] = ["ac", "ab", "sa"]
+    apart = {
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"id": "ab", "ends": ["a", "b"]}, {"id": "cd", "ends": ["c", "d"]}],
+        "rotation": {"a": ["ab"], "b": ["ab"], "c": ["cd"], "d": ["cd"]},
+    }
+    paths = {
+        "square": files["graph"],
+        "tree": files["tree"],
+        "divisor": files["divisor"],
+        "matroid": files["matroid"],
+        "twisted": _write(tmp_path, "twisted", twisted),
+        "cycle": _write(tmp_path, "cycle", ["ab", "bc", "ac"]),
+        "degree1": _write(tmp_path, "degree1", {"c": 1}),
+        "apart": _write(tmp_path, "apart", apart),
+    }
+    assert main([a.format(**paths) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rotorsand.catalog import plane_graphs, ribbon_graphs
+from rotorsand.errors import InvariantViolation
 from rotorsand.multigraph import Multigraph, banana_graph
 from rotorsand.ribbon import RibbonGraph
 from rotorsand.rotor import (
@@ -110,6 +111,38 @@ def test_route_divisor_order_independent(fig_ribbon):
         for c in chips:
             cur, _ = route_chip(fig_ribbon, cur, c, s)
         assert cur == base
+
+
+def test_route_divisor_matches_chip_by_chip_fold():
+    # every tree and sink of every plane graph with at most 4 edges, on each
+    # single chip and on seeded divisors of up to 2 chips per vertex
+    rng = random.Random(23)
+    for rg in plane_graphs(4):
+        g = rg.graph
+        for s in g.vertices:
+            others = [v for v in g.vertices if v != s]
+            divisors = [{c: 1} for c in others]
+            divisors += [{v: rng.randrange(3) for v in others} for _ in range(3)]
+            for t in g.spanning_trees():
+                for chips in divisors:
+                    cur = t
+                    for c in others:
+                        for _ in range(chips.get(c, 0)):
+                            cur, _ = route_chip(rg, cur, c, s)
+                    d = Divisor(chips) - Divisor({s: sum(chips.values())})
+                    assert route_divisor(rg, t, d, s) == cur
+
+
+def test_routing_asserts_acyclic_rotors(square_ribbon, monkeypatch):
+    # rotors a -> b and b -> a along ab, c -> b along bc: the chip at c turns
+    # onto cs and reaches the sink at once, leaving the a-b cycle in place
+    cyclic = RotorConfig.make("s", {"a": "ab", "b": "ab", "c": "bc"})
+    monkeypatch.setattr("rotorsand.rotor.tree_to_rotors", lambda g, tree, s: cyclic)
+    t = frozenset({"ac", "bc", "cs"})
+    with pytest.raises(InvariantViolation):
+        route_chip(square_ribbon, t, "c", "s")
+    with pytest.raises(InvariantViolation):
+        route_divisor(square_ribbon, t, chip("c", "s"), "s")
 
 
 def test_route_divisor_rejects_bad_input(square_ribbon):

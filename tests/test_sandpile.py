@@ -8,6 +8,31 @@ from rotorsand.multigraph import banana_graph, cycle_graph
 from rotorsand.sandpile import Divisor, chip
 
 
+def burning_reduce_reference(g, d, q):
+    """The single-fire burning loop: burn outward from q, fire what is left once, repeat."""
+    m = max((-d[v] for v in g.vertices if v != q), default=0)
+    chips = (d + m * sandpile._sink_boost(g, q) if m > 0 else d).to_dict()
+    while True:
+        burnt = {q}
+        grew = True
+        while grew:
+            grew = False
+            for v in g.vertices:
+                into_fire = sum(1 for e in g.incident(v) if g.other(e, v) in burnt)
+                if v not in burnt and chips.get(v, 0) < into_fire:
+                    burnt.add(v)
+                    grew = True
+        unburnt = [v for v in g.vertices if v not in burnt]
+        if not unburnt:
+            return Divisor(chips)
+        for v in unburnt:
+            for e in g.incident(v):
+                w = g.other(e, v)
+                if w in burnt:
+                    chips[v] = chips.get(v, 0) - 1
+                    chips[w] = chips.get(w, 0) + 1
+
+
 def test_divisor_arithmetic():
     d = Divisor({"a": 2, "b": -2})
     assert (d + chip("a", "b")).to_dict() == {"a": 3, "b": -3}
@@ -63,6 +88,52 @@ def test_stabilize_order_independent():
             guard += 1
             assert guard < 10_000
         assert cur == first
+
+
+def _check_reduce_against_reference(g, d, q):
+    r = sandpile.reduce(g, d, q)
+    assert r == burning_reduce_reference(g, d, q)
+    assert sandpile.is_reduced(g, r, q)
+    assert sandpile.laplacian_image_contains(g, d - r)
+
+
+def test_reduce_matches_single_fire_loop_on_small_graphs():
+    # every sink of every connected multigraph with at most 5 edges (parallel
+    # edges included) and of every plane graph with at most 6 edges
+    rng = random.Random(13)
+    graphs = dict.fromkeys(connected_multigraphs(5))
+    graphs.update(dict.fromkeys(rg.graph for rg in plane_graphs(6)))
+    for g in graphs:
+        for q in g.vertices:
+            for amplitude in (1, 3):
+                d = Divisor({v: rng.randint(-amplitude, amplitude) for v in g.vertices})
+                _check_reduce_against_reference(g, d, q)
+
+
+def test_reduce_matches_single_fire_loop_on_telescopes():
+    rng = random.Random(17)
+    for n in range(3, 11):
+        g = moves.telescope(n, [rng.randrange(3) for _ in range(n + 1)])[0].graph
+        for amplitude in (1, 3, 12, 50):
+            for _ in range(2):
+                d = Divisor({v: rng.randint(-amplitude, amplitude) for v in g.vertices})
+                _check_reduce_against_reference(g, d, rng.choice(g.vertices))
+
+
+def test_stabilize_matches_single_fires():
+    # every sink of every connected multigraph with at most 5 edges, firing
+    # the first unstable vertex one firing at a time
+    rng = random.Random(19)
+    for g in connected_multigraphs(5):
+        for s in g.vertices:
+            d = Divisor({v: rng.randrange(0, 3 * g.degree(v)) for v in g.vertices if v != s})
+            cur = d
+            while True:
+                ready = [v for v in g.vertices if v != s and cur[v] >= g.degree(v)]
+                if not ready:
+                    break
+                cur = sandpile.fire(g, cur, ready[0])
+            assert sandpile.stabilize(g, d, s) == cur
 
 
 def test_sink_boost_positive(triangle):
