@@ -17,19 +17,9 @@ import sys
 import time
 from functools import partial
 from itertools import product as iproduct
-from multiprocessing import Pool
 
 from . import catalog, moves, sandpile, torsor
 from .errors import InvariantViolation
-from .matroid import (
-    RegularMatroid,
-    SignaturePair,
-    bby_act,
-    bby_vector,
-    check_acyclic_pair,
-    conjecture_search,
-    default_signatures,
-)
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph
 from .rotor import route_chip, verify_full_spin, verify_reversal_equivalence
@@ -248,14 +238,18 @@ def cmd_telescope(args):
         _emit(obj)
 
 
-def _load_matroid(args) -> RegularMatroid:
+def _load_matroid(args):
+    from .matroid import RegularMatroid
+
     try:
         return RegularMatroid.from_obj(_load_json(args.matroid))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _load_signatures(args, m: RegularMatroid) -> SignaturePair:
+def _load_signatures(args, m):
+    from .matroid import SignaturePair, check_acyclic_pair, default_signatures
+
     if not args.signatures:
         return default_signatures(m)
     obj = _load_json(args.signatures)
@@ -288,6 +282,8 @@ def _check_signature_choice(chosen, family, kind):
 
 
 def cmd_bby(args):
+    from .matroid import bby_act, bby_vector
+
     m = _load_matroid(args)
     pair = _load_signatures(args, m)
     basis = frozenset(args.basis.split(","))
@@ -343,20 +339,21 @@ def _check_moves(rg):
     for prefix, bad, find in finders:
         for t1, t2 in iproduct(trees, repeat=2):
             checked += 1
-            pair = [sorted(t1), sorted(t2)]
             try:
                 path = find(t1, t2)
             except InvariantViolation as exc:
-                violations.append({"pair": pair, "error": f"{prefix}{exc}"})
+                violations.append({"pair": [sorted(t1), sorted(t2)], "error": f"{prefix}{exc}"})
                 continue
             if path[0] != t1 or path[-1] != t2:
-                violations.append({"pair": pair, "error": bad})
+                violations.append({"pair": [sorted(t1), sorted(t2)], "error": bad})
     return checked, violations, []
 
 
 def _pool_map(fn, payloads, workers):
     if workers <= 1:
         return [fn(p) for p in payloads]
+    from multiprocessing import Pool
+
     with Pool(workers) as pool:
         return list(pool.imap(fn, payloads, chunksize=4))
 
@@ -410,6 +407,8 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
                 if not moves.verify_telescope_equivalence(rg, labels):
                     out["violations"].append({"telescope": [n, list(ks)]})
     elif suite == "matroid":
+        from .matroid import conjecture_search
+
         found = conjecture_search(max_edges, include_r10=max_elements >= 10)
         out["instances"] = found["instances"]
         out["checked"] = found["checked"]
@@ -420,6 +419,10 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
 
 def cmd_verify(args):
     t0 = time.time()
+    if args.suite != "telescope" and args.max_edges < 1:
+        raise InputError(f"--max-edges must be at least 1, not {args.max_edges}")
+    if args.workers is not None and args.workers < 0:
+        raise InputError(f"--workers must be nonnegative, not {args.workers}")
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     workers = args.workers or 1
     config = {

@@ -5,7 +5,7 @@ after a single rotor turn, which swaps one tree edge for one non-tree edge.
 When c is additionally a leaf of T the pair is a source-turn pair.  On any
 2-connected ribbon graph, source-turn moves alone connect every pair of
 spanning trees; the breadth-first searches below realize such paths and the
-ribbon-free leaf-swap variant.
+ribbon-free leaf-swap variant, resuming one search per start tree.
 
 Telescope graphs are the parameterized plane family where every single-step
 tree has a spanning-tree complement; they are generated here with their
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
@@ -143,12 +144,7 @@ def source_turn_path(rg: RibbonGraph, start, goal) -> list[MovePair]:
     Guaranteed to exist on 2-connected ribbon graphs; a failed search on one
     is an invariant violation rather than a value.
     """
-
-    def turns(t):
-        for mv in source_turn_neighbors(rg, t):
-            yield mv, mv.result
-
-    return _tree_path(rg.graph, start, goal, "source-turn", turns)
+    return _tree_path(rg, rg.graph, start, goal, "source-turn", _source_turns)
 
 
 def leaf_swap_path(g: Multigraph, start, goal) -> list[frozenset]:
@@ -156,26 +152,43 @@ def leaf_swap_path(g: Multigraph, start, goal) -> list[frozenset]:
 
     Needs no ribbon structure at all; 2-connectedness guarantees success.
     """
-
-    def swaps(t):
-        for c in g.vertices:
-            inc = [e for e in t if c in g.ends(e)]
-            if len(inc) != 1:
-                continue
-            for f in g.incident(c):
-                if f != inc[0] and f not in t:
-                    t2 = t - {inc[0]} | {f}
-                    yield t2, t2
-
-    trees = _tree_path(g, start, goal, "leaf-swap", swaps)
-    return [frozenset(start)] + trees
+    return [frozenset(start)] + _tree_path(g, g, start, goal, "leaf-swap", _leaf_swaps)
 
 
-def _tree_path(g: Multigraph, start, goal, kind: str, step) -> list:
-    """The moves of a shortest path from tree start to tree goal.
+def _source_turns(rg: RibbonGraph, t):
+    for mv in source_turn_neighbors(rg, t):
+        yield mv, mv.result
 
-    Breadth-first search with back-pointers; step(t) yields (move, tree)
-    pairs in a fixed order, so the path found is deterministic.
+
+def _leaf_swaps(g: Multigraph, t):
+    for c in g.vertices:
+        inc = [e for e in t if c in g.ends(e)]
+        if len(inc) != 1:
+            continue
+        for f in g.incident(c):
+            if f != inc[0] and f not in t:
+                t2 = t - {inc[0]} | {f}
+                yield t2, t2
+
+
+@lru_cache(maxsize=1)
+def _search(space, step, start: frozenset) -> tuple:
+    """The state (back-pointers, frontier) of one breadth-first search from start.
+
+    back maps each tree reached to (move, previous tree).  _tree_path resumes
+    the search only until its goal is reached, so a single query stops as
+    early as a search of its own, and the moves sweep, which asks for every
+    goal of one start before the next, runs one search per start.
+    """
+    return {start: None}, deque([start])
+
+
+def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
+    """The moves of a shortest path from tree start to tree goal of g.
+
+    step(space, t) yields (move, tree) pairs in a fixed order, so the search
+    sets each back-pointer once, and the path does not depend on what earlier
+    queries from the same start have searched.
     """
     if not g.is_two_connected():
         raise ValueError(f"{kind} reachability needs a 2-connected graph")
@@ -183,14 +196,17 @@ def _tree_path(g: Multigraph, start, goal, kind: str, step) -> list:
     for t in (start, goal):
         if not g.is_spanning_tree(t):
             raise ValueError("inputs must be spanning trees")
-    back = {start: None}
-    frontier = deque([start])
-    while frontier and goal not in back:
-        t = frontier.popleft()
-        for mv, t2 in step(t):
-            if t2 not in back:
-                back[t2] = (mv, t)
-                frontier.append(t2)
+    back, frontier = _search(space, step, start)
+    try:
+        while frontier and goal not in back:
+            t = frontier.popleft()
+            for mv, t2 in step(space, t):
+                if t2 not in back:
+                    back[t2] = (mv, t)
+                    frontier.append(t2)
+    except BaseException:
+        _search.cache_clear()  # a half-expanded tree must not be resumed
+        raise
     if goal not in back:
         raise InvariantViolation(f"no {kind} path found on a 2-connected graph")
     moves = []

@@ -19,7 +19,7 @@ class Multigraph:
     immutable data.
     """
 
-    __slots__ = ("_vertices", "_ends", "_edge_ids", "_incident", "_hash", "_cuts")
+    __slots__ = ("_vertices", "_ends", "_edge_ids", "_incident", "_hash", "_cuts", "_connected")
 
     def __init__(self, vertices, edges):
         vs = tuple(sorted(vertices))
@@ -44,6 +44,7 @@ class Multigraph:
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._hash = hash((self._vertices, tuple((e, ends[e]) for e in self._edge_ids)))
         self._cuts = None
+        self._connected = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -116,7 +117,10 @@ class Multigraph:
         return comps
 
     def is_connected(self) -> bool:
-        return len(self._components()) <= 1
+        """One component or none (cached)."""
+        if self._connected is None:
+            self._connected = len(self._components()) <= 1
+        return self._connected
 
     def cut_vertices(self) -> frozenset[str]:
         """Vertices whose removal disconnects the remaining graph (cached)."""

@@ -274,14 +274,17 @@ class RibbonGraph:
         """Some ribbon isomorphism onto other, or None."""
         return next(self.isomorphisms(other), None)
 
-    def canonical_form(self) -> tuple:
-        """A ribbon-isomorphism invariant that separates non-isomorphic maps.
+    def canonical_labelling(self) -> tuple[tuple, tuple[int, ...]]:
+        """The canonical code and the dart order that reaches it.
 
         Minimum over anchor darts of a breadth-first relabeling of the
-        (rotation, edge-involution) permutation pair.
+        (rotation, edge-involution) permutation pair; the order lists the
+        darts by their new labels from a minimal anchor.  Equal codes mean
+        ribbon-isomorphic maps, and pairing their orders position by
+        position is an isomorphism (``labelling_isomorphism``).
         """
         sigma = self.sigma
-        best = ()
+        best, best_order = (), []
         for start in range(len(sigma)):
             labels = {start: 0}
             order = [start]
@@ -292,8 +295,12 @@ class RibbonGraph:
                         order.append(nb)
             enc = tuple(x for d in order for x in (labels[sigma[d]], labels[d ^ 1]))
             if not best or enc < best:
-                best = enc
-        return (len(self.graph.vertices),) + best
+                best, best_order = enc, order
+        return (len(self.graph.vertices),) + best, tuple(best_order)
+
+    def canonical_form(self) -> tuple:
+        """A ribbon-isomorphism invariant that separates non-isomorphic maps."""
+        return self.canonical_labelling()[0]
 
     # -- serialization ---------------------------------------------------------
 
@@ -333,6 +340,21 @@ def is_ribbon_isomorphism(a: RibbonGraph, b: RibbonGraph, iso: RibbonIsomorphism
             if emap[a.next_edge(v, e)] != b.next_edge(vmap[v], emap[e]):
                 return False
     return True
+
+
+def labelling_isomorphism(a: RibbonGraph, order_a, b: RibbonGraph, order_b) -> RibbonIsomorphism:
+    """The isomorphism a -> b pairing the dart orders of two equal canonical codes.
+
+    Dart order_a[i] goes to order_b[i]; edges and vertices follow their darts.
+    """
+    va, vb = a.graph.vertices, b.graph.vertices
+    ea, eb = a.graph.edges, b.graph.edges
+    vmap = {va[0]: vb[0]}  # the edgeless map's one vertex; overwritten otherwise
+    emap = {}
+    for x, y in zip(order_a, order_b):
+        vmap[va[a.dart_vertex[x]]] = vb[b.dart_vertex[y]]
+        emap[ea[x >> 1]] = eb[y >> 1]
+    return RibbonIsomorphism(vmap, emap)
 
 
 def is_automorphism(rg: RibbonGraph, iso: RibbonIsomorphism) -> bool:

@@ -6,7 +6,9 @@ memo keys through ``sandpile.canonical_class``, whichever representative is
 given.  Three companion actions come from reversing the rotation, negating
 the class, or both.  Verifiers below check the torsor axioms, independence
 of the sink choice, and compatibility with contraction, deletion and cut
-vertices, exhaustively over whatever instances they are handed.
+vertices, exhaustively over whatever instances they are handed; the
+consistency check reads each minor's action through a sweep-wide cache keyed
+by canonical code.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import sandpile
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph
+from .ribbon import RibbonGraph, labelling_isomorphism
 from .rotor import route_chip, route_divisor
 from .sandpile import Divisor, chip
 
@@ -24,6 +26,11 @@ VARIANTS = ("r", "rbar", "rinv", "rbarinv")
 # verify_torsor_axioms checks additivity on all class pairs up to this many
 # (class, class, tree) triples, and on (generator, class) pairs beyond it.
 PAIR_LIMIT = 200_000
+
+# verify_consistency keeps this many minor actions, keyed by (canonical code,
+# variant), across a whole sweep; past the bound the cache starts over.
+MINOR_CACHE_LIMIT = 4096
+_minor_actions: dict = {}
 
 
 class TorsorAction:
@@ -34,6 +41,7 @@ class TorsorAction:
     and both ("rbarinv").  Evaluations are memoized per (class, tree), with
     classes keyed by ``sandpile.canonical_class``; a miss routes the class's
     reduced representative at the first vertex, which serves as the sink.
+    Each divisor act sees is keyed once.
     """
 
     def __init__(self, rg: RibbonGraph, variant: str = "r", require_plane: bool = True):
@@ -45,6 +53,7 @@ class TorsorAction:
         self.variant = variant
         self._routing_rg = rg.reverse() if variant in ("rbar", "rbarinv") else rg
         self._memo = {}
+        self._keys = {}
         self._chip_tables = {}
 
     @property
@@ -66,7 +75,9 @@ class TorsorAction:
         tree = frozenset(tree)
         if self.variant in ("rinv", "rbarinv"):
             d = -d
-        key = (self.class_key(d), tree)
+        if d not in self._keys:
+            self._keys[d] = self.class_key(d)
+        key = (self._keys[d], tree)
         if key not in self._memo:
             s = g.vertices[0]
             self._memo[key] = route_divisor(self._routing_rg, tree, sandpile.reduce(g, d, s), s)
@@ -140,35 +151,40 @@ def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Repor
     reaches every sum by induction; the report notes which mode ran.
     """
     g = rg.graph
-    action = TorsorAction(rg, variant) if act is None else None
     classes = sandpile.enumerate_classes(g)
     trees = g.spanning_trees()
     if act is None:
+        action = TorsorAction(rg, variant)
         tables = action.table(classes, trees)
 
-        def ev(d, t):
-            return tables[action.class_key(d)][t]
+        def row(d):
+            return tables[action.class_key(d)].__getitem__
 
     else:
         memo = {}
 
-        def ev(d, t):
-            key = (sandpile.canonical_class(g, d), t)
-            if key not in memo:
-                memo[key] = act(d, t)
-            return memo[key]
+        def row(d):
+            key = sandpile.canonical_class(g, d)
+
+            def ev(t):
+                if (key, t) not in memo:
+                    memo[key, t] = act(d, t)
+                return memo[key, t]
+
+            return ev
 
     rep = Report()
-    zero = Divisor({})
+    identity = row(Divisor({}))
     for t in trees:
         rep.checked += 1
-        if ev(zero, t) != t:
+        if identity(t) != t:
             rep.violations.append({"axiom": "identity", "tree": sorted(t)})
 
+    rows = [row(d) for d in classes]
     for t in trees:
         hit = {}
-        for d in classes:
-            out = ev(d, t)
+        for d, ev in zip(classes, rows):
+            out = ev(t)
             rep.checked += 1
             if out in hit:
                 rep.violations.append(
@@ -188,11 +204,14 @@ def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Repor
         rep.notes.append("additivity on generator pairs only")
     q = g.vertices[0]
     firsts = classes if exhaustive_pairs else [chip(v, q) for v in g.vertices if v != q]
-    for d1 in firsts:
-        for d2 in classes:
+    first_rows = rows if exhaustive_pairs else [row(d) for d in firsts]
+    # one class key per (d1, d2); the trees then compare row entries
+    for d1, r1 in zip(firsts, first_rows):
+        for d2, r2 in zip(classes, rows):
+            r12 = row(d1 + d2)
             for t in trees:
                 rep.checked += 1
-                if ev(d1 + d2, t) != ev(d1, ev(d2, t)):
+                if r12(t) != r1(r2(t)):
                     rep.violations.append(
                         {
                             "axiom": "additivity",
@@ -238,6 +257,39 @@ def verify_sink_invariance(rg: RibbonGraph) -> Report:
     return rep
 
 
+def _cached_minor_action(minor: RibbonGraph, variant_tag: str):
+    """(divisor, tree) -> tree on minor, read through a sweep-wide cache.
+
+    The cache holds one TorsorAction per (canonical code, variant), on the
+    first minor met with that code, and chips and trees travel to it and
+    back along the isomorphism the two canonical labellings give.  The
+    answer equals a direct TorsorAction(minor, variant_tag).act only
+    because minors of plane graphs are plane and, on plane graphs, the
+    action does not depend on the sink: an isomorphism may move
+    vertices[0], where act evaluates, to any vertex of the representative.
+    verify_sink_invariance re-proves that independence on the catalog.
+    """
+    code, order = minor.canonical_labelling()
+    key = (code, variant_tag)
+    if key not in _minor_actions:
+        if len(_minor_actions) >= MINOR_CACHE_LIMIT:
+            _minor_actions.clear()
+        _minor_actions[key] = (order, TorsorAction(minor, variant_tag))
+    rep_order, action = _minor_actions[key]
+    iso = labelling_isomorphism(minor, order, action.rg, rep_order)
+    vmap, emap = iso.vertex_map, iso.edge_map
+    back = {f: e for e, f in emap.items()}
+    moved = {}  # divisor on minor -> the same chips on the representative
+
+    def act(d: Divisor, tree) -> frozenset:
+        if d not in moved:
+            moved[d] = Divisor({vmap[v]: n for v, n in d.items()})
+        out = action.act(moved[d], [emap[e] for e in tree])
+        return frozenset(back[f] for f in out)
+
+    return act
+
+
 def verify_consistency(
     rg: RibbonGraph,
     variant_tag: str = "r",
@@ -252,8 +304,11 @@ def verify_consistency(
     2. deleting any shared non-edge e commutes;
     3. any edge separated from f by a cut vertex keeps its membership.
 
-    ``relax_adjacency`` additionally acts by [c - s] for non-adjacent pairs,
-    the deliberately broken extension used to exhibit a condition-1 failure.
+    The acted tree comes from rg's own action; the minors answer through
+    ``_cached_minor_action``, so every check compares two independent
+    computations.  ``relax_adjacency`` additionally acts by [c - s] for
+    non-adjacent pairs, the deliberately broken extension used to exhibit a
+    condition-1 failure.
     """
     action = TorsorAction(rg, variant_tag)
     g = rg.graph
@@ -273,7 +328,7 @@ def verify_consistency(
 
     def minor_action(key, build):
         if key not in minor_actions:
-            minor_actions[key] = TorsorAction(build(), variant_tag)
+            minor_actions[key] = _cached_minor_action(build(), variant_tag)
         return minor_actions[key]
 
     cuts = g.cut_vertices()
@@ -288,15 +343,17 @@ def verify_consistency(
     for c, s in pairs:
         d = chip(c, s)
         fs = [f for f in g.edges if set(g.ends(f)) == {c, s}]
+        shrunk = {}  # edge not joining c and s -> [c - s] after contracting it
+        for e in g.edges:
+            if e not in fs:
+                vmap = g.contraction_vertex_map(e)
+                shrunk[e] = chip(vmap[c], vmap[s])
         for t in trees:
             t2 = action.act(d, t)
-            for e in g.edges:
-                if set(g.ends(e)) == {c, s}:
-                    continue
+            for e, de in shrunk.items():
                 if e in t and e in t2:
                     sub = minor_action(("contract", e), lambda e=e: rg.contract(e))
-                    vmap = g.contraction_vertex_map(e)
-                    got = sub.act(chip(vmap[c], vmap[s]), t - {e})
+                    got = sub(de, t - {e})
                     rep.checked += 1
                     if got != t2 - {e}:
                         rep.violations.append(
@@ -312,7 +369,7 @@ def verify_consistency(
             for e in g.edges:
                 if e not in t and e not in t2:
                     sub = minor_action(("delete", e), lambda e=e: rg.delete(e))
-                    got = sub.act(d, t)
+                    got = sub(d, t)
                     rep.checked += 1
                     if got != t2:
                         rep.violations.append(

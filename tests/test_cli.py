@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -514,3 +516,36 @@ def test_user_errors_are_input_errors(files, tmp_path, capsys, argv, message):
     assert main([a.format(**paths) for a in argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["torsor", "--max-edges", "-3"], "--max-edges"),
+        (["moves", "--max-edges", "0"], "--max-edges"),
+        (["consistency", "--max-edges", "3", "--workers", "-2"], "--workers"),
+    ],
+    ids=["max-edges-negative", "max-edges-zero", "workers-negative"],
+)
+def test_verify_rejects_empty_sizes_and_negative_workers(capsys, argv, message):
+    assert main(["verify", *argv, "--seed", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+def test_telescope_suite_ignores_max_edges(capsys):
+    # the telescope suite runs its fixed instances and never reads --max-edges
+    assert main(["verify", "telescope", "--max-edges", "0", "--seed", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["instances"] == 39 and report["violations"] == []
+
+
+def test_cli_import_leaves_matroid_code_out():
+    # commands other than bby and verify matroid never load the matroid code
+    code = "import sys, rotorsand.cli; print(*sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "rotorsand.cli" in loaded
+    assert "rotorsand.matroid" not in loaded and "rotorsand.lp" not in loaded

@@ -1,8 +1,10 @@
 import random
+from collections import deque
 from itertools import product
 
 import pytest
 
+from rotorsand import moves
 from rotorsand.catalog import plane_graphs
 from rotorsand.multigraph import Multigraph, complete_graph, cycle_graph
 from rotorsand.ribbon import RibbonGraph
@@ -16,6 +18,7 @@ from rotorsand.moves import (
     matches_telescope,
     precedes,
     simulate_pair,
+    source_turn_neighbors,
     source_turn_path,
     telescope,
     verify_telescope_equivalence,
@@ -218,6 +221,114 @@ def test_source_turn_requires_two_connected():
     rg = RibbonGraph(g, {"a": ("ab", "ab2"), "b": ("ab", "ab2", "bc"), "c": ("bc",)})
     with pytest.raises(ValueError):
         source_turn_path(rg, frozenset({"ab", "bc"}), frozenset({"ab2", "bc"}))
+
+
+def reference_tree_path(step, start, goal):
+    """A breadth-first search per pair that stops at its goal: the path
+    finder as it was before one search per start tree replaced it."""
+    back = {start: None}
+    frontier = deque([start])
+    while frontier and goal not in back:
+        t = frontier.popleft()
+        for mv, t2 in step(t):
+            if t2 not in back:
+                back[t2] = (mv, t)
+                frontier.append(t2)
+    moves = []
+    while back[goal] is not None:
+        mv, goal = back[goal]
+        moves.append(mv)
+    return moves[::-1]
+
+
+def reference_leaf_swaps(g, t):
+    for c in g.vertices:
+        inc = [e for e in t if c in g.ends(e)]
+        if len(inc) != 1:
+            continue
+        for f in g.incident(c):
+            if f != inc[0] and f not in t:
+                t2 = t - {inc[0]} | {f}
+                yield t2, t2
+
+
+def test_paths_match_per_pair_search():
+    # all ordered tree pairs of every 2-connected plane graph with at most 5
+    # edges, source-turn paths first and then leaf-swap paths, as the moves
+    # sweep asks for them
+    pairs = 0
+    for rg in plane_graphs(5, two_connected=True):
+        g = rg.graph
+        trees = g.spanning_trees()
+
+        def turns(t):
+            return ((mv, mv.result) for mv in source_turn_neighbors(rg, t))
+
+        def swaps(t):
+            return reference_leaf_swaps(g, t)
+
+        for t1, t2 in product(trees, repeat=2):
+            assert source_turn_path(rg, t1, t2) == reference_tree_path(turns, t1, t2)
+        for t1, t2 in product(trees, repeat=2):
+            assert leaf_swap_path(g, t1, t2) == [t1] + reference_tree_path(swaps, t1, t2)
+            pairs += 1
+    assert pairs == 356
+
+
+def first_spanning_tree(g):
+    """A spanning tree without listing them all: Kruskal in edge order."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    tree = set()
+    for e in g.edges:
+        a, b = (find(v) for v in g.ends(e))
+        if a != b:
+            root[a] = b
+            tree.add(e)
+    return frozenset(tree)
+
+
+def test_single_path_queries_stop_at_their_goal():
+    # a telescope with 56,592 spanning trees: a query for a near goal reads
+    # only a few of them, where a full search from the start reads them all
+    rg, _ = telescope(4, [1, 2, 1, 2, 1])
+    g = rg.graph
+    t = first_spanning_tree(g)
+    assert source_turn_path(rg, t, t) == []
+    assert leaf_swap_path(g, t, t) == [t]
+    mv = source_turn_neighbors(rg, t)[0]
+    far = source_turn_neighbors(rg, mv.result)[-1].result
+    path = source_turn_path(rg, t, far)
+    assert len(path) == 2 and path[0].tree == t and path[-1].result == far
+    back, _ = moves._search(rg, moves._source_turns, t)
+    assert len(back) < 1000
+
+
+def test_interleaved_queries_match_per_pair_search():
+    # queries from changing starts, in both move kinds, in a seeded order:
+    # a resumed search gives the path a fresh one would
+    rng = random.Random(8)
+    for rg in [rg for rg in plane_graphs(5, two_connected=True) if len(rg.graph.edges) == 5]:
+        g = rg.graph
+        trees = g.spanning_trees()
+
+        def turns(t):
+            return ((mv, mv.result) for mv in source_turn_neighbors(rg, t))
+
+        def swaps(t):
+            return reference_leaf_swaps(g, t)
+
+        for _ in range(60):
+            t1, t2 = rng.choice(trees), rng.choice(trees)
+            if rng.random() < 0.5:
+                assert source_turn_path(rg, t1, t2) == reference_tree_path(turns, t1, t2)
+            else:
+                assert leaf_swap_path(g, t1, t2) == [t1] + reference_tree_path(swaps, t1, t2)
 
 
 def test_leaf_swap_identity_and_c4():

@@ -134,3 +134,13 @@ def test_json_round_trip(fig_graph):
 def test_malformed_json_rejected():
     with pytest.raises(ValueError):
         Multigraph.from_obj({"vertices": ["a"]})
+
+
+def test_connectivity_is_cached(triangle, monkeypatch):
+    assert triangle.is_connected() and triangle.is_two_connected()
+
+    def boom(self, skip_vertex=None):
+        raise AssertionError("components recomputed")
+
+    monkeypatch.setattr(Multigraph, "_components", boom)
+    assert triangle.is_connected() and triangle.is_two_connected()

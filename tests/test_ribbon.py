@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rotorsand.catalog import connected_multigraphs, plane_graphs, rotation_systems
+from rotorsand.catalog import connected_multigraphs, plane_graphs, ribbon_graphs, rotation_systems
 from rotorsand.multigraph import Multigraph, banana_graph
 from rotorsand.ribbon import (
     RibbonGraph,
@@ -10,6 +10,7 @@ from rotorsand.ribbon import (
     classify_sides,
     is_automorphism,
     is_ribbon_isomorphism,
+    labelling_isomorphism,
 )
 
 
@@ -167,6 +168,24 @@ def test_genus_is_isomorphism_invariant():
         assert is_ribbon_isomorphism(rg, other, iso)
         assert rg.euler_genus() == other.euler_genus()
         assert rg.canonical_form() == other.canonical_form()
+
+
+def test_labelling_isomorphism_onto_relabelled_copies():
+    # every ribbon graph with at most 5 edges, against a seeded copy whose
+    # shuffled ids renumber its darts
+    rng = random.Random(8)
+    moved = 0
+    for rg in ribbon_graphs(5):
+        other = relabeled_copy(rg, rng)
+        code, order = rg.canonical_labelling()
+        code2, order2 = other.canonical_labelling()
+        assert code == code2 == rg.canonical_form()
+        assert sorted(order) == list(range(len(rg.sigma)))
+        iso = labelling_isomorphism(rg, order, other, order2)
+        assert is_ribbon_isomorphism(rg, other, iso)
+        assert is_ribbon_isomorphism(other, rg, labelling_isomorphism(other, order2, rg, order))
+        moved += order != order2
+    assert moved > 0
 
 
 def test_canonical_form_separates_the_two_triple_edges():

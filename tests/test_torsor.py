@@ -1,13 +1,18 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from rotorsand import sandpile
 from rotorsand.catalog import plane_graphs
+from rotorsand.moves import telescope
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
 from rotorsand.ribbon import RibbonGraph
 from rotorsand.sandpile import Divisor, chip
+from rotorsand import torsor
 from rotorsand.torsor import (
+    VARIANTS,
     TorsorAction,
     distinct_variant_count,
     variant,
@@ -147,6 +152,51 @@ def test_corrupted_action_fails():
     assert axioms & {"freeness", "additivity", "identity"}
 
 
+def swap_two_outputs(rg, only_from=None):
+    """rg's action with the first and last tree swapped among its outputs.
+
+    With only_from, the swap happens only for divisors holding at least two
+    chips on that vertex, so the answer depends on the representative.
+    """
+    base = TorsorAction(rg)
+    trees = rg.graph.spanning_trees()
+    swap = {trees[0]: trees[-1], trees[-1]: trees[0]}
+
+    def act(d, t):
+        out = base.act(d, t)
+        if only_from is not None and d[only_from] < 2:
+            return out
+        return swap.get(out, out)
+
+    return act
+
+
+# verify_torsor_axioms(rg, act=...) on the corrupted actions above: checked,
+# violation count and sha256 prefix of the JSON of (checked, violations,
+# notes), taken before the additivity loop keyed one class per pair
+CORRUPTED_REPORTS = {
+    ("pairs", None): (584, 130, "fe770445729d3d1f"),
+    ("pairs", "v2"): (584, 80, "a4041d87b7db5ed1"),
+    ("generators", None): (42420, 842, "bb01201b2aed9450"),
+    ("generators", "z2"): (42420, 432, "ddcd4165f462cf5c"),
+}
+
+
+@pytest.mark.parametrize("mode,only_from", sorted(CORRUPTED_REPORTS, key=str))
+def test_corrupted_action_reports_pinned(mode, only_from):
+    # the act= path keeps its per-(class, tree) memo and its call order, so
+    # even a representative-dependent corruption reports the same violations
+    if mode == "pairs":
+        rg = max(plane_graphs(5), key=lambda rg: len(rg.graph.spanning_trees()))
+    else:
+        rg, _ = telescope(2, [1, 0, 1])
+    rep = verify_torsor_axioms(rg, act=swap_two_outputs(rg, only_from))
+    assert rep.notes == (["additivity on generator pairs only"] if mode == "generators" else [])
+    text = json.dumps([rep.checked, rep.violations, rep.notes], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (rep.checked, len(rep.violations), digest) == CORRUPTED_REPORTS[mode, only_from]
+
+
 def test_sink_invariance_plane(square_ribbon):
     rep = verify_sink_invariance(square_ribbon)
     assert rep.ok and rep.checked > 0
@@ -243,3 +293,31 @@ def test_nonadjacent_instance_matches_drawn_example():
 def test_consistency_sweep_tiny():
     for rg in plane_graphs(4):
         assert verify_consistency(rg).ok
+
+
+def test_cached_minor_actions_match_direct_actions():
+    # every contraction and connected deletion minor of every plane graph
+    # with at most 5 edges, all four variants, every chip [c - s] (a superset
+    # of those verify_consistency hands it, relaxed or not) and every tree:
+    # the cached answer, read on an isomorphic representative, equals a
+    # fresh direct action
+    torsor._minor_actions.clear()
+    minors = set()
+    for rg in plane_graphs(5):
+        for e in rg.graph.edges:
+            minors.add(rg.contract(e))
+            if rg.graph.delete(e).is_connected():
+                minors.add(rg.delete(e))
+    transported = 0
+    for tag in VARIANTS:
+        for minor in sorted(minors, key=RibbonGraph.to_json):
+            cached = torsor._cached_minor_action(minor, tag)
+            direct = TorsorAction(minor, tag)
+            transported += torsor._minor_actions[minor.canonical_form(), tag][1].rg != minor
+            vs = minor.graph.vertices
+            for d in [chip(c, s) for c in vs for s in vs if c != s]:
+                for t in minor.graph.spanning_trees():
+                    assert cached(d, t) == direct.act(d, t)
+    assert len(minors) > 100 and transported > 100
+    # the cache keeps one action per (code, variant)
+    assert len(torsor._minor_actions) == len({m.canonical_form() for m in minors}) * 4
