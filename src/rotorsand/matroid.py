@@ -454,14 +454,12 @@ def verify_matroid_consistency(
     m: RegularMatroid,
     pair: SignaturePair,
     variant_tag: str = "bby",
-    extra_condition=None,
 ) -> dict:
     """Check minor compatibility of the BBY action over one matroid.
 
     For every generator class [f] and basis B with B' the acted basis:
     contracting any shared e (not f) must commute, and so must deleting any
-    e outside B, B' and f.  Findings are reported, never raised; an optional
-    extra_condition(m, pair, f, B, B') hook may add third-party checks.
+    e outside B, B' and f.  Findings are reported, never raised.
     """
     sig = variant_pair(pair, variant_tag)
     report = {"checked": 0, "violations": [], "variant": variant_tag}
@@ -509,10 +507,6 @@ def verify_matroid_consistency(
                             "actual": sorted(got),
                         }
                     )
-            if extra_condition is not None:
-                finding = extra_condition(m, sig, f, b, b2)
-                if finding:
-                    report["violations"].append({"condition": "extra", "detail": finding})
     return report
 
 

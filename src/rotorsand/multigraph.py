@@ -19,7 +19,10 @@ class Multigraph:
     immutable data.
     """
 
-    __slots__ = ("_vertices", "_ends", "_edge_ids", "_incident", "_hash", "_cuts", "_connected")
+    __slots__ = (
+        "_vertices", "_index", "_ends", "_edge_ids", "_incident",
+        "_hash", "_splits", "_cuts", "_connected",
+    )
 
     def __init__(self, vertices, edges):
         vs = tuple(sorted(vertices))
@@ -34,6 +37,7 @@ class Multigraph:
                 raise ValueError(f"edge {eid!r} has unknown endpoint")
             ends[eid] = (u, v) if u <= v else (v, u)
         self._vertices = vs
+        self._index = {v: i for i, v in enumerate(vs)}
         self._edge_ids = tuple(sorted(ends))
         self._ends = ends
         incident = {v: [] for v in vs}
@@ -43,6 +47,7 @@ class Multigraph:
             incident[v].append(eid)
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._hash = hash((self._vertices, tuple((e, ends[e]) for e in self._edge_ids)))
+        self._splits = None
         self._cuts = None
         self._connected = None
 
@@ -122,15 +127,20 @@ class Multigraph:
             self._connected = len(self._components()) <= 1
         return self._connected
 
+    def _vertex_splits(self) -> dict:
+        """Vertex -> the components of the graph with it removed (cached)."""
+        if self._splits is None:
+            self._splits = {v: self._components(skip_vertex=v) for v in self._vertices}
+        return self._splits
+
     def cut_vertices(self) -> frozenset[str]:
         """Vertices whose removal disconnects the remaining graph (cached)."""
         if self._cuts is None:
             if not self.is_connected():
                 raise ValueError("graph must be connected")
+            splits = self._vertex_splits()
             self._cuts = frozenset(
-                v
-                for v in self._vertices
-                if len(self._vertices) > 2 and len(self._components(skip_vertex=v)) > 1
+                v for v in self._vertices if len(self._vertices) > 2 and len(splits[v]) > 1
             )
         return self._cuts
 
@@ -148,7 +158,7 @@ class Multigraph:
             raise KeyError(f"unknown vertex id {x!r}")
         ea = set(self.ends(a)) - {x}
         eb = set(self.ends(b)) - {x}
-        for comp in self._components(skip_vertex=x):
+        for comp in self._vertex_splits()[x]:
             if comp & ea and comp & eb:
                 return False
         return True
@@ -195,10 +205,8 @@ class Multigraph:
             return [frozenset()]
         m = len(self._edge_ids)
         need = n - 1
-        vindex = {v: i for i, v in enumerate(self._vertices)}
-        epairs = [
-            (vindex[self._ends[e][0]], vindex[self._ends[e][1]]) for e in self._edge_ids
-        ]
+        ix = self._index
+        epairs = [(ix[self._ends[e][0]], ix[self._ends[e][1]]) for e in self._edge_ids]
         out = []
 
         def rec(idx, chosen, parent):
@@ -225,7 +233,7 @@ class Multigraph:
         n = len(self._vertices)
         if len(edge_set) != n - 1:
             return False
-        ix = {v: i for i, v in enumerate(self._vertices)}
+        ix = self._index
         parent = list(range(n))
         for e in edge_set:
             pair = self._ends.get(e)

@@ -4,14 +4,17 @@ A divisor is an integer chip vector on the vertices; degree-zero divisors
 modulo the integer image of the Laplacian form the sandpile group.  A class
 is keyed by its degree and the Hermite reduction of its chips off the first
 vertex modulo the reduced-Laplacian lattice.  Dhar's burning loop
-(``reduce``) finds the q-reduced representative for any sink q: routing and
+(``reduce``) finds the q-reduced representative for any sink q: ``act`` and
 the ``reduce`` command use it, and it cross-checks the lattice keys.  All
 arithmetic is exact.
 
-Burning and stabilization run on integer vertex positions: ``_neighbours``
-lists each position's (neighbour, edge multiplicity) pairs once per graph,
-``_burn`` is one pass of Dhar's fire over a chip list, and ``reduce`` fires
-the unburnt set as many times as it legally can before burning again.
+Chip-firing runs on integer vertex positions: ``_neighbours`` lists each
+position's (neighbour, edge multiplicity) pairs once per graph.  ``_lift``
+moves a divisor's debt onto a sink by firing balls around it, one layer of
+graph distance at a time (``_shells``); ``move_to_sink`` is that lift, and
+``reduce`` starts from it.  ``_burn`` is one pass of Dhar's fire over a chip
+list, and ``reduce`` fires the unburnt set as many times as it legally can
+before burning again.
 """
 
 from __future__ import annotations
@@ -138,72 +141,65 @@ def _neighbours(g: Multigraph) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(sorted(row.items())) for row in out)
 
 
-def stabilize(g: Multigraph, d: Divisor, s: str) -> Divisor:
-    """Fire non-sink vertices holding at least their degree until none do.
-
-    The fixed point is independent of the firing order; the step bound only
-    guards against bugs, since termination is guaranteed for inputs that are
-    nonnegative off the sink with bounded total chips.
-    """
-    if s not in g.vertices:
-        raise KeyError(f"unknown vertex id {s!r}")
-    vs, nbrs = g.vertices, _neighbours(g)
-    si = vs.index(s)
-    cur = [d[v] for v in vs]
-    if any(n < 0 for i, n in enumerate(cur) if i != si):
-        raise ValueError("stabilize needs a divisor nonnegative off the sink")
-    deg = [sum(k for _, k in row) for row in nbrs]
-    total = sum(n for n in cur if n > 0) + 1
-    step_limit = 4 * len(vs) ** 2 * len(g.edges) * total + 64
-    steps = 0
-    active = [i for i, n in enumerate(cur) if i != si and n >= deg[i]]
-    while active:
-        x = active.pop()
-        if cur[x] < deg[x]:
-            continue
-        cur[x] -= deg[x]
-        for y, k in nbrs[x]:
-            cur[y] += k
-            if y != si and cur[y] >= deg[y]:
-                active.append(y)
-        if cur[x] >= deg[x]:
-            active.append(x)
-        steps += 1
-        if steps > step_limit:
-            raise InvariantViolation("stabilization exceeded its step bound")
-    return Divisor(dict(zip(vs, cur)))
-
-
 @lru_cache(maxsize=16384)
-def _sink_boost(g: Multigraph, s: str) -> Divisor:
-    """A degree-0 divisor equivalent to zero and strictly positive off s.
+def _shells(g: Multigraph, q: str) -> tuple:
+    """The distance layers around q, outermost first, down to layer 1.
 
-    Stabilizing the configuration with deg(v) chips on each non-sink vertex
-    leaves a positive deficit everywhere off s.  Cached per (graph, sink);
-    both are immutable values.
+    Layer k holds the vertices at graph distance k from q.  Each entry pairs
+    layer k's (position, edges back into layer k - 1) with layer k - 1's
+    (position, edges out into layer k).  Cached per (graph, sink); both are
+    immutable values.
     """
-    if not g.is_connected():
+    if q not in g.vertices:
+        raise KeyError(f"unknown vertex id {q!r}")
+    nbrs = _neighbours(g)
+    order = [g.vertices.index(q)]
+    dist = {order[0]: 0}
+    for x in order:
+        for y, _ in nbrs[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                order.append(y)
+    if len(order) < len(nbrs):
         raise ValueError("graph must be connected")
-    delta = Divisor(
-        {
-            v: (g.degree(v) if v != s else -sum(g.degree(w) for w in g.vertices if w != s))
-            for v in g.vertices
-        }
-    )
-    boost = delta - stabilize(g, delta, s)
-    if any(boost[v] <= 0 for v in g.vertices if v != s):
-        raise InvariantViolation("stabilization deficit not positive off sink")
-    return boost
+
+    def layer(k, into):
+        return tuple(
+            (x, sum(m for y, m in nbrs[x] if dist[y] == into)) for x in order if dist[x] == k
+        )
+
+    return tuple((layer(k, k - 1), layer(k - 1, k)) for k in range(dist[order[-1]], 0, -1))
+
+
+def _lift(g: Multigraph, chips: list, q: str) -> bool:
+    """Move the debt of chips (in vertex order) onto q, in place.
+
+    From the outermost layer in to layer 1, the ball of vertices closer to q
+    than layer k fires the fewest times that clears layer k's debt.  That
+    hands chips only to layer k and takes them only from layer k - 1, so
+    the outer layers stay clear and the debt ends on q.  Returns whether
+    anything fired.
+    """
+    if all(n >= 0 for v, n in zip(g.vertices, chips) if v != q):
+        return False
+    for outer, inner in _shells(g, q):
+        times = max(-(chips[v] // back) for v, back in outer)
+        if times > 0:
+            for v, back in outer:
+                chips[v] += times * back
+            for u, out in inner:
+                chips[u] -= times * out
+    return True
 
 
 def move_to_sink(g: Multigraph, d: Divisor, s: str) -> Divisor:
     """An equivalent divisor with all debt on s (nonnegative elsewhere)."""
     if d.degree() != 0:
         raise ValueError("move_to_sink expects a degree-0 divisor")
-    m = max((-d[v] for v in g.vertices if v != s), default=0)
-    if m <= 0:
+    chips = [d[v] for v in g.vertices]
+    if not _lift(g, chips, s):
         return d
-    out = d + m * _sink_boost(g, s)
+    out = Divisor(dict(zip(g.vertices, chips)))
     assert all(out[v] >= 0 for v in g.vertices if v != s)
     return out
 
@@ -233,7 +229,7 @@ def _burn(nbrs, chips, qi):
 def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
     """The unique q-reduced divisor equivalent to d (any degree).
 
-    First lift all non-q vertices out of debt, then repeatedly burn outward
+    First move the debt onto q (``_lift``), then repeatedly burn outward
     from q and fire whatever survives, as many times as it legally can in
     one step; once the fire consumes the whole graph, no nonempty set off q
     can fire without going negative.
@@ -242,9 +238,8 @@ def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
         raise KeyError(f"unknown vertex id {q!r}")
     vs, nbrs = g.vertices, _neighbours(g)
     qi = vs.index(q)
-    m = max((-d[v] for v in vs if v != q), default=0)
-    lifted = d + m * _sink_boost(g, q) if m > 0 else d
-    chips = [lifted[v] for v in vs]
+    chips = [d[v] for v in vs]
+    _lift(g, chips, q)
     spread = sum(abs(n) for n in chips) + 1
     guard_limit = 64 + 16 * len(vs) * len(g.edges) * spread
     guard = 0

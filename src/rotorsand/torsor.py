@@ -3,12 +3,12 @@
 The rotor-routing action evaluates a class on a tree by routing its reduced
 representative at the first vertex into that sink, chip by chip; classes are
 memo keys through ``sandpile.canonical_class``, whichever representative is
-given.  Three companion actions come from reversing the rotation, negating
-the class, or both.  Verifiers below check the torsor axioms, independence
-of the sink choice, and compatibility with contraction, deletion and cut
-vertices, exhaustively over whatever instances they are handed; the
-consistency check reads each minor's action through a sweep-wide cache keyed
-by canonical code.
+given.  Full tables fold single-chip routings at any sink.  Three companion
+actions come from reversing the rotation, negating the class, or both.
+Verifiers below check the torsor axioms, independence of the sink choice,
+and compatibility with contraction, deletion and cut vertices, exhaustively
+over whatever instances they are handed; the consistency check reads each
+minor's action through a sweep-wide cache keyed by canonical code.
 """
 
 from __future__ import annotations
@@ -93,33 +93,30 @@ class TorsorAction:
             self._chip_tables[key] = table
         return self._chip_tables[key]
 
-    def fold(self, rep: Divisor, s: str, trees) -> dict:
-        """tree -> tree for routing rep, nonnegative off s, chip by chip to s.
+    def table(self, classes=None, trees=None, s=None) -> dict:
+        """Full action table {class key: {tree: tree}} at sink s.
 
-        Single-chip tables are composed in vertex order, exactly how
-        route_divisor folds.
+        s defaults to vertices[0].  Each class's representative, moved out
+        of debt off s, is routed chip by chip: single-chip tables are
+        composed in vertex order, exactly how route_divisor folds.
         """
-        perm = {t: t for t in trees}
-        for v, k in rep.items():
-            if v == s or k <= 0:
-                continue
-            tab = self.chip_table(v, s)
-            for _ in range(k):
-                perm = {t: tab[perm[t]] for t in trees}
-        return perm
-
-    def table(self, classes=None, trees=None) -> dict:
-        """Full action table {class key: {tree: tree}} built from chip tables."""
         g = self.graph
         if classes is None:
             classes = sandpile.enumerate_classes(g)
         if trees is None:
             trees = g.spanning_trees()
-        s = g.vertices[0]
+        if s is None:
+            s = g.vertices[0]
         out = {}
         for d in classes:
-            dd = -d if self.variant in ("rinv", "rbarinv") else d
-            out[self.class_key(d)] = self.fold(sandpile.reduce(g, dd, s), s, trees)
+            rep = sandpile.move_to_sink(g, -d if self.variant in ("rinv", "rbarinv") else d, s)
+            perm = {t: t for t in trees}
+            for v, k in rep.items():
+                if v != s and k > 0:
+                    tab = self.chip_table(v, s)
+                    for _ in range(k):
+                        perm = {t: tab[perm[t]] for t in trees}
+            out[self.class_key(d)] = perm
         return out
 
 
@@ -226,32 +223,30 @@ def verify_sink_invariance(rg: RibbonGraph) -> Report:
     """Compare routing outcomes across every sink, class and tree.
 
     For each sink the class table is built by composing verified single-chip
-    routings; the tables must agree entrywise.  Plane inputs must come out
-    clean; the two-vertex triple edge with equal rotations must not.
+    routings at that sink; the tables must agree entrywise, by class key.
+    Plane inputs must come out clean; the two-vertex triple edge with equal
+    rotations must not.
     """
     g = rg.graph
     action = TorsorAction(rg, require_plane=False)
     classes = sandpile.enumerate_classes(g)
     trees = g.spanning_trees()
     rep = Report()
-    per_sink = {}
-    for s in g.vertices:
-        per_sink[s] = {d: action.fold(sandpile.move_to_sink(g, d, s), s, trees) for d in classes}
+    keys = [action.class_key(d) for d in classes]
+    per_sink = {s: action.table(classes, trees, s) for s in g.vertices}
     base = g.vertices[0]
     for s in g.vertices[1:]:
-        for d in classes:
+        for d, key in zip(classes, keys):
             for t in trees:
                 rep.checked += 1
-                if per_sink[base][d][t] != per_sink[s][d][t]:
+                expected, got = per_sink[base][key][t], per_sink[s][key][t]
+                if expected != got:
                     rep.violations.append(
                         {
                             "sinks": [base, s],
                             "class": d.to_dict(),
                             "tree": sorted(t),
-                            "outputs": [
-                                sorted(per_sink[base][d][t]),
-                                sorted(per_sink[s][d][t]),
-                            ],
+                            "outputs": [sorted(expected), sorted(got)],
                         }
                     )
     return rep

@@ -345,16 +345,6 @@ def test_consistency_skips_ineligible_elements(worked_matroid):
     assert rep["checked"] == count
 
 
-def test_extra_condition_hook(worked_matroid):
-    m = worked_matroid
-    sig = default_signatures(m)
-    rep = verify_matroid_consistency(
-        m, sig, extra_condition=lambda *a: "flagged"
-    )
-    assert rep["violations"]
-    assert all(v["condition"] == "extra" for v in rep["violations"])
-
-
 def test_r10_is_regular_with_matching_counts():
     m = r10()
     assert m.rank == 5 and m.size == 10

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -8,10 +9,31 @@ from rotorsand.multigraph import banana_graph, cycle_graph
 from rotorsand.sandpile import Divisor, chip
 
 
+@lru_cache(maxsize=None)
+def reference_boost(g, q):
+    """A zero-class divisor positive off q, independent of sandpile's lift.
+
+    deg(v) chips on every v other than q, minus their stabilization by single
+    fires of the first unstable vertex: what is left off q is a deficit of
+    at least one chip per vertex.
+    """
+    start = Divisor({v: g.degree(v) for v in g.vertices if v != q})
+    start = start - Divisor({q: start.degree()})
+    cur = start
+    while True:
+        ready = [v for v in g.vertices if v != q and cur[v] >= g.degree(v)]
+        if not ready:
+            break
+        cur = sandpile.fire(g, cur, ready[0])
+    boost = start - cur
+    assert all(boost[v] > 0 for v in g.vertices if v != q)
+    return boost
+
+
 def burning_reduce_reference(g, d, q):
     """The single-fire burning loop: burn outward from q, fire what is left once, repeat."""
     m = max((-d[v] for v in g.vertices if v != q), default=0)
-    chips = (d + m * sandpile._sink_boost(g, q) if m > 0 else d).to_dict()
+    chips = (d + m * reference_boost(g, q) if m > 0 else d).to_dict()
     while True:
         burnt = {q}
         grew = True
@@ -62,34 +84,6 @@ def test_firing_everything_is_a_zero_move(fig_graph):
     assert out == d
 
 
-def test_stabilize_identity_when_stable(triangle):
-    d = Divisor({"v": 1, "u": -1})
-    assert sandpile.stabilize(triangle, d, "u") == d
-
-
-def test_stabilize_order_independent():
-    rng = random.Random(5)
-    graphs = connected_multigraphs(5)
-    for _ in range(100):
-        g = rng.choice(graphs)
-        s = rng.choice(g.vertices)
-        d = Divisor({v: rng.randrange(0, 2 * g.degree(v)) for v in g.vertices if v != s})
-        d = d - Divisor({s: d.degree()})
-        # two different activity orders: the implementation uses a stack; a
-        # second pass via single fires in shuffled order must agree
-        first = sandpile.stabilize(g, d, s)
-        cur = d
-        guard = 0
-        while True:
-            ready = [v for v in g.vertices if v != s and cur[v] >= g.degree(v)]
-            if not ready:
-                break
-            cur = sandpile.fire(g, cur, rng.choice(ready))
-            guard += 1
-            assert guard < 10_000
-        assert cur == first
-
-
 def _check_reduce_against_reference(g, d, q):
     r = sandpile.reduce(g, d, q)
     assert r == burning_reduce_reference(g, d, q)
@@ -120,22 +114,6 @@ def test_reduce_matches_single_fire_loop_on_telescopes():
                 _check_reduce_against_reference(g, d, rng.choice(g.vertices))
 
 
-def test_stabilize_matches_single_fires():
-    # every sink of every connected multigraph with at most 5 edges, firing
-    # the first unstable vertex one firing at a time
-    rng = random.Random(19)
-    for g in connected_multigraphs(5):
-        for s in g.vertices:
-            d = Divisor({v: rng.randrange(0, 3 * g.degree(v)) for v in g.vertices if v != s})
-            cur = d
-            while True:
-                ready = [v for v in g.vertices if v != s and cur[v] >= g.degree(v)]
-                if not ready:
-                    break
-                cur = sandpile.fire(g, cur, ready[0])
-            assert sandpile.stabilize(g, d, s) == cur
-
-
 def test_sink_boost_positive(triangle):
     d = sandpile.reduce(triangle, Divisor({"u": -1, "v": -1, "w": 2}), "u")
     assert d.degree() == 0
@@ -149,6 +127,33 @@ def test_move_to_sink(triangle):
     assert sandpile.same_class(triangle, out, d)
     already = Divisor({"w": 1, "u": -1})
     assert sandpile.move_to_sink(triangle, already, "u") == already
+
+
+def _check_move_to_sink(g, d, s):
+    out = sandpile.move_to_sink(g, d, s)
+    assert out.degree() == 0
+    assert all(out[v] >= 0 for v in g.vertices if v != s)
+    assert sandpile.laplacian_image_contains(g, d - out)
+    if all(d[v] >= 0 for v in g.vertices if v != s):
+        assert out == d
+
+
+def test_move_to_sink_on_every_sink():
+    # every sink of every connected multigraph with at most 5 edges, then
+    # seeded telescopes; each case lifts a random divisor, one with debt on
+    # every vertex but the sink, and one already out of debt
+    rng = random.Random(23)
+    cases = [(g, s, a) for g in connected_multigraphs(5) for s in g.vertices for a in (1, 3)]
+    for n in range(3, 11):
+        g = moves.telescope(n, [rng.randrange(3) for _ in range(n + 1)])[0].graph
+        cases += [(g, rng.choice(g.vertices), a) for a in (1, 3, 12, 50) for _ in range(2)]
+    for g, s, amplitude in cases:
+        chips = {v: rng.randint(-amplitude, amplitude) for v in g.vertices}
+        debt = {v: -amplitude for v in g.vertices}
+        clear = {v: abs(n) for v, n in chips.items()}
+        for shape in (chips, debt, clear):
+            d = Divisor(shape)
+            _check_move_to_sink(g, d - Divisor({s: d.degree()}), s)
 
 
 def test_reduce_is_idempotent_and_class_invariant():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rotorsand import sandpile
+from rotorsand import cli, sandpile
 from rotorsand.catalog import plane_graphs
 from rotorsand.moves import telescope
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
@@ -79,6 +79,31 @@ def test_tables_match_direct_routing(square_ribbon):
     for d in classes:
         for t in g.spanning_trees():
             assert tables[act.class_key(d)][t] == act.act(d, t)
+
+
+def test_tables_at_every_sink_fold_reduced_divisors():
+    # the table at sink s against a fold, chip by chip, of each class's
+    # s-reduced representative: every plane graph with at most 4 edges and
+    # the two genus-1 maps, where the table still exists at each sink
+    instances = list(plane_graphs(4))
+    instances += [rg for rg, name in cli.reversal_instances() if name.endswith("genus 1")]
+    for rg in instances:
+        g = rg.graph
+        classes = sandpile.enumerate_classes(g)
+        trees = g.spanning_trees()
+        for tag in VARIANTS:
+            action = TorsorAction(rg, tag, require_plane=False)
+            for s in g.vertices:
+                table = action.table(classes, trees, s=s)
+                assert len(table) == len(classes)
+                for d in classes:
+                    rep = sandpile.reduce(g, -d if tag in ("rinv", "rbarinv") else d, s)
+                    perm = {t: t for t in trees}
+                    for v, k in rep.items():
+                        if v != s:
+                            for _ in range(k):
+                                perm = {t: action.chip_table(v, s)[perm[t]] for t in trees}
+                    assert table[action.class_key(d)] == perm
 
 
 def test_inverse_variant_inverts(square_ribbon):
