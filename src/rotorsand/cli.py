@@ -111,9 +111,8 @@ def _dot_ribbon(rg: RibbonGraph) -> str:
 def _dot_rotors(g: Multigraph, tree, s) -> str:
     from .rotor import tree_to_rotors
 
-    rho = tree_to_rotors(g, tree, s).as_dict()
     lines = ["digraph {"]
-    for v, e in sorted(rho.items()):
+    for v, e in sorted(tree_to_rotors(g, tree, s).items()):
         lines.append(f'  "{v}" -> "{g.other(e, v)}" [label="{e}"];')
     lines.append("}")
     return "\n".join(lines)

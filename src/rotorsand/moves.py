@@ -65,8 +65,7 @@ def classify_pair(rg: RibbonGraph, tree, c: str, s: str):
     tree = frozenset(tree)
     if c == s:
         return None
-    rotors = tree_to_rotors(g, tree, s)
-    out_edge = rotors.rotor(c)
+    out_edge = tree_to_rotors(g, tree, s)[c]
     nxt = rg.next_edge(c, out_edge)
     if set(g.ends(nxt)) == {c, s}:
         # one rotor turn and the chip lands on the sink; a degree-1 source
@@ -104,20 +103,19 @@ def is_rotatable(rg: RibbonGraph, tree, root: str, c: str):
     """Whether one rotor turn at c keeps the configuration acyclic.
 
     Returns (flag, removed, added); source rotatability additionally needs
-    c to be a leaf, which callers check via the returned edges.
+    c to be a leaf, which callers check via the returned edges.  Only a
+    cycle through c can appear, so the turn is acyclic exactly when the
+    rotors lead from the new rotor's far end to the root without passing c.
     """
-    from .rotor import rotate_one, rotors_to_tree
-
     g = rg.graph
     if c == root:
         raise ValueError("the root carries no rotor")
-    rho = tree_to_rotors(g, frozenset(tree), root)
-    out_edge = rho.rotor(c)
-    turned = rotate_one(rg, rho, c)
-    t2 = rotors_to_tree(g, turned)
-    if t2 is None:
-        return False, out_edge, turned.rotor(c)
-    return True, out_edge, turned.rotor(c)
+    rotors = tree_to_rotors(g, tree, root)
+    added = rg.next_edge(c, rotors[c])
+    x = g.other(added, c)
+    while x not in (root, c):
+        x = g.other(rotors[x], x)
+    return x == root, rotors[c], added
 
 
 def source_turn_neighbors(rg: RibbonGraph, tree):
@@ -172,14 +170,18 @@ def _leaf_swaps(g: Multigraph, t):
 
 
 @lru_cache(maxsize=1)
-def _search(space, step, start: frozenset) -> tuple:
+def _search(space, g: Multigraph, step, start: frozenset) -> tuple:
     """The state (back-pointers, frontier) of one breadth-first search from start.
 
     back maps each tree reached to (move, previous tree).  _tree_path resumes
     the search only until its goal is reached, so a single query stops as
     early as a search of its own, and the moves sweep, which asks for every
-    goal of one start before the next, runs one search per start.
+    goal of one start before the next, runs one search per start.  The start
+    is checked here, once per search; every tree reached is then a spanning
+    tree of g, so _tree_path checks only goals the search has not reached.
     """
+    if not g.is_spanning_tree(start):
+        raise ValueError("inputs must be spanning trees")
     return {start: None}, deque([start])
 
 
@@ -192,11 +194,10 @@ def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
     """
     if not g.is_two_connected():
         raise ValueError(f"{kind} reachability needs a 2-connected graph")
-    start, goal = frozenset(start), frozenset(goal)
-    for t in (start, goal):
-        if not g.is_spanning_tree(t):
-            raise ValueError("inputs must be spanning trees")
-    back, frontier = _search(space, step, start)
+    back, frontier = _search(space, g, step, frozenset(start))
+    goal = frozenset(goal)
+    if goal not in back and not g.is_spanning_tree(goal):
+        raise ValueError("inputs must be spanning trees")
     try:
         while frontier and goal not in back:
             t = frontier.popleft()

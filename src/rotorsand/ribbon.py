@@ -283,20 +283,12 @@ class RibbonGraph:
         ribbon-isomorphic maps, and pairing their orders position by
         position is an isomorphism (``labelling_isomorphism``).
         """
-        sigma = self.sigma
-        best, best_order = (), []
-        for start in range(len(sigma)):
-            labels = {start: 0}
-            order = [start]
-            for d in order:
-                for nb in (sigma[d], d ^ 1):
-                    if nb not in labels:
-                        labels[nb] = len(labels)
-                        order.append(nb)
-            enc = tuple(x for d in order for x in (labels[sigma[d]], labels[d ^ 1]))
-            if not best or enc < best:
-                best, best_order = enc, order
-        return (len(self.graph.vertices),) + best, tuple(best_order)
+        best, best_order = [], ()
+        for start in range(len(self.sigma)):
+            found = _anchor_code(self.sigma, start, best)
+            if found is not None:
+                best, best_order = found
+        return (len(self.graph.vertices), *best), tuple(best_order)
 
     def canonical_form(self) -> tuple:
         """A ribbon-isomorphism invariant that separates non-isomorphic maps."""
@@ -322,6 +314,32 @@ class RibbonGraph:
     @classmethod
     def from_json(cls, text: str) -> "RibbonGraph":
         return cls.from_obj(json.loads(text))
+
+
+def _anchor_code(sigma, start: int, best: list):
+    """The encoding and dart order from anchor start, if it beats best.
+
+    Darts are labelled breadth-first from start; the encoding lists, dart by
+    dart in that order, the labels of its rotation successor and its edge
+    twin.  Returns None as soon as a prefix exceeds best, and also for a
+    full tie, which keeps the first anchor found.
+    """
+    labels = {start: 0}
+    order = [start]
+    enc = []
+    tied = bool(best)  # enc equals best so far
+    for d in order:
+        for nb in (sigma[d], d ^ 1):
+            if nb not in labels:
+                labels[nb] = len(labels)
+                order.append(nb)
+            x = labels[nb]
+            if tied and x != best[len(enc)]:
+                if x > best[len(enc)]:
+                    return None
+                tied = False
+            enc.append(x)
+    return None if tied else (enc, order)
 
 
 def is_ribbon_isomorphism(a: RibbonGraph, b: RibbonGraph, iso: RibbonIsomorphism) -> bool:

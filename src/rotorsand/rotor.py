@@ -1,51 +1,23 @@
-"""Rotor configurations, single-chip routing, and unicycle dynamics.
+"""Single-chip routing and unicycle dynamics on one array of darts.
 
-The routing loop is the heart of the package: rotate the rotor at the chip's
-vertex one position counterclockwise, move the chip across the new rotor,
-stop when it reaches the sink.  Folding that over a chip decomposition of a
-divisor gives the rotor-routing action on spanning trees.
+A rotor configuration is a list indexed by vertex position, holding each
+vertex's rotor as a dart of the ribbon graph (``None`` at the sink); a
+unicycle is a sink-free one with a single cycle, plus a chip position on it.
+The spin step is the heart of the package: turn the rotor at the chip to the
+next dart counterclockwise (``sigma``) and move the chip across it (``d ^ 1``).
+Routing stops the chip at the sink, and folding that over a chip
+decomposition of a divisor gives the rotor-routing action on spanning trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph, classify_sides
 from .sandpile import Divisor
-
-
-@dataclass(frozen=True)
-class RotorConfig:
-    """One outgoing rotor per non-sink vertex."""
-
-    sink: str
-    rotors: tuple[tuple[str, str], ...]  # sorted (vertex, edge) pairs
-
-    @classmethod
-    def make(cls, sink, rotor_map) -> "RotorConfig":
-        return cls(sink, tuple(sorted(dict(rotor_map).items())))
-
-    def rotor(self, v: str) -> str:
-        for w, e in self.rotors:
-            if w == v:
-                return e
-        raise KeyError(f"no rotor at {v!r}")
-
-    def as_dict(self) -> dict:
-        return dict(self.rotors)
-
-
-@dataclass(frozen=True)
-class Unicycle:
-    """A sink-free rotor configuration with one directed cycle, chip on it."""
-
-    rotors: tuple[tuple[str, str], ...]  # every vertex gets a rotor
-    chip: str
-
-    def as_dict(self) -> dict:
-        return dict(self.rotors)
 
 
 @dataclass(frozen=True)
@@ -57,19 +29,8 @@ class RouteStep:
     crossed_to: str
 
 
-def validate_rotor_map(g: Multigraph, rotor_map, skip=None):
-    for v in g.vertices:
-        if v == skip:
-            continue
-        e = rotor_map.get(v)
-        if e is None:
-            raise ValueError(f"vertex {v!r} has no rotor")
-        if v not in g.ends(e):
-            raise ValueError(f"rotor {e!r} is not incident to {v!r}")
-
-
-def tree_to_rotors(g: Multigraph, tree, s: str) -> RotorConfig:
-    """Orient every tree edge toward s: each vertex points along its path."""
+def tree_to_rotors(g: Multigraph, tree, s: str) -> dict:
+    """Orient every tree edge toward s: {vertex: edge along its path}."""
     tree = frozenset(tree)
     if not g.is_spanning_tree(tree):
         raise ValueError("not a spanning tree")
@@ -85,16 +46,7 @@ def tree_to_rotors(g: Multigraph, tree, s: str) -> RotorConfig:
                     seen.add(y)
                     rotors[y] = e
                     stack.append(y)
-    return RotorConfig.make(s, rotors)
-
-
-def rotors_to_tree(g: Multigraph, rho: RotorConfig):
-    """The spanning tree whose rotors these are, or None if a cycle exists."""
-    rotor_map = rho.as_dict()
-    validate_rotor_map(g, rotor_map, skip=rho.sink)
-    if all_cycles(g, rotor_map):
-        return None
-    return frozenset(rotor_map.values())
+    return rotors
 
 
 def functional_cycles(succ) -> list[list[int]]:
@@ -121,27 +73,10 @@ def functional_cycles(succ) -> list[list[int]]:
     return cycles
 
 
-def all_cycles(g: Multigraph, rotor_map) -> list[list[tuple[str, str]]]:
-    """Every directed cycle of the rotor map, as lists of (vertex, edge)."""
-    vs = sorted(rotor_map)
-    index = {v: i for i, v in enumerate(vs)}
-    succ = [index.get(g.other(rotor_map[v], v)) for v in vs]
-    return [[(vs[i], rotor_map[vs[i]]) for i in cyc] for cyc in functional_cycles(succ)]
-
-
-def rotate_one(rg: RibbonGraph, rho: RotorConfig, x: str) -> RotorConfig:
-    """Advance the rotor at x one position in the cyclic order."""
-    if x == rho.sink:
-        raise ValueError("the sink has no rotor to rotate")
-    rotors = rho.as_dict()
-    rotors[x] = rg.next_edge(x, rotors[x])
-    return RotorConfig.make(rho.sink, rotors)
-
-
 def _tree_darts(rg: RibbonGraph, tree, s: str) -> list:
     """The tree's rotors as darts of rg, indexed by vertex position; None at s."""
     rotors = [None] * len(rg.graph.vertices)
-    for v, e in tree_to_rotors(rg.graph, tree, s).rotors:
+    for v, e in tree_to_rotors(rg.graph, tree, s).items():
         d = rg.dart(e, v)
         rotors[rg.dart_vertex[d]] = d
     return rotors
@@ -151,27 +86,55 @@ def _tree_of(rg: RibbonGraph, rotors: list) -> frozenset:
     return frozenset(rg.graph.edges[d >> 1] for d in rotors if d is not None)
 
 
-def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, steps=None) -> None:
-    """Route one chip from position x to sink, turning the dart array in place.
+def _heads(rg: RibbonGraph, rotors) -> list:
+    """Where each rotor points: the functional graph of a dart array."""
+    dv = rg.dart_vertex
+    return [None if d is None else dv[d ^ 1] for d in rotors]
 
-    Appends a RouteStep per move to steps when given.  The final rotors are
-    asserted acyclic.
+
+def _spin(
+    rg: RibbonGraph, rotors: list, x: int, bound: int, sink=None, states=None, turned=None
+) -> int:
+    """Move a chip from position x until it reaches sink or has moved bound times.
+
+    Each move turns the rotor at the chip to the next dart counterclockwise
+    and carries the chip across it; rotors change in place.  Returns the
+    chip's final position.  states, when given, gets each (rotors, chip)
+    before its move, and turned each dart turned.
     """
-    vs, edges, sigma, dv = rg.graph.vertices, rg.graph.edges, rg.sigma, rg.dart_vertex
-    bound = 2 * len(edges) * (len(vs) + 1) + 8
-    n = 0
-    while x != sink:
-        if n >= bound:
-            raise InvariantViolation("routing exceeded its step bound")
+    sigma, dv = rg.sigma, rg.dart_vertex
+    for _ in range(bound):
+        if x == sink:
+            break
+        if states is not None:
+            states.append((tuple(rotors), x))
         d = sigma[rotors[x]]
         rotors[x] = d
-        y = dv[d ^ 1]
-        if steps is not None:
-            steps.append(RouteStep(n, vs[x], vs[x], edges[d >> 1], vs[y]))
-        x = y
-        n += 1
-    if functional_cycles([None if d is None else dv[d ^ 1] for d in rotors]):
+        if turned is not None:
+            turned.append(d)
+        x = dv[d ^ 1]
+    return x
+
+
+def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, states=None, turned=None) -> None:
+    """Route one chip from position x to sink, turning the dart array in place.
+
+    states and turned are passed to _spin.  The final rotors are asserted
+    acyclic.
+    """
+    bound = 2 * len(rg.graph.edges) * (len(rotors) + 1) + 8
+    if _spin(rg, rotors, x, bound, sink, states, turned) != sink:
+        raise InvariantViolation("routing exceeded its step bound")
+    if functional_cycles(_heads(rg, rotors)):
         raise InvariantViolation("routing finished on a cyclic rotor configuration")
+
+
+def _steps(rg: RibbonGraph, turned) -> list[RouteStep]:
+    vs, edges, dv = rg.graph.vertices, rg.graph.edges, rg.dart_vertex
+    return [
+        RouteStep(n, vs[dv[d]], vs[dv[d]], edges[d >> 1], vs[dv[d ^ 1]])
+        for n, d in enumerate(turned)
+    ]
 
 
 def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
@@ -184,9 +147,9 @@ def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
     if c not in vs or s not in vs:
         raise KeyError("unknown chip or sink vertex")
     rotors = _tree_darts(rg, tree, s)
-    steps: list[RouteStep] = []
-    _route(rg, rotors, vs.index(c), vs.index(s), steps if trace else None)
-    return _tree_of(rg, rotors), steps
+    turned = [] if trace else None
+    _route(rg, rotors, vs.index(c), vs.index(s), turned=turned)
+    return _tree_of(rg, rotors), _steps(rg, turned) if trace else []
 
 
 def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
@@ -209,72 +172,6 @@ def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
     return _tree_of(rg, rotors)
 
 
-# -- unicycles ---------------------------------------------------------------
-
-
-def make_unicycle(g: Multigraph, rotor_map, chip: str) -> Unicycle:
-    validate_rotor_map(g, rotor_map)
-    cycles = all_cycles(g, rotor_map)
-    if len(cycles) != 1:
-        raise ValueError(f"configuration has {len(cycles)} directed cycles, needs 1")
-    if chip not in {v for v, _ in cycles[0]}:
-        raise ValueError("chip must sit on the directed cycle")
-    return Unicycle(tuple(sorted(rotor_map.items())), chip)
-
-
-def unicycle_cycle(g: Multigraph, u: Unicycle) -> list[tuple[str, str]]:
-    cycles = all_cycles(g, u.as_dict())
-    if len(cycles) != 1:
-        raise InvariantViolation("unicycle lost its unique cycle")
-    return cycles[0]
-
-
-def unicycle_step(rg: RibbonGraph, u: Unicycle) -> Unicycle:
-    """One pass of the routing loop on a sink-free configuration."""
-    rotors = u.as_dict()
-    e = rg.next_edge(u.chip, rotors[u.chip])
-    rotors[u.chip] = e
-    chip = rg.graph.other(e, u.chip)
-    return make_unicycle(rg.graph, rotors, chip)
-
-
-def unicycle_orbit(rg: RibbonGraph, u: Unicycle, max_steps: int) -> list[Unicycle]:
-    """The orbit starting at u, up to and excluding the first repeat of u."""
-    out = [u]
-    cur = u
-    for _ in range(max_steps):
-        cur = unicycle_step(rg, cur)
-        if cur == u:
-            return out
-        out.append(cur)
-    raise InvariantViolation(f"unicycle did not return within {max_steps} steps")
-
-
-def reverse_unicycle(g: Multigraph, u: Unicycle) -> Unicycle:
-    """Reverse the rotors along the unique directed cycle, keep the chip."""
-    rotors = u.as_dict()
-    for v, e in unicycle_cycle(g, u):
-        rotors[g.other(e, v)] = e
-    return make_unicycle(g, rotors, u.chip)
-
-
-def all_unicycles(g: Multigraph) -> list[Unicycle]:
-    """Every unicycle: sink-free rotor maps with one cycle, chip on the cycle."""
-    from itertools import product
-
-    vs = g.vertices
-    choices = [g.incident(v) for v in vs]
-    out = []
-    for combo in product(*choices):
-        rotor_map = dict(zip(vs, combo))
-        cycles = all_cycles(g, rotor_map)
-        if len(cycles) == 1:
-            rotors = tuple(sorted(rotor_map.items()))
-            for v, _ in cycles[0]:
-                out.append(Unicycle(rotors, v))
-    return out
-
-
 def arc_rearrangements(rg: RibbonGraph, tree, c: str, s: str, rng, samples: int = 4):
     """Ribbon structures that provably route (tree, c - s) to the same tree.
 
@@ -286,8 +183,8 @@ def arc_rearrangements(rg: RibbonGraph, tree, c: str, s: str, rng, samples: int 
     g = rg.graph
     tree = frozenset(tree)
     out_tree, _ = route_chip(rg, tree, c, s)
-    start = tree_to_rotors(g, tree, s).as_dict()
-    finish = tree_to_rotors(g, out_tree, s).as_dict()
+    start = tree_to_rotors(g, tree, s)
+    finish = tree_to_rotors(g, out_tree, s)
     for _ in range(samples):
         x = rng.choice([v for v in g.vertices if v != s])
         seq = list(rg.rotation[x])
@@ -314,6 +211,46 @@ def arc_rearrangements(rg: RibbonGraph, tree, c: str, s: str, rng, samples: int 
         yield RibbonGraph(g, rot)
 
 
+def _reversed(rg: RibbonGraph, rotors, cycle) -> tuple:
+    """The rotors with their cycle through the given positions turned around."""
+    out = list(rotors)
+    for v in cycle:
+        d = rotors[v] ^ 1
+        out[rg.dart_vertex[d]] = d
+    return tuple(out)
+
+
+def _orbits(rg: RibbonGraph, seen: dict):
+    """Every unicycle of rg, spinning each orbit once, the first time it is met.
+
+    Sink-free dart arrays come in product order of the darts around each
+    vertex.  For each one with a single cycle, yields (rotors, cycle, walks):
+    cycle lists the cycle's positions, each the chip of one unicycle
+    (rotors, chip), and walks holds (chip, darts turned, unicycle reached)
+    after 2|E| moves for each chip, in cycle order, whose orbit is new.
+    seen maps every unicycle walked so far to the first unicycle of its orbit.
+    """
+    dv, nd = rg.dart_vertex, len(rg.sigma)
+    around = [[] for _ in rg.graph.vertices]
+    for d in range(nd):
+        around[dv[d]].append(d)
+    heads = [[dv[d ^ 1] for d in ds] for ds in around]
+    # successors come from a product in lockstep with the rotors'; building
+    # them per combo instead is slower
+    for combo, succ in zip(product(*around), product(*heads)):
+        cycles = functional_cycles(succ)
+        if len(cycles) != 1:
+            continue
+        walks = []
+        for chip in cycles[0]:
+            if (combo, chip) not in seen:
+                rotors, states, turned = list(combo), [], []
+                end = _spin(rg, rotors, chip, nd, None, states, turned)
+                seen.update(dict.fromkeys(states, states[0]))
+                walks.append((chip, turned, (tuple(rotors), end)))
+        yield combo, cycles[0], walks
+
+
 def verify_full_spin(rg: RibbonGraph) -> dict:
     """Every unicycle returns after exactly 2|E| steps with a clean sweep.
 
@@ -321,46 +258,20 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
     so shifted starts see the same crossing multiset and the same return
     time): the walk returns to its start at step 2|E| and not earlier, each
     edge is crossed exactly once in each direction, and each rotor turns a
-    full circle.  Rotors are darts of rg and the chip a vertex position.
+    full circle.
     """
-    from itertools import product
-
-    sigma, dv = rg.sigma, rg.dart_vertex
-    n, nd = len(rg.graph.vertices), len(sigma)
-    around = [[] for _ in range(n)]
-    for d in range(nd):
-        around[dv[d]].append(d)
-    heads = [[dv[d ^ 1] for d in ds] for ds in around]
+    dv = rg.dart_vertex
+    turns = sorted(dv)  # each vertex's position once per dart around it
     report = {"unicycles": 0, "orbits": 0, "violations": []}
-    visited = set()
-
-    # successors come from a product in lockstep with the rotors'; building
-    # them per combo instead is slower
-    for combo, succ in zip(product(*around), product(*heads)):
-        cycles = functional_cycles(succ)
-        if len(cycles) != 1:
-            continue
-        for chip0 in cycles[0]:
-            report["unicycles"] += 1
-            if (combo, chip0) in visited:
-                continue
+    for rotors, cycle, walks in _orbits(rg, {}):
+        report["unicycles"] += len(cycle)
+        for chip, turned, end in walks:
             report["orbits"] += 1
-            rotors = list(combo)
-            chip = chip0
-            crossed = set()
-            turns = [0] * n
-            for _ in range(nd):
-                visited.add((tuple(rotors), chip))
-                d = sigma[rotors[chip]]
-                rotors[chip] = d
-                turns[chip] += 1
-                crossed.add(d)
-                chip = dv[d ^ 1]
-            if (tuple(rotors), chip) != (combo, chip0):
+            if end != (rotors, chip):
                 report["violations"].append("orbit did not close after a full sweep")
-            if len(crossed) != nd:
+            if len(set(turned)) != len(dv):
                 report["violations"].append("an edge was not crossed once per direction")
-            if any(turns[v] != len(around[v]) for v in range(n)):
+            if sorted(dv[d] for d in turned) != turns:
                 report["violations"].append("a rotor did not make one full turn")
     return report
 
@@ -369,19 +280,20 @@ def verify_reversal_equivalence(rg: RibbonGraph) -> dict:
     """Does every unicycle orbit contain the reversal of its configuration?
 
     True exactly on plane ribbon graphs; the report carries the plane flag
-    and every unicycle whose orbit misses its reversal.
+    and every unicycle, as (rotors, chip), whose orbit misses its reversal.
     """
-    g = rg.graph
-    unicycles = all_unicycles(g)
+    seen = {}
+    count = 0
     misses = []
-    for u in unicycles:
-        orbit = set(unicycle_orbit(rg, u, 2 * len(g.edges) + 1))
-        target = reverse_unicycle(g, u)
-        if Unicycle(target.rotors, u.chip) not in orbit:
-            misses.append(u)
+    for rotors, cycle, walks in _orbits(rg, seen):
+        if any(end != (rotors, chip) for chip, _, end in walks):
+            raise InvariantViolation("unicycle did not return after a full sweep")
+        count += len(cycle)
+        reverse = _reversed(rg, rotors, cycle)
+        misses += [(rotors, c) for c in cycle if seen.get((reverse, c)) != seen[rotors, c]]
     return {
         "plane": rg.is_plane(),
-        "unicycles": len(unicycles),
+        "unicycles": count,
         "misses": misses,
         "equivalence_holds": rg.is_plane() == (not misses),
     }
@@ -406,15 +318,6 @@ def check_no_repeated_crossing(steps) -> list[str]:
     return bad
 
 
-def _configs_along(rg: RibbonGraph, tree, c, s, steps):
-    rotors = tree_to_rotors(rg.graph, tree, s).as_dict()
-    configs = [dict(rotors)]
-    for st in steps:
-        rotors[st.rotated_vertex] = st.new_rotor
-        configs.append(dict(rotors))
-    return configs
-
-
 def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
     """Traced-run checks for routing a chip between adjacent vertices.
 
@@ -424,88 +327,67 @@ def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
     * no directed edge is crossed twice;
     * every directed cycle appearing mid-run also appears reversed in some
       configuration of the run;
-    * when the tree carries a rotor path from c to s and some non-tree edge
-      joins c and s, the chip stays off the right side of that cycle;
+    * when some non-tree edge joins c and s, closing the tree's rotor path
+      from c to s into a cycle, the chip stays off the right side of it;
     * on the induced sink-free run, the chip crosses every edge left of the
       starting cycle in both directions and no edge to its right.
     """
     g = rg.graph
-    fs = [e for e in g.edges if set(g.ends(e)) == {c, s}]
+    vs, edges, dv = g.vertices, g.edges, rg.dart_vertex
+    fs = [e for e in edges if set(g.ends(e)) == {c, s}]
     if not fs:
         raise ValueError("c and s must be adjacent")
     tree = frozenset(tree)
-    out, steps = route_chip(rg, tree, c, s, trace=True)
-    configs = _configs_along(rg, tree, c, s, steps)
-    violations = list(check_no_repeated_crossing(steps))
+    ci, si = vs.index(c), vs.index(s)
+    rotors = _tree_darts(rg, tree, s)
+    unicycle = list(rotors)  # closed at s below, once per non-tree c-s edge
+    cycle = [ci]  # the rotor path from c to s
+    while cycle[-1] != si:
+        cycle.append(dv[rotors[cycle[-1]] ^ 1])
+    states, turned = [], []
+    _route(rg, rotors, ci, si, states, turned)
+    violations = list(check_no_repeated_crossing(_steps(rg, turned)))
 
+    configs = [cfg for cfg, _ in states] + [tuple(rotors)]
     for i, cfg in enumerate(configs):
-        for cyc in all_cycles(g, cfg):
-            reverse = {(g.other(e, v)): e for v, e in cyc}
-            if not any(
-                all(other.get(w) == e for w, e in reverse.items()) for other in configs
-            ):
-                violations.append(f"cycle at step {i} never reverses: {sorted(cyc)}")
+        for cyc in functional_cycles(_heads(rg, cfg)):
+            reverse = _reversed(rg, cfg, cyc)
+            if not any(all(other[v] == reverse[v] for v in cyc) for other in configs):
+                named = sorted((vs[v], edges[cfg[v] >> 1]) for v in cyc)
+                violations.append(f"cycle at step {i} never reverses: {named}")
 
-    # right-side exclusion for the cycle closed by a non-tree c-s edge
-    rho0 = configs[0]
-    path = _rotor_path(g, rho0, c, s)
-    if path is not None:
-        for f in fs:
-            if f in tree:
-                continue
-            cyc = path + [(s, f)]
-            sides = classify_sides(rg, cyc)
-            crossed = {e for e, _, _ in crossings(steps)}
-            for e in crossed & sides.right_edges:
-                violations.append(f"chip crossed right-side edge {e}")
-
-    # sink-free run: left edges both ways, right edges never.  A tree edge
-    # joining c and s would close a degenerate bidirected 2-cycle whose
-    # reversal is itself, so only non-tree closures are informative.
+    # each non-tree c-s edge f closes the rotor path into a cycle: the chip
+    # stays off its right side, and the sink-free run from it sweeps its left
+    # side both ways.  A tree edge joining c and s would close a degenerate
+    # bidirected 2-cycle whose reversal is itself, so it is not informative.
+    path = [(vs[x], edges[unicycle[x] >> 1]) for x in cycle[:-1]]
+    crossed = {edges[d >> 1] for d in turned}
     for f in fs:
-        if f not in tree:
-            violations += _check_unicycle_leftright(rg, tree, c, s, f)
+        if f in tree:
+            continue
+        sides = classify_sides(rg, path + [(s, f)])
+        for e in crossed & sides.right_edges:
+            violations.append(f"chip crossed right-side edge {e}")
+        unicycle[si] = rg.dart(f, s)
+        violations += _check_unicycle_leftright(rg, list(unicycle), cycle, sides)
     return violations
 
 
-def _rotor_path(g, rotor_map, c, s):
-    path = []
-    x = c
-    seen = set()
-    while x != s:
-        if x in seen or x not in rotor_map:
-            return None
-        seen.add(x)
-        e = rotor_map[x]
-        path.append((x, e))
-        x = g.other(e, x)
-    return path
-
-
-def _check_unicycle_leftright(rg: RibbonGraph, tree, c, s, f) -> list[str]:
-    g = rg.graph
-    rotors = tree_to_rotors(g, tree, s).as_dict()
-    rotors[s] = f
-    u = make_unicycle(g, rotors, c)
-    target = reverse_unicycle(g, u)
-    sides = classify_sides(rg, unicycle_cycle(g, u))
-    forward, backward = set(), set()
-    cur = u
-    for _ in range(2 * len(g.edges) + 1):
-        if cur == target:
-            break
-        e = rg.next_edge(cur.chip, cur.as_dict()[cur.chip])
-        forward.add((e, cur.chip))
-        backward.add((e, g.other(e, cur.chip)))
-        cur = unicycle_step(rg, cur)
-    else:
-        return [f"reversal of the starting cycle never reached from chip {c}"]
-    crossed = {e for e, _ in forward}
+def _check_unicycle_leftright(rg: RibbonGraph, rotors: list, cycle, sides) -> list[str]:
+    """Spin the unicycle with its chip at cycle[0] until its cycle is reversed."""
+    chip = cycle[0]
+    target = (_reversed(rg, rotors, cycle), chip)
+    states, turned = [], []
+    end = _spin(rg, rotors, chip, len(rg.sigma), None, states, turned)
+    states.append((tuple(rotors), end))
+    if target not in states:
+        return [f"reversal of the starting cycle never reached from chip {rg.graph.vertices[chip]}"]
+    forward = set(turned[: states.index(target)])
+    crossed = {rg.graph.edges[d >> 1] for d in forward}
     bad = []
     for e in sides.right_edges & crossed:
         bad.append(f"sink-free run crossed right-side edge {e}")
     for e in sides.left_edges:
-        u1, v1 = g.ends(e)
-        if not ((e, u1) in forward and (e, v1) in forward):
+        if not all(rg.dart(e, x) in forward for x in rg.graph.ends(e)):
             bad.append(f"sink-free run missed a direction of left-side edge {e}")
     return bad

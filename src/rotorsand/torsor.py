@@ -120,11 +120,6 @@ class TorsorAction:
         return out
 
 
-def variant(action: TorsorAction, tag: str) -> TorsorAction:
-    """The same underlying plane graph with another of the four variants."""
-    return TorsorAction(action.rg, tag)
-
-
 @dataclass
 class Report:
     """Outcome of one verification sweep."""

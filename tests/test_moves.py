@@ -76,7 +76,7 @@ def test_precedes_matches_rotor_criterion(swap_ribbon):
                 for a, b in ((x, y), (y, x)):
                     if a == root:
                         continue
-                    assert precedes(g, t, root, a, b) == (rho.rotor(a) == e)
+                    assert precedes(g, t, root, a, b) == (rho[a] == e)
 
 
 def test_showcase_source_turn(swap_ribbon):
@@ -223,6 +223,24 @@ def test_source_turn_requires_two_connected():
         source_turn_path(rg, frozenset({"ab", "bc"}), frozenset({"ab2", "bc"}))
 
 
+def test_paths_reject_non_spanning_start_or_goal(square_ribbon):
+    g = square_ribbon.graph
+    tree, other = frozenset({"ac", "bc", "cs"}), g.spanning_trees()[-1]
+    finders = (
+        lambda a, b: source_turn_path(square_ribbon, a, b),
+        lambda a, b: leaf_swap_path(g, a, b),
+    )
+    for bad in (frozenset({"ac", "bc"}), frozenset({"ab", "ac", "bc"}), frozenset({"ac", "bc", "xx"})):
+        for find in finders:
+            for start, goal in ((bad, tree), (tree, bad)):
+                with pytest.raises(ValueError, match="inputs must be spanning trees"):
+                    find(start, goal)
+            # a search already run from tree still checks a goal it has not reached
+            find(tree, other)
+            with pytest.raises(ValueError, match="inputs must be spanning trees"):
+                find(tree, bad)
+
+
 def reference_tree_path(step, start, goal):
     """A breadth-first search per pair that stops at its goal: the path
     finder as it was before one search per start tree replaced it."""
@@ -305,7 +323,7 @@ def test_single_path_queries_stop_at_their_goal():
     far = source_turn_neighbors(rg, mv.result)[-1].result
     path = source_turn_path(rg, t, far)
     assert len(path) == 2 and path[0].tree == t and path[-1].result == far
-    back, _ = moves._search(rg, moves._source_turns, t)
+    back, _ = moves._search(rg, g, moves._source_turns, t)
     assert len(back) < 1000
 
 

@@ -188,6 +188,30 @@ def test_labelling_isomorphism_onto_relabelled_copies():
     assert moved > 0
 
 
+def full_encoding_labelling(rg):
+    """canonical_labelling as it was before anchors stopped early: every
+    anchor's encoding is built in full, and the first minimal one is kept."""
+    sigma = rg.sigma
+    best, best_order = (), []
+    for start in range(len(sigma)):
+        labels = {start: 0}
+        order = [start]
+        for d in order:
+            for nb in (sigma[d], d ^ 1):
+                if nb not in labels:
+                    labels[nb] = len(labels)
+                    order.append(nb)
+        enc = tuple(x for d in order for x in (labels[sigma[d]], labels[d ^ 1]))
+        if not best or enc < best:
+            best, best_order = enc, order
+    return (len(rg.graph.vertices),) + best, tuple(best_order)
+
+
+def test_canonical_labelling_matches_full_encoding():
+    for rg in ribbon_graphs(5):
+        assert rg.canonical_labelling() == full_encoding_labelling(rg), rg
+
+
 def test_canonical_form_separates_the_two_triple_edges():
     assert e3_plane().canonical_form() != e3_twisted().canonical_form()
     assert e3_plane().canonical_form() == e3_plane().reverse().canonical_form()

@@ -1,32 +1,110 @@
 import random
+from itertools import product
 
 import pytest
 
 from rotorsand.catalog import plane_graphs, ribbon_graphs
+from rotorsand.cli import reversal_instances
 from rotorsand.errors import InvariantViolation
 from rotorsand.multigraph import Multigraph, banana_graph
-from rotorsand.ribbon import RibbonGraph
+from rotorsand.ribbon import RibbonGraph, SideClassification, classify_sides
 from rotorsand.rotor import (
-    RotorConfig,
     RouteStep,
-    all_unicycles,
+    _check_unicycle_leftright,
+    _heads,
+    _reversed,
+    _route,
+    _spin,
+    _tree_darts,
     arc_rearrangements,
     check_cycle_reversal,
     check_no_repeated_crossing,
     functional_cycles,
-    make_unicycle,
-    reverse_unicycle,
-    rotate_one,
-    rotors_to_tree,
     route_chip,
     route_divisor,
     tree_to_rotors,
-    unicycle_orbit,
-    unicycle_step,
     verify_full_spin,
     verify_reversal_equivalence,
 )
 from rotorsand.sandpile import Divisor, chip
+
+
+# -- an independent string oracle -----------------------------------------------
+# Rotor maps {vertex: edge} turned by reading the rotation strings, kept
+# separate from the dart arrays the package steps.
+
+
+def turn(rg, x, e):
+    """The edge after e counterclockwise at x, read off rg.rotation."""
+    seq = rg.rotation[x]
+    return seq[(seq.index(e) + 1) % len(seq)]
+
+
+def string_cycles(g, rotor_map):
+    """The directed cycles of a rotor map, each a frozenset of (vertex, edge)."""
+    cycles = set()
+    for v in rotor_map:
+        walk, x = [], v
+        while x in rotor_map and len(walk) <= len(rotor_map):
+            walk.append((x, rotor_map[x]))
+            x = g.other(rotor_map[x], x)
+            if x == v:
+                cycles.add(frozenset(walk))
+                break
+    return cycles
+
+
+def string_unicycles(g):
+    """Every (sorted rotor pairs, chip) with one cycle and the chip on it."""
+    out = []
+    for combo in product(*(g.incident(v) for v in g.vertices)):
+        rotor_map = dict(zip(g.vertices, combo))
+        cycles = string_cycles(g, rotor_map)
+        if len(cycles) == 1:
+            (cycle,) = cycles
+            out += [(tuple(sorted(rotor_map.items())), v) for v, _ in sorted(cycle)]
+    return out
+
+
+def string_step(rg, u):
+    rotors, chip = dict(u[0]), u[1]
+    rotors[chip] = turn(rg, chip, rotors[chip])
+    return tuple(sorted(rotors.items())), rg.graph.other(rotors[chip], chip)
+
+
+def string_orbit(rg, u):
+    """The orbit from u, up to and excluding its first return."""
+    out = [u]
+    for _ in range(2 * len(rg.graph.edges) + 1):
+        nxt = string_step(rg, out[-1])
+        if nxt == u:
+            return out
+        out.append(nxt)
+    raise AssertionError("unicycle did not return")
+
+
+def string_reverse(g, u):
+    rotors = dict(u[0])
+    (cycle,) = string_cycles(g, rotors)
+    for v, e in cycle:
+        rotors[g.other(e, v)] = e
+    return tuple(sorted(rotors.items())), u[1]
+
+
+def string_reversal(rg):
+    """(unicycles, the set of those whose orbit misses their reversal)."""
+    unicycles = string_unicycles(rg.graph)
+    misses = set()
+    for u in unicycles:
+        if string_reverse(rg.graph, u) not in string_orbit(rg, u):
+            misses.add(u)
+    return len(unicycles), misses
+
+
+def named(rg, rotors):
+    """A dart array in the oracle's terms: (vertex, edge) pairs by vertex."""
+    vs, edges = rg.graph.vertices, rg.graph.edges
+    return tuple((vs[i], edges[d >> 1]) for i, d in enumerate(rotors))
 
 
 def path_graph():
@@ -34,33 +112,40 @@ def path_graph():
 
 
 def test_tree_to_rotors_path():
-    g = path_graph()
-    rho = tree_to_rotors(g, {"ab", "bc"}, "c")
-    assert rho.rotor("a") == "ab"
-    assert rho.rotor("b") == "bc"
+    assert tree_to_rotors(path_graph(), {"ab", "bc"}, "c") == {"a": "ab", "b": "bc"}
 
 
 def test_rotors_round_trip(fig_graph):
     for t in fig_graph.spanning_trees():
         for s in fig_graph.vertices:
             rho = tree_to_rotors(fig_graph, t, s)
-            assert rotors_to_tree(fig_graph, rho) == t
+            assert s not in rho and len(rho) == len(fig_graph.vertices) - 1
+            assert frozenset(rho.values()) == t
+            assert not string_cycles(fig_graph, rho)
 
 
-def test_cyclic_rotors_give_none(triangle):
-    rho = RotorConfig.make("w", {"u": "uv", "v": "uv"})
-    assert rotors_to_tree(triangle, rho) is None
+def test_cyclic_rotors_give_none(triangle_ribbon):
+    # rotors u -> v and v -> u along uv close a cycle, so no tree is read off
+    rg = triangle_ribbon
+    rotors = [rg.dart("uv", "u"), rg.dart("uv", "v"), None]
+    assert functional_cycles(_heads(rg, rotors)) == [[0, 1]]
+    with pytest.raises(InvariantViolation):
+        _route(rg, rotors, 2, 2)
 
 
 def test_rotate_one(square_ribbon):
     g = square_ribbon.graph
-    rho = tree_to_rotors(g, {"ac", "bc", "cs"}, "s")
+    rotors = _tree_darts(square_ribbon, {"ac", "bc", "cs"}, "s")
+    a, b, s = (g.vertices.index(v) for v in ("a", "b", "s"))
     # degree-2 vertex: two turns come back
-    once = rotate_one(square_ribbon, rho, "b")
-    assert once.rotor("b") == "ab"
-    assert rotate_one(square_ribbon, once, "b").rotor("b") == "bc"
-    with pytest.raises(ValueError):
-        rotate_one(square_ribbon, rho, "s")
+    turned = []
+    assert _spin(square_ribbon, rotors, b, 1, turned=turned) == a
+    assert turned == [rotors[b]] == [square_ribbon.dart("ab", "b")]
+    _spin(square_ribbon, rotors, b, 1)
+    assert rotors[b] == square_ribbon.dart("bc", "b")
+    # a chip at the sink does not move
+    assert _spin(square_ribbon, rotors, s, 5, sink=s, turned=turned) == s
+    assert len(turned) == 1
 
 
 def test_route_chip_noop_when_chip_is_sink(square_ribbon):
@@ -136,7 +221,7 @@ def test_route_divisor_matches_chip_by_chip_fold():
 def test_routing_asserts_acyclic_rotors(square_ribbon, monkeypatch):
     # rotors a -> b and b -> a along ab, c -> b along bc: the chip at c turns
     # onto cs and reaches the sink at once, leaving the a-b cycle in place
-    cyclic = RotorConfig.make("s", {"a": "ab", "b": "ab", "c": "bc"})
+    cyclic = {"a": "ab", "b": "ab", "c": "bc"}
     monkeypatch.setattr("rotorsand.rotor.tree_to_rotors", lambda g, tree, s: cyclic)
     t = frozenset({"ac", "bc", "cs"})
     with pytest.raises(InvariantViolation):
@@ -155,12 +240,15 @@ def test_route_divisor_rejects_bad_input(square_ribbon):
 
 def test_unicycle_step_and_full_spin(square_ribbon):
     g = square_ribbon.graph
-    u = make_unicycle(
-        g, {"a": "ac", "b": "bc", "c": "cs", "s": "sa"}, "a"
-    )
-    orbit = unicycle_orbit(square_ribbon, u, 2 * len(g.edges))
+    u = (tuple(sorted({"a": "ac", "b": "bc", "c": "cs", "s": "sa"}.items())), "a")
+    orbit = string_orbit(square_ribbon, u)
     assert len(orbit) == 2 * len(g.edges)
-    assert unicycle_step(square_ribbon, orbit[-1]) == u
+    # the dart spin passes the oracle's states in the same order, and returns
+    start = [square_ribbon.dart(e, v) for v, e in u[0]]
+    rotors, states, a = list(start), [], g.vertices.index("a")
+    assert _spin(square_ribbon, rotors, a, len(orbit), states=states) == a
+    assert [(named(square_ribbon, r), g.vertices[x]) for r, x in states] == orbit
+    assert rotors == start
 
 
 def test_full_spin_sweep_small():
@@ -172,14 +260,14 @@ def test_full_spin_sweep_small():
 
 def test_full_spin_counts_match_unicycle_enumeration():
     for rg in ribbon_graphs(4):
-        unicycles = all_unicycles(rg.graph)
-        orbits = {frozenset(unicycle_orbit(rg, u, 2 * len(rg.graph.edges))) for u in unicycles}
+        unicycles = string_unicycles(rg.graph)
+        orbits = {frozenset(string_orbit(rg, u)) for u in unicycles}
         rep = verify_full_spin(rg)
         assert (rep["unicycles"], rep["orbits"]) == (len(unicycles), len(orbits)), rg
 
 
-def test_route_chip_matches_rotate_one_loop():
-    """route_chip against routing spelled out with rotate_one and rotors_to_tree."""
+def test_route_chip_matches_string_loop():
+    """route_chip against routing spelled out on the rotation strings."""
     for rg in plane_graphs(4):
         g = rg.graph
         for tree in g.spanning_trees():
@@ -189,11 +277,11 @@ def test_route_chip_matches_rotate_one_loop():
                     steps = []
                     x = c
                     while x != s:
-                        rho = rotate_one(rg, rho, x)
-                        e = rho.rotor(x)
+                        e = rho[x] = turn(rg, x, rho[x])
                         steps.append(RouteStep(len(steps), x, x, e, g.other(e, x)))
                         x = g.other(e, x)
-                    expected = (rotors_to_tree(g, rho), steps)
+                    assert not string_cycles(g, rho)
+                    expected = (frozenset(rho.values()), steps)
                     assert route_chip(rg, tree, c, s, trace=True) == expected
 
 
@@ -213,9 +301,37 @@ def test_twisted_triple_edge_misses_a_reversal():
     assert rep["equivalence_holds"]
 
 
-def test_reverse_unicycle_is_involution(fig_graph):
-    for u in all_unicycles(fig_graph):
-        assert reverse_unicycle(fig_graph, reverse_unicycle(fig_graph, u)) == u
+def test_reversal_counts_pinned_on_named_structures():
+    counts = {}
+    for rg, name in reversal_instances():
+        rep = verify_reversal_equivalence(rg)
+        assert rep["equivalence_holds"], name
+        counts[name] = (rep["unicycles"], len(rep["misses"]))
+    assert counts == {
+        "triple edge, plane": (18, 0),
+        "triple edge, genus 1": (18, 12),
+        "complete graph on 4, plane": (192, 0),
+        "complete graph on 4, genus 1": (192, 88),
+    }
+
+
+def test_reversal_matches_string_reference():
+    for rg in ribbon_graphs(4):
+        rep = verify_reversal_equivalence(rg)
+        count, misses = string_reversal(rg)
+        assert rep["unicycles"] == count, rg
+        assert {(named(rg, r), rg.graph.vertices[c]) for r, c in rep["misses"]} == misses, rg
+        assert len(rep["misses"]) == len(misses)
+
+
+def test_reverse_unicycle_is_involution(fig_ribbon):
+    g = fig_ribbon.graph
+    for u in string_unicycles(g):
+        rotors = [fig_ribbon.dart(e, v) for v, e in u[0]]
+        cycle = functional_cycles(_heads(fig_ribbon, rotors))[0]
+        reverse = _reversed(fig_ribbon, rotors, cycle)
+        assert named(fig_ribbon, reverse) == string_reverse(g, u)[0]
+        assert _reversed(fig_ribbon, reverse, cycle) == tuple(rotors)
 
 
 def test_cycle_reversal_checks_exhaustive(triangle_ribbon, square_ribbon):
@@ -231,6 +347,55 @@ def test_cycle_reversal_checks_exhaustive(triangle_ribbon, square_ribbon):
 def test_cycle_reversal_requires_adjacency(square_ribbon):
     with pytest.raises(ValueError):
         check_cycle_reversal(square_ribbon, frozenset({"ac", "bc", "cs"}), "b", "s")
+
+
+def test_cycle_reversal_flags_a_twisted_double_edge():
+    # off the plane a mid-run cycle need not come back reversed: a double
+    # edge twisted against the triangle it hangs off
+    g = Multigraph(
+        ["v0", "v1", "v2"],
+        {"e0": ("v0", "v1"), "e1": ("v0", "v1"), "e2": ("v0", "v2"), "e3": ("v1", "v2")},
+    )
+    rg = RibbonGraph(g, {"v0": ("e0", "e1", "e2"), "v1": ("e0", "e1", "e3"), "v2": ("e2", "e3")})
+    assert not rg.is_plane()
+    assert check_cycle_reversal(rg, {"e0", "e2"}, "v0", "v2") == [
+        "cycle at step 2 never reverses: [('v0', 'e0'), ('v1', 'e1')]"
+    ]
+    assert check_cycle_reversal(rg, {"e0", "e2"}, "v2", "v0") == []
+
+
+@pytest.mark.parametrize(
+    "tree, cycle, expected",
+    [
+        # a-c-s closed by sa keeps ab and bc on its right: swapped, they
+        # become a left side the run never sweeps
+        (
+            {"ac", "bc", "cs"},
+            [("a", "ac"), ("c", "cs"), ("s", "sa")],
+            ["missed a direction of left-side edge ab", "missed a direction of left-side edge bc"],
+        ),
+        # s-c-a closed by sa keeps them on its left: swapped, the run
+        # crosses a right side
+        (
+            {"ab", "ac", "cs"},
+            [("s", "cs"), ("c", "ac"), ("a", "sa")],
+            ["crossed right-side edge ab", "crossed right-side edge bc"],
+        ),
+    ],
+    ids=["left-side-empty", "right-side-empty"],
+)
+def test_leftright_sweep_flags_swapped_sides(square_ribbon, tree, cycle, expected):
+    rg = square_ribbon
+    vs = rg.graph.vertices
+    sink, f = cycle[-1]
+    rotors = _tree_darts(rg, tree, sink)
+    rotors[vs.index(sink)] = rg.dart(f, sink)
+    positions = [vs.index(v) for v, _ in cycle]
+    sides = classify_sides(rg, cycle)
+    assert _check_unicycle_leftright(rg, list(rotors), positions, sides) == []
+    swapped = SideClassification(sides.right_edges, sides.left_edges, frozenset(), frozenset())
+    bad = _check_unicycle_leftright(rg, list(rotors), positions, swapped)
+    assert sorted(bad) == [f"sink-free run {msg}" for msg in expected]
 
 
 def test_arc_rearrangements_leave_output_unchanged():

@@ -15,7 +15,6 @@ from rotorsand.torsor import (
     VARIANTS,
     TorsorAction,
     distinct_variant_count,
-    variant,
     verify_consistency,
     verify_sink_invariance,
     verify_torsor_axioms,
@@ -108,7 +107,7 @@ def test_tables_at_every_sink_fold_reduced_divisors():
 
 def test_inverse_variant_inverts(square_ribbon):
     r = TorsorAction(square_ribbon)
-    rinv = variant(r, "rinv")
+    rinv = TorsorAction(square_ribbon, "rinv")
     g = square_ribbon.graph
     rng = random.Random(0)
     for _ in range(15):
