@@ -1,8 +1,12 @@
 """Exhaustive generation of small connected multigraphs and ribbon structures.
 
-Graphs are produced up to graph isomorphism by edge augmentation with
-canonical-form deduplication; ribbon structures are produced up to ribbon
-isomorphism.  Two symmetry normalizations keep the raw rotation product
+Graphs are produced up to graph isomorphism by edge augmentation on integer
+endpoint pairs: each candidate is keyed by its canonical encoding, and only
+the first candidate of each key becomes a ``Multigraph``.  Ribbon structures
+are produced up to ribbon isomorphism on the dart rotation sigma alone: each
+member of the rotation product is filtered by its face count and keyed by
+its canonical code, and only the first member of each code becomes a
+``RibbonGraph``.  Two symmetry normalizations keep the raw rotation product
 tame: edges of a parallel class, and pendant edges to interchangeable leaf
 twins, may be forced to appear in increasing id order at one designated
 endpoint, because permuting them extends to a graph automorphism.
@@ -11,52 +15,60 @@ endpoint, because permuting them extends to a graph automorphism.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from operator import itemgetter
 
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph
+from .ribbon import RibbonGraph, canonical_labelling, dart_numbering, face_orbits
 
 
 def _relabel_sorted(pairs):
-    """Canonical Multigraph from endpoint index pairs: v0.., e0.. labels."""
-    pairs = sorted(tuple(sorted(p)) for p in pairs)
-    verts = sorted({x for p in pairs for x in p})
-    vmap = {x: f"v{i}" for i, x in enumerate(verts)}
-    return Multigraph(
-        vmap.values(), {f"e{i}": (vmap[a], vmap[b]) for i, (a, b) in enumerate(pairs)}
-    )
+    """The Multigraph on sorted (low, high) pairs over 0..n-1: v0.., e0.. labels."""
+    vs = [f"v{i}" for i in range(1 + max(b for _, b in pairs))]
+    return Multigraph(vs, {f"e{i}": (vs[a], vs[b]) for i, (a, b) in enumerate(pairs)})
 
 
-def graph_canonical_key(g: Multigraph):
-    """Minimum edge-multiset encoding over degree-refined vertex bijections."""
-    vs = g.vertices
-    colors = {v: (g.degree(v),) for v in vs}
-    for _ in range(len(vs)):
-        nxt = {}
-        for v in vs:
-            around = sorted(colors[g.other(e, v)] for e in g.incident(v))
-            nxt[v] = (colors[v], tuple(around))
-        if len(set(nxt.values())) == len(set(colors.values())):
-            colors = nxt
-            break
+def _graph_key(n: int, pairs) -> tuple:
+    """Minimum edge-multiset encoding over degree-refined vertex bijections.
+
+    The graph has vertices 0..n-1 and one (low, high) pair per edge; the key
+    is (n, least sorted pair list) over the orders within the colour blocks.
+    """
+    around = [[] for _ in range(n)]
+    for a, b in pairs:
+        around[a].append(b)
+        around[b].append(a)
+    colors = [(len(ws),) for ws in around]
+    for _ in range(n):
+        nxt = [(colors[v], tuple(sorted(colors[w] for w in around[v]))) for v in range(n)]
+        stable = len(set(nxt)) == len(set(colors))
         colors = nxt
+        if stable:
+            break
     classes = {}
-    for v in vs:
+    for v in range(n):
         classes.setdefault(colors[v], []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
+    blocks = [permutations(classes[c]) for c in sorted(classes)]
+    ix = [0] * n
     best = None
-    for perm_combo in product(*[permutations(b) for b in blocks]):
-        ix = {}
+    for combo in product(*blocks):
         pos = 0
-        for block, perm in zip(blocks, perm_combo):
+        for perm in combo:
             for v in perm:
                 ix[v] = pos
                 pos += 1
-        enc = sorted(tuple(sorted((ix[a], ix[b]))) for a, b in (g.ends(e) for e in g.edges))
-        enc = tuple(enc)
+        enc = tuple(sorted((ix[a], ix[b]) if ix[a] < ix[b] else (ix[b], ix[a]) for a, b in pairs))
         if best is None or enc < best:
             best = enc
-    return (len(vs), best)
+    return (n, best)
+
+
+def _augmentations(n: int, pairs: tuple):
+    """Each one-edge extension as (n, sorted pairs): a new edge between two
+    vertices, or one to a new leaf n, in order of its endpoints."""
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            yield n + (j == n), tuple(sorted(pairs + ((i, j),)))
 
 
 def connected_multigraphs(max_edges: int, min_edges: int = 1) -> tuple[Multigraph, ...]:
@@ -73,23 +85,20 @@ def connected_multigraphs(max_edges: int, min_edges: int = 1) -> tuple[Multigrap
 
 @lru_cache(maxsize=None)
 def _multigraph_level(m: int) -> tuple[Multigraph, ...]:
+    return tuple(_relabel_sorted(pairs) for _, pairs in _pair_level(m))
+
+
+@lru_cache(maxsize=None)
+def _pair_level(m: int) -> tuple[tuple[int, tuple], ...]:
+    """The m-edge classes as (n, sorted pairs), the first candidate of each, by key."""
     if m < 1:
         return ()
     if m == 1:
-        return (_relabel_sorted([(0, 1)]),)
+        return ((2, ((0, 1),)),)
     nxt = {}
-    for g in _multigraph_level(m - 1):
-        n = len(g.vertices)
-        pairs = [
-            tuple(sorted((g.vertices.index(a), g.vertices.index(b))))
-            for a, b in (g.ends(e) for e in g.edges)
-        ]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cand = _relabel_sorted(pairs + [(i, j)])
-                nxt.setdefault(graph_canonical_key(cand), cand)
-            cand = _relabel_sorted(pairs + [(i, n)])
-            nxt.setdefault(graph_canonical_key(cand), cand)
+    for n, pairs in _pair_level(m - 1):
+        for cand in _augmentations(n, pairs):
+            nxt.setdefault(_graph_key(*cand), cand)
     return tuple(nxt[k] for k in sorted(nxt))
 
 
@@ -117,12 +126,12 @@ def _is_increasing_subsequence(seq, members):
     return sub == sorted(sub)
 
 
-@lru_cache(maxsize=4096)
-def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGraph, ...]:
-    """All ribbon structures on g up to ribbon isomorphism, deterministic order.
+def _rotation_product(g: Multigraph):
+    """The normalised rotation product as (orders, sigma), in product order.
 
-    Anchored cyclic orders per vertex, symmetry-normalized per the module
-    docstring, then deduplicated by the dart canonical form.
+    orders holds one anchored cyclic order per vertex, symmetry-normalized
+    per the module docstring, and sigma is the dart rotation that
+    ``RibbonGraph(g, dict(zip(g.vertices, orders)))`` builds.
     """
     constraints = {v: [] for v in g.vertices}
     for (u, w), es in _parallel_classes(g):
@@ -130,26 +139,46 @@ def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGra
     for center, es in _leaf_twin_classes(g):
         constraints[center].append(frozenset(es))
 
-    per_vertex = []
+    dart, _ = dart_numbering(g)
+    slots = []  # darts in the order their successors are listed below
+    per_vertex, successors = [], []
     for v in g.vertices:
         inc = sorted(g.incident(v))
         if not inc:
             raise ValueError("isolated vertex has no rotation")
+        slots += (dart[e, v] for e in inc)
         head, rest = inc[0], inc[1:]
-        orders = []
+        orders, nexts = [], []
         for perm in permutations(rest):
             seq = (head,) + perm
             if all(_is_increasing_subsequence(seq, cl) for cl in constraints[v]):
+                after = dict(zip(seq, seq[1:] + seq[:1]))
                 orders.append(seq)
+                nexts.append(tuple(dart[after[e], v] for e in inc))
         per_vertex.append(orders)
+        successors.append(nexts)
 
+    scatter = itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
+    for orders, nexts in zip(product(*per_vertex), product(*successors)):
+        yield orders, scatter(tuple(chain.from_iterable(nexts)))
+
+
+@lru_cache(maxsize=4096)
+def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGraph, ...]:
+    """All ribbon structures on g up to ribbon isomorphism, deterministic order.
+
+    Each member of the rotation product is filtered (faces = 2 - V + E when
+    plane_only) and keyed by its canonical code on sigma alone; a
+    ``RibbonGraph`` is built only for the first member of each code.
+    """
+    vcount = len(g.vertices)
+    plane_faces = 2 - vcount + len(g.edges)
     found = {}
-    for combo in product(*per_vertex):
-        rg = RibbonGraph(g, dict(zip(g.vertices, combo)))
-        if plane_only and not rg.is_plane():
+    for orders, sigma in _rotation_product(g):
+        if plane_only and len(face_orbits(sigma)) != plane_faces:
             continue
-        found.setdefault(rg.canonical_form(), rg)
-    return tuple(found[k] for k in sorted(found))
+        found.setdefault(canonical_labelling(sigma, vcount)[0], orders)
+    return tuple(RibbonGraph(g, dict(zip(g.vertices, found[k]))) for k in sorted(found))
 
 
 def ribbon_graphs(max_edges: int, min_edges: int = 1, plane_only: bool = False):

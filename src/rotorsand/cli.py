@@ -17,6 +17,7 @@ import sys
 import time
 from functools import partial
 from itertools import product as iproduct
+from operator import itemgetter
 
 from . import catalog, moves, sandpile, torsor
 from .errors import InvariantViolation
@@ -309,8 +310,7 @@ POOLED = SUITES[:5]  # checked one catalog graph per payload, through _pool_map
 
 def _check(suite, payload):
     """Check one pooled instance; returns (graph json, checked, violations, notes)."""
-    text, variant = payload
-    rg = RibbonGraph.from_json(text)
+    text, rg, variant = payload
     if suite == "torsor":
         rep = torsor.verify_torsor_axioms(rg, variant=variant)
     elif suite == "consistency":
@@ -361,7 +361,8 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
     """Run one verification suite; return the verdict part of its report.
 
     The keys are `instances`, `checked`, `violations`, `findings` and `notes`.
-    The pooled suites check one catalog graph per payload, in sorted order.
+    The pooled suites check one catalog graph per payload, (json text, graph,
+    variant), in order of the text, which also keys the graph's violations.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -371,7 +372,7 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
             graphs = catalog.ribbon_graphs(max_edges)
         else:
             graphs = catalog.plane_graphs(max_edges, two_connected=suite == "moves")
-        payloads = sorted((rg.to_json(), variant) for rg in graphs)
+        payloads = sorted(((rg.to_json(), rg, variant) for rg in graphs), key=itemgetter(0))
         for key, checked, violations, notes in _pool_map(partial(_check, suite), payloads, workers):
             out["instances"] += 1
             out["checked"] += checked

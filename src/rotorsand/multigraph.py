@@ -21,7 +21,7 @@ class Multigraph:
 
     __slots__ = (
         "_vertices", "_index", "_ends", "_edge_ids", "_incident",
-        "_hash", "_splits", "_cuts", "_connected",
+        "_hash", "_splits", "_cuts", "_connected", "_trees",
     )
 
     def __init__(self, vertices, edges):
@@ -50,6 +50,7 @@ class Multigraph:
         self._splits = None
         self._cuts = None
         self._connected = None
+        self._trees = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -96,6 +97,10 @@ class Multigraph:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its arguments, so no string hash crosses a process
+        return Multigraph, (self._vertices, self._ends)
 
     def __repr__(self):
         return f"Multigraph({len(self._vertices)} vertices, {len(self._edge_ids)} edges)"
@@ -195,9 +200,15 @@ class Multigraph:
     def spanning_trees(self) -> list[frozenset[str]]:
         """All spanning trees, lexicographic on their sorted edge-id tuples.
 
-        Plain backtracking over edges in id order; exhaustive and
-        duplicate-free at the small scales this package targets.
+        Enumerated once per graph; each call returns a fresh list.
         """
+        if self._trees is None:
+            self._trees = tuple(self._enumerate_trees())
+        return list(self._trees)
+
+    def _enumerate_trees(self) -> list[frozenset[str]]:
+        """Plain backtracking over edges in id order; exhaustive and
+        duplicate-free at the small scales this package targets."""
         if not self.is_connected():
             raise ValueError("graph must be connected")
         n = len(self._vertices)

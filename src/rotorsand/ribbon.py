@@ -57,7 +57,7 @@ class SideClassification:
 
 
 @lru_cache(maxsize=4096)
-def _dart_numbering(graph: Multigraph):
+def dart_numbering(graph: Multigraph):
     """The (edge, vertex) -> dart lookup and each dart's vertex position.
 
     Depends on the graph alone, so every rotation system on it shares one.
@@ -93,7 +93,7 @@ class RibbonGraph:
         self.graph = graph
         self.rotation = rot
         self._hash = hash((graph, tuple(sorted(rot.items()))))
-        self._dart, self.dart_vertex = _dart_numbering(graph)
+        self._dart, self.dart_vertex = dart_numbering(graph)
         sigma = [0] * len(self.dart_vertex)
         for v, seq in rot.items():
             for e, f in zip(seq, seq[1:] + seq[:1]):
@@ -110,6 +110,10 @@ class RibbonGraph:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its arguments, so no string hash crosses a process
+        return RibbonGraph, (self.graph, self.rotation)
 
     def __repr__(self):
         g = self.graph
@@ -139,25 +143,14 @@ class RibbonGraph:
         Each walk is an orbit of ``d -> sigma[d] ^ 1`` listed from its
         smallest dart, and the walks come in order of those darts.
         """
-        if self._faces is not None:
-            return self._faces
-        if not self.graph.is_connected():
-            raise ValueError("faces need a connected graph")
-        edges, vs, dv, sigma = self.graph.edges, self.graph.vertices, self.dart_vertex, self.sigma
-        seen = [False] * len(sigma)
-        out = []
-        for start in range(len(sigma)):
-            if seen[start]:
-                continue
-            walk = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                walk.append((edges[d >> 1], vs[dv[d]]))
-                d = sigma[d] ^ 1
-            out.append(tuple(walk))
-        self._faces = out
-        return out
+        if self._faces is None:
+            if not self.graph.is_connected():
+                raise ValueError("faces need a connected graph")
+            edges, vs, dv = self.graph.edges, self.graph.vertices, self.dart_vertex
+            self._faces = [
+                tuple((edges[d >> 1], vs[dv[d]]) for d in walk) for walk in face_orbits(self.sigma)
+            ]
+        return self._faces
 
     def euler_genus(self) -> int:
         g = self.graph
@@ -283,12 +276,7 @@ class RibbonGraph:
         ribbon-isomorphic maps, and pairing their orders position by
         position is an isomorphism (``labelling_isomorphism``).
         """
-        best, best_order = [], ()
-        for start in range(len(self.sigma)):
-            found = _anchor_code(self.sigma, start, best)
-            if found is not None:
-                best, best_order = found
-        return (len(self.graph.vertices), *best), tuple(best_order)
+        return canonical_labelling(self.sigma, len(self.graph.vertices))
 
     def canonical_form(self) -> tuple:
         """A ribbon-isomorphism invariant that separates non-isomorphic maps."""
@@ -316,6 +304,36 @@ class RibbonGraph:
         return cls.from_obj(json.loads(text))
 
 
+def face_orbits(sigma) -> list[list[int]]:
+    """The orbits of ``d -> sigma[d] ^ 1``, each from its smallest dart, in order of those."""
+    seen = [False] * len(sigma)
+    out = []
+    for start in range(len(sigma)):
+        if not seen[start]:
+            walk = []
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                walk.append(d)
+                d = sigma[d] ^ 1
+            out.append(walk)
+    return out
+
+
+def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[int, ...]]:
+    """``RibbonGraph.canonical_labelling`` of the map with rotation sigma.
+
+    The catalog calls this on rotation systems it has not built as
+    ``RibbonGraph`` objects; the vertex count leads the code.
+    """
+    best, best_order = [], ()
+    for start in range(len(sigma)):
+        found = _anchor_code(sigma, start, best)
+        if found is not None:
+            best, best_order = found
+    return (vertex_count, *best), tuple(best_order)
+
+
 def _anchor_code(sigma, start: int, best: list):
     """The encoding and dart order from anchor start, if it beats best.
 
@@ -324,20 +342,23 @@ def _anchor_code(sigma, start: int, best: list):
     twin.  Returns None as soon as a prefix exceeds best, and also for a
     full tie, which keeps the first anchor found.
     """
-    labels = {start: 0}
+    labels = [-1] * len(sigma)
+    labels[start] = 0
     order = [start]
     enc = []
     tied = bool(best)  # enc equals best so far
     for d in order:
         for nb in (sigma[d], d ^ 1):
-            if nb not in labels:
-                labels[nb] = len(labels)
-                order.append(nb)
             x = labels[nb]
-            if tied and x != best[len(enc)]:
-                if x > best[len(enc)]:
-                    return None
-                tied = False
+            if x < 0:
+                x = labels[nb] = len(order)
+                order.append(nb)
+            if tied:
+                b = best[len(enc)]
+                if x != b:
+                    if x > b:
+                        return None
+                    tied = False
             enc.append(x)
     return None if tied else (enc, order)
 

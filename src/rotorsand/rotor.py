@@ -56,20 +56,21 @@ def functional_cycles(succ) -> list[list[int]]:
     increasing order and each cycle is listed from the first node reached.
     """
     cycles = []
-    color = [0] * len(succ)  # 0 unseen, 1 on the current path, 2 done
+    walk = [0] * len(succ)  # 0 unseen, else 1 + the start whose walk met it
     for start in range(len(succ)):
-        if color[start]:
+        if walk[start]:
             continue
-        path = []
         x = start
-        while x is not None and color[x] == 0:
-            color[x] = 1
-            path.append(x)
+        while x is not None and not walk[x]:
+            walk[x] = start + 1
             x = succ[x]
-        if x is not None and color[x] == 1:
-            cycles.append(path[path.index(x) :])
-        for v in path:
-            color[v] = 2
+        if x is not None and walk[x] == start + 1:
+            cycle = [x]
+            y = succ[x]
+            while y != x:
+                cycle.append(y)
+                y = succ[y]
+            cycles.append(cycle)
     return cycles
 
 
@@ -93,21 +94,22 @@ def _heads(rg: RibbonGraph, rotors) -> list:
 
 
 def _spin(
-    rg: RibbonGraph, rotors: list, x: int, bound: int, sink=None, states=None, turned=None
+    rg: RibbonGraph, rotors: list, x: int, bound: int, sink=None, seen=None, turned=None
 ) -> int:
     """Move a chip from position x until it reaches sink or has moved bound times.
 
     Each move turns the rotor at the chip to the next dart counterclockwise
     and carries the chip across it; rotors change in place.  Returns the
-    chip's final position.  states, when given, gets each (rotors, chip)
-    before its move, and turned each dart turned.
+    chip's final position.  seen, when given, maps each (rotors, chip)
+    before its move to the first of them, and turned gets each dart turned.
     """
     sigma, dv = rg.sigma, rg.dart_vertex
+    first = (tuple(rotors), x) if seen is not None else None
     for _ in range(bound):
         if x == sink:
             break
-        if states is not None:
-            states.append((tuple(rotors), x))
+        if seen is not None:
+            seen[tuple(rotors), x] = first
         d = sigma[rotors[x]]
         rotors[x] = d
         if turned is not None:
@@ -116,14 +118,14 @@ def _spin(
     return x
 
 
-def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, states=None, turned=None) -> None:
+def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
     """Route one chip from position x to sink, turning the dart array in place.
 
-    states and turned are passed to _spin.  The final rotors are asserted
+    seen and turned are passed to _spin.  The final rotors are asserted
     acyclic.
     """
     bound = 2 * len(rg.graph.edges) * (len(rotors) + 1) + 8
-    if _spin(rg, rotors, x, bound, sink, states, turned) != sink:
+    if _spin(rg, rotors, x, bound, sink, seen, turned) != sink:
         raise InvariantViolation("routing exceeded its step bound")
     if functional_cycles(_heads(rg, rotors)):
         raise InvariantViolation("routing finished on a cyclic rotor configuration")
@@ -244,9 +246,8 @@ def _orbits(rg: RibbonGraph, seen: dict):
         walks = []
         for chip in cycles[0]:
             if (combo, chip) not in seen:
-                rotors, states, turned = list(combo), [], []
-                end = _spin(rg, rotors, chip, nd, None, states, turned)
-                seen.update(dict.fromkeys(states, states[0]))
+                rotors, turned = list(combo), []
+                end = _spin(rg, rotors, chip, nd, None, seen, turned)
                 walks.append((chip, turned, (tuple(rotors), end)))
         yield combo, cycles[0], walks
 
@@ -344,7 +345,7 @@ def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
     cycle = [ci]  # the rotor path from c to s
     while cycle[-1] != si:
         cycle.append(dv[rotors[cycle[-1]] ^ 1])
-    states, turned = [], []
+    states, turned = {}, []
     _route(rg, rotors, ci, si, states, turned)
     violations = list(check_no_repeated_crossing(_steps(rg, turned)))
 
@@ -377,9 +378,9 @@ def _check_unicycle_leftright(rg: RibbonGraph, rotors: list, cycle, sides) -> li
     """Spin the unicycle with its chip at cycle[0] until its cycle is reversed."""
     chip = cycle[0]
     target = (_reversed(rg, rotors, cycle), chip)
-    states, turned = [], []
-    end = _spin(rg, rotors, chip, len(rg.sigma), None, states, turned)
-    states.append((tuple(rotors), end))
+    seen, turned = {}, []
+    end = _spin(rg, rotors, chip, len(rg.sigma), None, seen, turned)
+    states = [*seen, (tuple(rotors), end)]
     if target not in states:
         return [f"reversal of the starting cycle never reached from chip {rg.graph.vertices[chip]}"]
     forward = set(turned[: states.index(target)])

@@ -2,15 +2,51 @@ import hashlib
 import json
 from itertools import combinations_with_replacement, permutations, product
 
+from rotorsand import catalog
 from rotorsand.catalog import (
     connected_multigraphs,
-    graph_canonical_key,
     plane_graphs,
     ribbon_graphs,
     rotation_systems,
 )
 from rotorsand.multigraph import Multigraph, banana_graph, complete_graph, cycle_graph
-from rotorsand.ribbon import RibbonGraph
+from rotorsand.ribbon import RibbonGraph, canonical_labelling
+
+
+def graph_canonical_key(g: Multigraph):
+    """Minimum edge-multiset encoding over degree-refined vertex bijections.
+
+    The catalog's key on string-labelled graphs, kept as the oracle of its
+    integer kernel `catalog._graph_key`.
+    """
+    vs = g.vertices
+    colors = {v: (g.degree(v),) for v in vs}
+    for _ in range(len(vs)):
+        nxt = {}
+        for v in vs:
+            around = sorted(colors[g.other(e, v)] for e in g.incident(v))
+            nxt[v] = (colors[v], tuple(around))
+        if len(set(nxt.values())) == len(set(colors.values())):
+            colors = nxt
+            break
+        colors = nxt
+    classes = {}
+    for v in vs:
+        classes.setdefault(colors[v], []).append(v)
+    blocks = [classes[c] for c in sorted(classes)]
+    best = None
+    for perm_combo in product(*[permutations(b) for b in blocks]):
+        ix = {}
+        pos = 0
+        for block, perm in zip(blocks, perm_combo):
+            for v in perm:
+                ix[v] = pos
+                pos += 1
+        enc = sorted(tuple(sorted((ix[a], ix[b]))) for a, b in (g.ends(e) for e in g.edges))
+        enc = tuple(enc)
+        if best is None or enc < best:
+            best = enc
+    return (len(vs), best)
 
 
 def brute_connected_multigraphs(m):
@@ -42,6 +78,17 @@ def test_multigraph_counts_match_brute_force():
     for m in range(1, 6):
         ours = connected_multigraphs(m, min_edges=m)
         assert len(ours) == len(brute_connected_multigraphs(m))
+
+
+def test_int_key_matches_string_key_on_every_candidate():
+    cands = [(2, ((0, 1),))]
+    for m in range(1, 6):
+        for n, pairs in catalog._pair_level(m):
+            cands.extend(catalog._augmentations(n, pairs))
+    assert len(cands) == 592
+    for n, pairs in cands:
+        g = catalog._relabel_sorted(pairs)
+        assert catalog._graph_key(n, pairs) == graph_canonical_key(g)
 
 
 def test_multigraph_enumeration_has_no_duplicates():
@@ -77,6 +124,18 @@ def test_rotation_systems_match_unnormalized_enumeration():
         assert len(rotation_systems(g)) == brute_rotation_count(g)
 
 
+def test_sigma_code_matches_ribbon_labelling():
+    members = 0
+    for g in connected_multigraphs(5):
+        for orders, sigma in catalog._rotation_product(g):
+            rg = RibbonGraph(g, dict(zip(g.vertices, orders)))
+            assert sigma == rg.sigma
+            code = canonical_labelling(sigma, len(g.vertices))[0]
+            assert code == rg.canonical_labelling()[0]
+            members += 1
+    assert members == 267
+
+
 def test_triple_edge_structures():
     systems = rotation_systems(banana_graph(3))
     assert len(systems) == 2
@@ -107,6 +166,25 @@ RIBBON_6_SHA256 = "2b764491a6489750866a1150c007d1b084e07b3667ca7366b1d87ca281ecc
 
 
 def test_ribbon_catalog_pinned():
-    gs = ribbon_graphs(6)
+    assert ribbon_digest(ribbon_graphs(6)) == RIBBON_6_SHA256
+
+
+# The same digest format for larger levels, and for the multigraph catalog
+# the sha256 of the list of to_json() texts.
+RIBBON_7_SHA256 = "7aa9b1ca214c5a8b2638374db259b83c919a2381d1e3b7b33324e3a67dac06cb"
+PLANE_7_SHA256 = "cf7a59b943e6406d58184d06da089a7f8446d8fa8b781f2435c05cb0c3685275"
+MULTIGRAPHS_8_SHA256 = "381bf8de170b8b2eab04e95d9c66fda4b1c5c843047a205b0cc2fc1a544f5446"
+
+
+def ribbon_digest(gs):
     text = json.dumps([[rg.to_json() for rg in gs], [list(rg.canonical_form()) for rg in gs]])
-    assert hashlib.sha256(text.encode()).hexdigest() == RIBBON_6_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_larger_catalogs_pinned():
+    assert ribbon_digest(ribbon_graphs(7)) == RIBBON_7_SHA256
+    assert ribbon_digest(plane_graphs(7)) == PLANE_7_SHA256
+    gs = connected_multigraphs(8)
+    assert len(gs) == 1672
+    text = json.dumps([g.to_json() for g in gs])
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTIGRAPHS_8_SHA256

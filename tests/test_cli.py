@@ -540,12 +540,47 @@ def test_telescope_suite_ignores_max_edges(capsys):
     assert report["instances"] == 39 and report["violations"] == []
 
 
+def _src_env():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_import_leaves_matroid_code_out():
     # commands other than bby and verify matroid never load the matroid code
     code = "import sys, rotorsand.cli; print(*sys.modules)"
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = out.stdout.split()
     assert "rotorsand.cli" in loaded
     assert "rotorsand.matroid" not in loaded and "rotorsand.lp" not in loaded
+
+
+def test_python_dash_m_runs_the_cli():
+    argv = [sys.executable, "-m", "rotorsand", "verify", "torsor", "--max-edges", "2"]
+    out = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["config"]["suite"] == "torsor" and report["instances"] == 3
+
+
+@pytest.mark.parametrize("suite,max_edges", [("unicycle", 4), ("consistency", 3)])
+def test_spawn_pool_matches_serial(monkeypatch, suite, max_edges):
+    # pooled payloads carry catalog graphs into children that start with
+    # their own string-hash seed, so no cached hash may travel with them
+    import multiprocessing
+    import pickle
+
+    from rotorsand import catalog, cli
+
+    rg = catalog.ribbon_graphs(3)[-1]
+    assert pickle.loads(pickle.dumps(rg)) == rg
+    assert b"_hash" not in pickle.dumps(rg) and b"_hash" not in pickle.dumps(rg.graph)
+
+    serial = cli.sweep(suite, max_edges)
+
+    def spawn_map(fn, payloads, workers):
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            return pool.map(fn, payloads, chunksize=4)
+
+    monkeypatch.setattr(cli, "_pool_map", spawn_map)
+    assert cli.sweep(suite, max_edges, workers=2) == serial

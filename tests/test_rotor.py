@@ -245,9 +245,10 @@ def test_unicycle_step_and_full_spin(square_ribbon):
     assert len(orbit) == 2 * len(g.edges)
     # the dart spin passes the oracle's states in the same order, and returns
     start = [square_ribbon.dart(e, v) for v, e in u[0]]
-    rotors, states, a = list(start), [], g.vertices.index("a")
-    assert _spin(square_ribbon, rotors, a, len(orbit), states=states) == a
-    assert [(named(square_ribbon, r), g.vertices[x]) for r, x in states] == orbit
+    rotors, seen, a = list(start), {}, g.vertices.index("a")
+    assert _spin(square_ribbon, rotors, a, len(orbit), seen=seen) == a
+    assert [(named(square_ribbon, r), g.vertices[x]) for r, x in seen] == orbit
+    assert set(seen.values()) == {(tuple(start), a)}
     assert rotors == start
 
 
