@@ -19,7 +19,7 @@ from functools import partial
 from itertools import product as iproduct
 from operator import itemgetter
 
-from . import catalog, moves, sandpile, torsor
+from . import catalog, sandpile, torsor
 from .errors import InvariantViolation
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph
@@ -194,6 +194,8 @@ def cmd_reduce(args):
 
 
 def cmd_moves(args):
+    from . import moves
+
     rg = _load_ribbon(args.graph)
     if not rg.graph.is_two_connected():
         raise InputError("move paths need a 2-connected graph")
@@ -216,6 +218,8 @@ def cmd_moves(args):
 
 
 def cmd_telescope(args):
+    from . import moves
+
     try:
         ks = [int(x) for x in args.ks.split(",")] if args.ks else [0]
     except ValueError as exc:
@@ -306,6 +310,12 @@ def cmd_bby(args):
 
 SUITES = ("torsor", "sink-invariance", "consistency", "moves", "unicycle", "telescope", "matroid")
 POOLED = SUITES[:5]  # checked one catalog graph per payload, through _pool_map
+# verify options only some suites read: (default, those suites)
+SUITE_OPTIONS = {
+    "variant": ("r", ("torsor", "consistency")),
+    "include_nonplanar": (False, ("sink-invariance",)),
+    "max_elements": (6, ("matroid",)),
+}
 
 
 def _check(suite, payload):
@@ -327,6 +337,8 @@ def _check(suite, payload):
 
 def _check_moves(rg):
     """Source-turn paths, then leaf-swap paths, between every ordered tree pair."""
+    from . import moves
+
     g = rg.graph
     trees = g.spanning_trees()
     finders = (
@@ -399,6 +411,8 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
             if not verify_reversal_equivalence(rg)["equivalence_holds"]:
                 out["violations"].append({"graph": name, "detail": "reversal equivalence failed"})
     elif suite == "telescope":
+        from . import moves
+
         for n in range(3):
             for ks in iproduct(range(3), repeat=n + 1):
                 rg, labels = moves.telescope(n, list(ks))
@@ -423,6 +437,14 @@ def cmd_verify(args):
         raise InputError(f"--max-edges must be at least 1, not {args.max_edges}")
     if args.workers is not None and args.workers < 0:
         raise InputError(f"--workers must be nonnegative, not {args.workers}")
+    for name, (default, suites) in SUITE_OPTIONS.items():
+        if getattr(args, name) != default and args.suite not in suites:
+            raise InputError(f"--{name.replace('_', '-')} does nothing for the {args.suite} suite")
+    if args.report:
+        try:
+            open(args.report, "w").close()  # an unwritable path fails before the sweep
+        except OSError as exc:
+            raise InputError(f"cannot write {args.report}: {exc}") from exc
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     workers = args.workers or 1
     config = {
@@ -540,8 +562,8 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=SUITES)
     sp.add_argument("--max-edges", type=int, default=5)
-    sp.add_argument("--max-elements", type=int, default=6)
-    sp.add_argument("--variant", default="r", choices=list(torsor.VARIANTS))
+    sp.add_argument("--max-elements", type=int, default=SUITE_OPTIONS["max_elements"][0])
+    sp.add_argument("--variant", default=SUITE_OPTIONS["variant"][0], choices=list(torsor.VARIANTS))
     sp.add_argument("--include-nonplanar", action="store_true")
     sp.add_argument("--report", default=None)
     sp.add_argument("--seed", type=int, default=None)

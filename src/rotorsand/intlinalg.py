@@ -6,7 +6,6 @@ point anywhere.  Matrices are sequences of equal-length integer rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -42,6 +41,8 @@ def rref(matrix):
     Rows come back as Fractions, pivot rows first, each pivot 1 and alone
     in its column.  Stops as soon as every row holds a pivot.
     """
+    from fractions import Fraction  # only rref needs it; kept off the start-up path
+
     rows = [[Fraction(x) for x in row] for row in matrix]
     ncols = len(rows[0]) if rows else 0
     pivots = []

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import ColumnLattice, det
@@ -265,8 +265,7 @@ def from_graph(g: Multigraph, orientation=None) -> RegularMatroid:
 # -- signatures -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignaturePair:
+class SignaturePair(NamedTuple):
     """A chosen orientation for every circuit and every cocircuit."""
 
     circuits: tuple[tuple[int, ...], ...]

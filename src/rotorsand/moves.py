@@ -15,8 +15,8 @@ standard labels (c, z0..zn, w{i}_{j}, g, f, e{i}/he{i}, h{i}_{j}/hh{i}_{j}).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
@@ -24,8 +24,7 @@ from .ribbon import RibbonGraph
 from .rotor import route_chip, tree_to_rotors
 
 
-@dataclass(frozen=True)
-class MovePair:
+class MovePair(NamedTuple):
     kind: str  # "single-step", "source-turn", or "reverse-single-step"
     c: str
     s: str
@@ -221,8 +220,7 @@ def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
 # -- telescope graphs ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TelescopeLabels:
+class TelescopeLabels(NamedTuple):
     c: str
     s: str
     x: str

@@ -18,9 +18,9 @@ the face to the left of a traversal is the one holding its tail dart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph, find_root, string_lists
@@ -35,8 +35,7 @@ def canonical_rotation(seq) -> tuple[str, ...]:
     return seq[k:] + seq[:k]
 
 
-@dataclass(frozen=True)
-class RibbonIsomorphism:
+class RibbonIsomorphism(NamedTuple):
     """A pair of bijections witnessing isomorphism of two ribbon graphs."""
 
     vertex_map: dict
@@ -48,8 +47,7 @@ class RibbonIsomorphism:
         )
 
 
-@dataclass(frozen=True)
-class SideClassification:
+class SideClassification(NamedTuple):
     left_edges: frozenset
     right_edges: frozenset
     left_vertices: frozenset

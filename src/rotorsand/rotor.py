@@ -11,8 +11,8 @@ decomposition of a divisor gives the rotor-routing action on spanning trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
@@ -20,8 +20,7 @@ from .ribbon import RibbonGraph, classify_sides
 from .sandpile import Divisor
 
 
-@dataclass(frozen=True)
-class RouteStep:
+class RouteStep(NamedTuple):
     step: int
     chip: str  # position before the move
     rotated_vertex: str
@@ -32,8 +31,6 @@ class RouteStep:
 def tree_to_rotors(g: Multigraph, tree, s: str) -> dict:
     """Orient every tree edge toward s: {vertex: edge along its path}."""
     tree = frozenset(tree)
-    if not g.is_spanning_tree(tree):
-        raise ValueError("not a spanning tree")
     rotors = {}
     seen = {s}
     stack = [s]
@@ -46,6 +43,9 @@ def tree_to_rotors(g: Multigraph, tree, s: str) -> dict:
                     seen.add(y)
                     rotors[y] = e
                     stack.append(y)
+    # n - 1 edges whose walk from s reaches all n vertices are a spanning tree
+    if len(tree) != len(g.vertices) - 1 or len(seen) != len(g.vertices):
+        raise ValueError("not a spanning tree")
     return rotors
 
 
@@ -172,6 +172,26 @@ def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
             for _ in range(d[v]):
                 _route(rg, rotors, i, sink)
     return _tree_of(rg, rotors)
+
+
+def chip_rows(rg: RibbonGraph, trees, s: str) -> list[tuple[int, ...]]:
+    """Tree-index rows of the single chips [v - s], by vertex position.
+
+    Row v sends i to the index of the tree that one chip routed from v to s
+    leaves of trees[i]; the row at s is the identity.  Each tree's rotors are
+    set up once, and each chip routes a copy of them on the dart array; the
+    rotors are asserted acyclic after every chip.
+    """
+    sink = rg.graph.vertices.index(s)
+    starts = [_tree_darts(rg, t, s) for t in trees]
+    index = {tuple(r): i for i, r in enumerate(starts)}
+
+    def routed(rotors, v):
+        if v != sink:
+            _route(rg, rotors, v, sink)
+        return index[tuple(rotors)]
+
+    return [tuple([routed(list(r), v) for r in starts]) for v in range(len(rg.graph.vertices))]
 
 
 def arc_rearrangements(rg: RibbonGraph, tree, c: str, s: str, rng, samples: int = 4):

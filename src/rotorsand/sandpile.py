@@ -19,9 +19,9 @@ before burning again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import ColumnLattice, det, smith_diagonal
@@ -90,8 +90,7 @@ def chip(c, s=None) -> Divisor:
     return Divisor({c: 1, s: -1})
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(NamedTuple):
     invariant_factors: tuple[int, ...]  # each > 1, d1 | d2 | ...
     order: int
 
@@ -317,26 +316,32 @@ def tree_count(g: Multigraph) -> int:
     return abs(det(reduced_laplacian(g)))
 
 
-def enumerate_classes(g: Multigraph) -> list[Divisor]:
+def enumerate_classes(g: Multigraph, succ=None) -> list[Divisor]:
     """One representative of every sandpile class, in a fixed order.
 
     Breadth-first closure of the zero class under adding the generators
     [v - q], q = vertices[0].  Each class is represented by the first
     generator sum that reaches it, so every representative is nonnegative
     off q; it need not be q-reduced.  The count must match the lattice
-    index, the number of spanning trees, which is asserted.
+    index, the number of spanning trees, which is asserted.  A list passed
+    as succ receives the closure's Cayley table: succ[i][k] is the index of
+    the class of classes[i] + [vertices[k + 1] - q].
     """
     q = g.vertices[0]
     gens = [chip(v, q) for v in g.vertices[1:]]
     order = [Divisor({})]
-    seen = {canonical_class(g, order[0])}
+    seen = {canonical_class(g, order[0]): 0}
     for d in order:
+        row = []
         for gen in gens:
             c = d + gen
             key = canonical_class(g, c)
             if key not in seen:
-                seen.add(key)
+                seen[key] = len(order)
                 order.append(c)
+            row.append(seen[key])
+        if succ is not None:
+            succ.append(tuple(row))
     if len(order) != _class_lattice(g).index_in_ambient():
         raise InvariantViolation("class enumeration disagrees with the group order")
     return order

@@ -3,34 +3,63 @@
 The rotor-routing action evaluates a class on a tree by routing its reduced
 representative at the first vertex into that sink, chip by chip; classes are
 memo keys through ``sandpile.canonical_class``, whichever representative is
-given.  Full tables fold single-chip routings at any sink.  Three companion
-actions come from reversing the rotation, negating the class, or both.
-Verifiers below check the torsor axioms, independence of the sink choice,
-and compatibility with contraction, deletion and cut vertices, exhaustively
-over whatever instances they are handed; the consistency check reads each
-minor's action through a sweep-wide cache keyed by canonical code.
+given.  Three companion actions come from reversing the rotation, negating
+the class, or both.  The verifiers read an action as permutations of tree
+indices, trees numbered in ``spanning_trees()`` order: one row per single
+chip at a sink, routing every tree once, and one row per class, composed
+from the generator rows along the words ``sandpile.enumerate_classes`` finds.
+Every composed row a verifier uses is checked once against routing the
+class's burning-reduced representative.  The verifiers check the torsor
+axioms, independence of the sink choice, and compatibility with
+contraction, deletion and cut vertices, exhaustively over whatever
+instances they are handed; the consistency check reads each minor's rows
+through a sweep-wide cache keyed by canonical code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import sandpile
+from .errors import InvariantViolation
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph, labelling_isomorphism
-from .rotor import route_chip, route_divisor
+from .rotor import chip_rows, route_divisor
 from .sandpile import Divisor, chip
 
 VARIANTS = ("r", "rbar", "rinv", "rbarinv")
+INVERSES = ("rinv", "rbarinv")
 
 # verify_torsor_axioms checks additivity on all class pairs up to this many
 # (class, class, tree) triples, and on (generator, class) pairs beyond it.
 PAIR_LIMIT = 200_000
 
-# verify_consistency keeps this many minor actions, keyed by (canonical code,
-# variant), across a whole sweep; past the bound the cache starts over.
+# verify_consistency keeps this many minor representatives, keyed by
+# (canonical code, variant), across a whole sweep; past the bound the cache
+# starts over.
 MINOR_CACHE_LIMIT = 4096
 _minor_actions: dict = {}
+
+
+def _inverse(row) -> tuple:
+    out = [0] * len(row)
+    for i, j in enumerate(row):
+        out[j] = i
+    return tuple(out)
+
+
+def _along_words(succ, gens, size: int) -> list:
+    """Every class's row, the identity first, from generator rows.
+
+    gens[k] acts as [vertices[k + 1] - q].  Class j, which the closure succ
+    of enumerate_classes first reaches from class i by generator k, gets
+    gens[k] after row i: its row follows the chips of its representative.
+    """
+    rows = [None] * len(succ)
+    rows[0] = tuple(range(size))
+    for i, nxt in enumerate(succ):
+        for gen, j in zip(gens, nxt):
+            if rows[j] is None:
+                rows[j] = tuple([gen[x] for x in rows[i]])
+    return rows
 
 
 class TorsorAction:
@@ -38,10 +67,11 @@ class TorsorAction:
 
     ``variant`` selects among rotor-routing ("r"), its mirror ("rbar",
     rotors turn the other way), its inverse ("rinv", the class is negated),
-    and both ("rbarinv").  Evaluations are memoized per (class, tree), with
-    classes keyed by ``sandpile.canonical_class``; a miss routes the class's
-    reduced representative at the first vertex, which serves as the sink.
-    Each divisor act sees is keyed once.
+    and both ("rbarinv").  ``act`` memoizes per (class, tree), with classes
+    keyed by ``sandpile.canonical_class``; a miss routes the class's reduced
+    representative at the first vertex, which serves as the sink.  Each
+    divisor act sees is keyed once.  The rows the verifiers read are built
+    only when asked for, so a one-shot ``act`` sets up nothing else.
     """
 
     def __init__(self, rg: RibbonGraph, variant: str = "r", require_plane: bool = True):
@@ -54,14 +84,14 @@ class TorsorAction:
         self._routing_rg = rg.reverse() if variant in ("rbar", "rbarinv") else rg
         self._memo = {}
         self._keys = {}
-        self._chip_tables = {}
+        self._trees = None
+        self._chips = {}  # sink -> chip rows by vertex position
+        self._gens = {}  # sink -> generator rows by vertex position
+        self._pairs = {}  # (c, s) -> row of [c - s] at vertices[0]
 
     @property
     def graph(self) -> Multigraph:
         return self.rg.graph
-
-    def class_key(self, d: Divisor) -> tuple:
-        return sandpile.canonical_class(self.graph, d)
 
     def act(self, d: Divisor, tree):
         """Apply the class of d to the tree.
@@ -73,60 +103,89 @@ class TorsorAction:
         if d.degree() != 0:
             raise ValueError("torsor actions act by degree-0 classes")
         tree = frozenset(tree)
-        if self.variant in ("rinv", "rbarinv"):
+        if self.variant in INVERSES:
             d = -d
         if d not in self._keys:
-            self._keys[d] = self.class_key(d)
+            self._keys[d] = sandpile.canonical_class(g, d)
         key = (self._keys[d], tree)
         if key not in self._memo:
             s = g.vertices[0]
             self._memo[key] = route_divisor(self._routing_rg, tree, sandpile.reduce(g, d, s), s)
         return self._memo[key]
 
-    def chip_table(self, c: str, s: str) -> dict:
-        """tree -> routed tree for a single chip c - s on the routing ribbon."""
-        key = (c, s)
-        if key not in self._chip_tables:
-            table = {}
-            for t in self.graph.spanning_trees():
-                table[t], _ = route_chip(self._routing_rg, t, c, s)
-            self._chip_tables[key] = table
-        return self._chip_tables[key]
+    def chip_table(self, c: str, s: str) -> tuple:
+        """Tree-index row of one chip c - s routed on the routing ribbon.
 
-    def table(self, classes=None, trees=None, s=None) -> dict:
-        """Full action table {class key: {tree: tree}} at sink s.
+        Trees are numbered in spanning_trees() order.  All chips at one sink
+        are routed together, once per tree, and kept.
+        """
+        if s not in self._chips:
+            if self._trees is None:
+                self._trees = self.graph.spanning_trees()
+            self._chips[s] = chip_rows(self._routing_rg, self._trees, s)
+        return self._chips[s][self.graph.vertices.index(c)]
 
-        s defaults to vertices[0].  Each class's representative, moved out
-        of debt off s, is routed chip by chip: single-chip tables are
-        composed in vertex order, exactly how route_divisor folds.
+    def _generators(self, s: str) -> list:
+        """Rows at sink s of [v - q], q = vertices[0], by vertex position.
+
+        [v - q] acts at s as [v - s] after the inverse of [q - s]; the row at
+        q is the identity, and the inverse variants invert every row.
+        """
+        if s not in self._gens:
+            vs = self.graph.vertices
+            back = _inverse(self.chip_table(vs[0], s))
+            rows = [tuple([r[x] for x in back]) for r in [self.chip_table(v, s) for v in vs]]
+            self._gens[s] = [_inverse(r) for r in rows] if self.variant in INVERSES else rows
+        return self._gens[s]
+
+    def _check(self, d: Divisor, row) -> None:
+        """Route d's burning-reduced representative at vertices[0] from the
+        first tree; it must land where row sends that tree."""
+        g = self.graph
+        q = g.vertices[0]
+        rd = sandpile.reduce(g, -d if self.variant in INVERSES else d, q)
+        if route_divisor(self._routing_rg, self._trees[0], rd, q) != self._trees[row[0]]:
+            raise InvariantViolation(f"composed row of {d.to_dict()} disagrees with routing")
+
+    def table(self, classes=None, succ=None, s=None) -> list:
+        """Each class's tree-index row at sink s, in the order of classes.
+
+        classes and succ are ``sandpile.enumerate_classes`` and its closure,
+        both computed when succ is not given; s defaults to vertices[0].
+        Rows compose the generator rows at s along the closure's words.  At
+        vertices[0] each row is checked once against routing.
         """
         g = self.graph
-        if classes is None:
-            classes = sandpile.enumerate_classes(g)
-        if trees is None:
-            trees = g.spanning_trees()
-        if s is None:
-            s = g.vertices[0]
-        out = {}
-        for d in classes:
-            rep = sandpile.move_to_sink(g, -d if self.variant in ("rinv", "rbarinv") else d, s)
-            perm = {t: t for t in trees}
-            for v, k in rep.items():
-                if v != s and k > 0:
-                    tab = self.chip_table(v, s)
-                    for _ in range(k):
-                        perm = {t: tab[perm[t]] for t in trees}
-            out[self.class_key(d)] = perm
-        return out
+        if succ is None:
+            succ = []
+            classes = sandpile.enumerate_classes(g, succ)
+        q = g.vertices[0]
+        gens = self._generators(q if s is None else s)
+        rows = _along_words(succ, gens[1:], len(gens[0]))
+        if s in (None, q):
+            for d, row in zip(classes, rows):
+                self._check(d, row)
+        return rows
+
+    def pair_row(self, c: str, s: str) -> tuple:
+        """Tree-index row of the class [c - s] at vertices[0], checked once."""
+        if (c, s) not in self._pairs:
+            vs = self.graph.vertices
+            gens = self._generators(vs[0])
+            gc = gens[vs.index(c)]
+            row = tuple([gc[x] for x in _inverse(gens[vs.index(s)])])
+            self._check(chip(c, s), row)
+            self._pairs[c, s] = row
+        return self._pairs[c, s]
 
 
-@dataclass
 class Report:
     """Outcome of one verification sweep."""
 
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("checked", "violations", "notes")
+
+    def __init__(self):
+        self.checked, self.violations, self.notes = 0, [], []
 
     @property
     def ok(self) -> bool:
@@ -136,148 +195,119 @@ class Report:
 def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Report:
     """Exhaustively test identity, additivity, freeness and transitivity.
 
-    ``act`` may be any callable (divisor, tree) -> tree, so corrupted actions
-    can be fed in; defaults to the chosen routing variant on rg.  Additivity
-    is checked on all class pairs when the cube of the group order stays
-    under PAIR_LIMIT, otherwise on all (generator, class) pairs, which
-    reaches every sum by induction; the report notes which mode ran.
+    ``act`` may be any callable (divisor, spanning tree) -> spanning tree,
+    so corrupted actions can be fed in; it is asked once per class
+    representative of ``enumerate_classes`` and tree.  It defaults to the
+    chosen routing variant's rows.  Additivity is checked on all class
+    pairs when the cube of the group order stays under PAIR_LIMIT,
+    otherwise on all (generator, class) pairs, which reaches every sum by
+    induction; the report notes which mode ran.  Sums of classes are found
+    along the closure of enumerate_classes, not keyed again.
     """
     g = rg.graph
-    classes = sandpile.enumerate_classes(g)
+    succ = []
+    classes = sandpile.enumerate_classes(g, succ)
     trees = g.spanning_trees()
+    n = len(trees)
     if act is None:
-        action = TorsorAction(rg, variant)
-        tables = action.table(classes, trees)
-
-        def row(d):
-            return tables[action.class_key(d)].__getitem__
-
+        rows = TorsorAction(rg, variant).table(classes, succ)
     else:
-        memo = {}
-
-        def row(d):
-            key = sandpile.canonical_class(g, d)
-
-            def ev(t):
-                if (key, t) not in memo:
-                    memo[key, t] = act(d, t)
-                return memo[key, t]
-
-            return ev
+        index = {t: i for i, t in enumerate(trees)}
+        rows = [tuple([index[act(d, t)] for t in trees]) for d in classes]
 
     rep = Report()
-    identity = row(Divisor({}))
-    for t in trees:
-        rep.checked += 1
-        if identity(t) != t:
+    rep.checked += n
+    for i, t in enumerate(trees):
+        if rows[0][i] != i:
             rep.violations.append({"axiom": "identity", "tree": sorted(t)})
 
-    rows = [row(d) for d in classes]
-    for t in trees:
+    for i, t in enumerate(trees):
+        rep.checked += len(classes)
+        if len({row[i] for row in rows}) == n:
+            continue
         hit = {}
-        for d, ev in zip(classes, rows):
-            out = ev(t)
-            rep.checked += 1
+        for d, row in zip(classes, rows):
+            out = row[i]
             if out in hit:
-                rep.violations.append(
-                    {
-                        "axiom": "freeness",
-                        "tree": sorted(t),
-                        "classes": [d.to_dict(), hit[out].to_dict()],
-                    }
-                )
+                pair = [d.to_dict(), hit[out].to_dict()]
+                rep.violations.append({"axiom": "freeness", "tree": sorted(t), "classes": pair})
             hit[out] = d
-        if set(hit) != set(trees):
+        if len(hit) != n:
             rep.violations.append({"axiom": "transitivity", "tree": sorted(t)})
 
-    n = len(classes)
-    exhaustive_pairs = n * n * len(trees) <= PAIR_LIMIT
+    exhaustive_pairs = len(classes) ** 2 * n <= PAIR_LIMIT
     if not exhaustive_pairs:
         rep.notes.append("additivity on generator pairs only")
-    q = g.vertices[0]
-    firsts = classes if exhaustive_pairs else [chip(v, q) for v in g.vertices if v != q]
-    first_rows = rows if exhaustive_pairs else [row(d) for d in firsts]
-    # one class key per (d1, d2); the trees then compare row entries
-    for d1, r1 in zip(firsts, first_rows):
-        for d2, r2 in zip(classes, rows):
-            r12 = row(d1 + d2)
-            for t in trees:
-                rep.checked += 1
-                if r12(t) != r1(r2(t)):
-                    rep.violations.append(
-                        {
-                            "axiom": "additivity",
-                            "classes": [d1.to_dict(), d2.to_dict()],
-                            "tree": sorted(t),
-                        }
-                    )
+    # each first class comes with sums[j], the class of it plus classes[j]
+    cayley = [tuple([r[k] for r in succ]) for k in range(len(g.vertices) - 1)]
+    if exhaustive_pairs:
+        firsts = zip(classes, _along_words(succ, cayley, len(classes)))
+    else:
+        firsts = zip([chip(v, g.vertices[0]) for v in g.vertices[1:]], cayley)
+    for d1, sums in firsts:
+        r1 = rows[sums[0]]
+        for d2, r2, j in zip(classes, rows, sums):
+            rep.checked += n
+            r12 = rows[j]
+            if r12 == tuple([r1[x] for x in r2]):
+                continue
+            for x, t in enumerate(trees):
+                if r12[x] != r1[r2[x]]:
+                    bad = {"axiom": "additivity", "classes": [d1.to_dict(), d2.to_dict()]}
+                    rep.violations.append({**bad, "tree": sorted(t)})
     return rep
 
 
 def verify_sink_invariance(rg: RibbonGraph) -> Report:
     """Compare routing outcomes across every sink, class and tree.
 
-    For each sink the class table is built by composing verified single-chip
-    routings at that sink; the tables must agree entrywise, by class key.
-    Plane inputs must come out clean; the two-vertex triple edge with equal
-    rotations must not.
+    For each sink the class rows are composed from verified single-chip
+    routings at that sink; they must agree entrywise with the rows at
+    vertices[0].  Plane inputs must come out clean; the two-vertex triple
+    edge with equal rotations must not.
     """
     g = rg.graph
     action = TorsorAction(rg, require_plane=False)
-    classes = sandpile.enumerate_classes(g)
+    succ = []
+    classes = sandpile.enumerate_classes(g, succ)
     trees = g.spanning_trees()
     rep = Report()
-    keys = [action.class_key(d) for d in classes]
-    per_sink = {s: action.table(classes, trees, s) for s in g.vertices}
     base = g.vertices[0]
+    expected = action.table(classes, succ)
     for s in g.vertices[1:]:
-        for d, key in zip(classes, keys):
-            for t in trees:
-                rep.checked += 1
-                expected, got = per_sink[base][key][t], per_sink[s][key][t]
-                if expected != got:
-                    rep.violations.append(
-                        {
-                            "sinks": [base, s],
-                            "class": d.to_dict(),
-                            "tree": sorted(t),
-                            "outputs": [sorted(expected), sorted(got)],
-                        }
-                    )
+        for d, r0, r in zip(classes, expected, action.table(classes, succ, s)):
+            rep.checked += len(trees)
+            if r0 == r:
+                continue
+            for t, x, y in zip(trees, r0, r):
+                if x != y:
+                    outputs = [sorted(trees[x]), sorted(trees[y])]
+                    bad = {"sinks": [base, s], "class": d.to_dict(), "tree": sorted(t)}
+                    rep.violations.append({**bad, "outputs": outputs})
     return rep
 
 
-def _cached_minor_action(minor: RibbonGraph, variant_tag: str):
-    """(divisor, tree) -> tree on minor, read through a sweep-wide cache.
+def _representative(minor: RibbonGraph, variant_tag: str):
+    """(action, isomorphism, tree index) for minor's sweep-wide representative.
 
     The cache holds one TorsorAction per (canonical code, variant), on the
-    first minor met with that code, and chips and trees travel to it and
-    back along the isomorphism the two canonical labellings give.  The
-    answer equals a direct TorsorAction(minor, variant_tag).act only
-    because minors of plane graphs are plane and, on plane graphs, the
-    action does not depend on the sink: an isomorphism may move
-    vertices[0], where act evaluates, to any vertex of the representative.
-    verify_sink_invariance re-proves that independence on the catalog.
+    first minor met with that code, and the index of its trees; the
+    isomorphism from minor onto it pairs the two canonical labellings.  Its
+    rows answer for minor only because minors of plane graphs are plane and,
+    on plane graphs, the action does not depend on the sink: an isomorphism
+    may move vertices[0], where the rows act, to any vertex of the
+    representative.  verify_sink_invariance re-proves that independence on
+    the catalog.
     """
     code, order = minor.canonical_labelling()
     key = (code, variant_tag)
     if key not in _minor_actions:
         if len(_minor_actions) >= MINOR_CACHE_LIMIT:
             _minor_actions.clear()
-        _minor_actions[key] = (order, TorsorAction(minor, variant_tag))
-    rep_order, action = _minor_actions[key]
-    iso = labelling_isomorphism(minor, order, action.rg, rep_order)
-    vmap, emap = iso.vertex_map, iso.edge_map
-    back = {f: e for e, f in emap.items()}
-    moved = {}  # divisor on minor -> the same chips on the representative
-
-    def act(d: Divisor, tree) -> frozenset:
-        if d not in moved:
-            moved[d] = Divisor({vmap[v]: n for v, n in d.items()})
-        out = action.act(moved[d], [emap[e] for e in tree])
-        return frozenset(back[f] for f in out)
-
-    return act
+        index = {t: i for i, t in enumerate(minor.graph.spanning_trees())}
+        _minor_actions[key] = (order, TorsorAction(minor, variant_tag), index)
+    rep_order, action, index = _minor_actions[key]
+    return action, labelling_isomorphism(minor, order, action.rg, rep_order), index
 
 
 def verify_consistency(
@@ -294,11 +324,12 @@ def verify_consistency(
     2. deleting any shared non-edge e commutes;
     3. any edge separated from f by a cut vertex keeps its membership.
 
-    The acted tree comes from rg's own action; the minors answer through
-    ``_cached_minor_action``, so every check compares two independent
-    computations.  ``relax_adjacency`` additionally acts by [c - s] for
-    non-adjacent pairs, the deliberately broken extension used to exhibit a
-    condition-1 failure.
+    The acted tree comes from rg's own rows; the minors answer through the
+    rows of their cached representatives (``_representative``), each minor
+    mapping rg's trees onto the representative's once, so every check
+    compares two independent computations.  ``relax_adjacency``
+    additionally acts by [c - s] for non-adjacent pairs, the deliberately
+    broken extension used to exhibit a condition-1 failure.
     """
     action = TorsorAction(rg, variant_tag)
     g = rg.graph
@@ -314,88 +345,73 @@ def verify_consistency(
             pairs.append((w, u))
         pairs = sorted(set(pairs))
 
-    minor_actions = {}
+    minors = {}  # (contract?, e) -> (representative's action, vertex map, tree-index map)
 
-    def minor_action(key, build):
-        if key not in minor_actions:
-            minor_actions[key] = _cached_minor_action(build(), variant_tag)
-        return minor_actions[key]
+    def minor_row(contract, e, c, s):
+        """[c - s]'s row on the representative of rg's minor by e, and the map
+        of rg's tree indices onto the representative's (None off the minor)."""
+        if (contract, e) not in minors:
+            m = rg.contract(e) if contract else rg.delete(e)
+            sub, iso, index = _representative(m, variant_tag)
+            vmap, emap = iso.vertex_map, iso.edge_map
+            if contract:  # both ends of e go where the merged vertex goes
+                vmap = {v: vmap[w] for v, w in g.contraction_vertex_map(e).items()}
+            tmap = [
+                index[frozenset([emap[x] for x in t if x != e])] if (e in t) == contract else None
+                for t in trees
+            ]
+            minors[contract, e] = (sub, vmap, tmap)
+        sub, vmap, tmap = minors[contract, e]
+        return sub.pair_row(vmap[c], vmap[s]), tmap
 
     cuts = g.cut_vertices()
-    separated = {}  # anchor edge -> edges cut off from it
+    separated = {}  # anchor edge -> edges cut off from it, in edge order
     for f0 in g.edges:
-        separated[f0] = frozenset(
-            e
-            for e in g.edges
-            if e != f0 and any(g.separates(x, e, f0) for x in cuts)
-        )
+        separated[f0] = [
+            e for e in g.edges if e != f0 and any(g.separates(x, e, f0) for x in cuts)
+        ]
 
     for c, s in pairs:
-        d = chip(c, s)
+        row = action.pair_row(c, s)
         fs = [f for f in g.edges if set(g.ends(f)) == {c, s}]
-        shrunk = {}  # edge not joining c and s -> [c - s] after contracting it
-        for e in g.edges:
-            if e not in fs:
-                vmap = g.contraction_vertex_map(e)
-                shrunk[e] = chip(vmap[c], vmap[s])
-        for t in trees:
-            t2 = action.act(d, t)
-            for e, de in shrunk.items():
-                if e in t and e in t2:
-                    sub = minor_action(("contract", e), lambda e=e: rg.contract(e))
-                    got = sub(de, t - {e})
+        off_f = [e for e in g.edges if e not in fs]
+        subs = {}  # (contract?, e) -> minor_row for this pair
+        for i, t in enumerate(trees):
+            j = row[i]
+            t2 = trees[j]
+            # condition 1 on every shared tree edge off f, then condition 2
+            for contract, edges in ((True, off_f), (False, g.edges)):
+                for e in edges:
+                    if (e in t) != contract or (e in t2) != contract:
+                        continue
+                    if (contract, e) not in subs:
+                        subs[contract, e] = minor_row(contract, e, c, s)
+                    sub, tmap = subs[contract, e]
+                    got = sub[tmap[i]]
                     rep.checked += 1
-                    if got != t2 - {e}:
+                    if got != tmap[j]:
+                        cut = {e} if contract else set()
                         rep.violations.append(
                             {
-                                "condition": 1,
+                                "condition": 1 if contract else 2,
                                 "f": [c, s],
                                 "tree": sorted(t),
                                 "edge": e,
-                                "expected": sorted(t2 - {e}),
-                                "actual": sorted(got),
-                            }
-                        )
-            for e in g.edges:
-                if e not in t and e not in t2:
-                    sub = minor_action(("delete", e), lambda e=e: rg.delete(e))
-                    got = sub(d, t)
-                    rep.checked += 1
-                    if got != t2:
-                        rep.violations.append(
-                            {
-                                "condition": 2,
-                                "f": [c, s],
-                                "tree": sorted(t),
-                                "edge": e,
-                                "expected": sorted(t2),
-                                "actual": sorted(got),
+                                "expected": sorted(t2 - cut),
+                                "actual": sorted(trees[tmap.index(got)] - cut),
                             }
                         )
             if fs:
                 for e in separated[fs[0]]:
                     rep.checked += 1
                     if (e in t) != (e in t2):
-                        rep.violations.append(
-                            {
-                                "condition": 3,
-                                "f": [c, s],
-                                "tree": sorted(t),
-                                "edge": e,
-                            }
-                        )
+                        bad = {"condition": 3, "f": [c, s], "tree": sorted(t), "edge": e}
+                        rep.violations.append(bad)
     return rep
 
 
 def distinct_variant_count(rg: RibbonGraph) -> int:
     """How many of the four companion actions differ as full action tables."""
-    classes = sandpile.enumerate_classes(rg.graph)
-    trees = rg.graph.spanning_trees()
-    tables = []
-    for tag in VARIANTS:
-        tables.append(TorsorAction(rg, tag).table(classes, trees))
-    distinct = []
-    for t in tables:
-        if t not in distinct:
-            distinct.append(t)
-    return len(distinct)
+    succ = []
+    classes = sandpile.enumerate_classes(rg.graph, succ)
+    return len({tuple(TorsorAction(rg, tag).table(classes, succ)) for tag in VARIANTS})

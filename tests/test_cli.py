@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from rotorsand import cli
 from rotorsand.cli import main
 
 
@@ -225,6 +226,37 @@ def test_verify_matroid_emits_findings_report(tmp_path, capsys):
     assert rep["schema"] == "rotorsand-report-v1"
     assert rep["checked"] > 0
     assert isinstance(rep["findings"], list)
+
+
+def test_unwritable_report_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the report path is opened before any instance is checked
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    path = tmp_path / "missing" / "r.json"
+    rc = main(["verify", "torsor", "--max-edges", "3", "--report", str(path)])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == "" and "input error" in out.err and "r.json" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sink-invariance", "--variant", "rbar"],
+        ["moves", "--variant", "rinv"],
+        ["torsor", "--include-nonplanar"],
+        ["consistency", "--max-elements", "10"],
+    ],
+    ids=["variant-sink-invariance", "variant-moves", "nonplanar-torsor", "max-elements-consistency"],
+)
+def test_verify_rejects_options_its_suite_ignores(capsys, argv):
+    # a report must not echo an option that changed nothing
+    rc = main(["verify", *argv, "--max-edges", "2"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == "" and "does nothing" in out.err
 
 
 @pytest.mark.parametrize(
@@ -553,6 +585,23 @@ def test_cli_import_leaves_matroid_code_out():
     loaded = out.stdout.split()
     assert "rotorsand.cli" in loaded
     assert "rotorsand.matroid" not in loaded and "rotorsand.lp" not in loaded
+
+
+def test_verify_start_up_loads_only_what_it_runs():
+    # a torsor sweep never loads the move or matroid code, dataclasses (and
+    # the inspect chain behind it) or fractions
+    code = (
+        "import sys, contextlib, io\n"
+        "from rotorsand import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['verify', 'torsor', '--max-edges', '2', '--seed', '0'])\n"
+        "print(rc, *sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
+    rc, *loaded = out.stdout.split()
+    assert rc == "0" and "rotorsand.torsor" in loaded
+    for name in ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions"):
+        assert name not in loaded
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from rotorsand import cli, sandpile
+from rotorsand.errors import InvariantViolation
 from rotorsand.catalog import plane_graphs
 from rotorsand.moves import telescope
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
 from rotorsand.ribbon import RibbonGraph
+from rotorsand.rotor import route_chip
 from rotorsand.sandpile import Divisor, chip
 from rotorsand import torsor
 from rotorsand.torsor import (
@@ -73,36 +78,92 @@ def test_action_rejects_nonzero_degree(square_ribbon):
 def test_tables_match_direct_routing(square_ribbon):
     act = TorsorAction(square_ribbon)
     g = square_ribbon.graph
-    classes = sandpile.enumerate_classes(g)
-    tables = act.table(classes)
-    for d in classes:
-        for t in g.spanning_trees():
-            assert tables[act.class_key(d)][t] == act.act(d, t)
+    trees = g.spanning_trees()
+    rows = act.table()
+    for d, row in zip(sandpile.enumerate_classes(g), rows):
+        for t, j in zip(trees, row):
+            assert trees[j] == act.act(d, t)
+
+
+def sink_instances():
+    """Every plane graph with at most 4 edges and the two genus-1 maps, where
+    tables still exist at each sink."""
+    instances = list(plane_graphs(4))
+    return instances + [rg for rg, name in cli.reversal_instances() if name.endswith("genus 1")]
+
+
+def test_chip_rows_match_route_chip():
+    for rg in sink_instances():
+        trees = rg.graph.spanning_trees()
+        for tag in ("r", "rbar"):
+            action = TorsorAction(rg, tag, require_plane=False)
+            routing = rg if tag == "r" else rg.reverse()
+            for s in rg.graph.vertices:
+                for c in rg.graph.vertices:
+                    row = action.chip_table(c, s)
+                    for i, (t, j) in enumerate(zip(trees, row)):
+                        want = t if c == s else route_chip(routing, t, c, s)[0]
+                        assert trees[j] == want, (i, c, s)
 
 
 def test_tables_at_every_sink_fold_reduced_divisors():
-    # the table at sink s against a fold, chip by chip, of each class's
-    # s-reduced representative: every plane graph with at most 4 edges and
-    # the two genus-1 maps, where the table still exists at each sink
-    instances = list(plane_graphs(4))
-    instances += [rg for rg, name in cli.reversal_instances() if name.endswith("genus 1")]
-    for rg in instances:
+    # the rows at sink s, composed along the closure's words, against a
+    # fold, chip by chip, of each class's s-reduced representative
+    for rg in sink_instances():
         g = rg.graph
-        classes = sandpile.enumerate_classes(g)
+        succ = []
+        classes = sandpile.enumerate_classes(g, succ)
         trees = g.spanning_trees()
         for tag in VARIANTS:
             action = TorsorAction(rg, tag, require_plane=False)
             for s in g.vertices:
-                table = action.table(classes, trees, s=s)
+                table = action.table(classes, succ, s=s)
                 assert len(table) == len(classes)
-                for d in classes:
+                for d, row in zip(classes, table):
                     rep = sandpile.reduce(g, -d if tag in ("rinv", "rbarinv") else d, s)
-                    perm = {t: t for t in trees}
+                    perm = list(range(len(trees)))
                     for v, k in rep.items():
                         if v != s:
                             for _ in range(k):
-                                perm = {t: action.chip_table(v, s)[perm[t]] for t in trees}
-                    assert table[action.class_key(d)] == perm
+                                perm = [action.chip_table(v, s)[x] for x in perm]
+                    assert row == tuple(perm)
+
+
+# sha256 over the full tables of all four variants on every plane graph with
+# at most 6 edges, taken from the dict tables before they became index rows
+TABLES_DIGEST = "83250565fcf66913c1dfc2a0156a3da954561aa1ac1cf46ebe6f3c26eb2b8075"
+
+
+def test_action_tables_pinned():
+    # catalog order, then VARIANTS order, then enumerate_classes order; a
+    # change that moves every variant alike (swapping r and rbar, say) keeps
+    # every verdict but not this digest
+    h = hashlib.sha256()
+    for rg in plane_graphs(6):
+        g = rg.graph
+        trees = g.spanning_trees()
+        classes = sandpile.enumerate_classes(g)
+        keys = [list(sandpile.canonical_class(g, d)[1]) for d in classes]
+        for tag in VARIANTS:
+            for key, row in zip(keys, TorsorAction(rg, tag).table()):
+                images = [[sorted(t), sorted(trees[j])] for t, j in zip(trees, row)]
+                h.update(json.dumps([rg.to_json(), tag, key, images]).encode())
+    assert h.hexdigest() == TABLES_DIGEST
+
+
+def test_composed_rows_are_checked_against_routing(square_ribbon, monkeypatch):
+    # a wrong generator row surfaces as an invariant violation, not as a
+    # verdict computed on it
+    action = TorsorAction(square_ribbon)
+    plain = torsor.chip_rows
+
+    def skewed(rg, trees, s):
+        rows = plain(rg, trees, s)
+        return [row[1:] + row[:1] if v else row for v, row in enumerate(rows)]
+
+    monkeypatch.setattr(torsor, "chip_rows", skewed)
+    with pytest.raises(InvariantViolation):
+        action.table()
 
 
 def test_inverse_variant_inverts(square_ribbon):
@@ -208,8 +269,8 @@ CORRUPTED_REPORTS = {
 
 @pytest.mark.parametrize("mode,only_from", sorted(CORRUPTED_REPORTS, key=str))
 def test_corrupted_action_reports_pinned(mode, only_from):
-    # the act= path keeps its per-(class, tree) memo and its call order, so
-    # even a representative-dependent corruption reports the same violations
+    # the act= path asks act once per (class representative, tree), so even a
+    # representative-dependent corruption reports the same violations
     if mode == "pairs":
         rg = max(plane_graphs(5), key=lambda rg: len(rg.graph.spanning_trees()))
     else:
@@ -322,9 +383,9 @@ def test_consistency_sweep_tiny():
 def test_cached_minor_actions_match_direct_actions():
     # every contraction and connected deletion minor of every plane graph
     # with at most 5 edges, all four variants, every chip [c - s] (a superset
-    # of those verify_consistency hands it, relaxed or not) and every tree:
-    # the cached answer, read on an isomorphic representative, equals a
-    # fresh direct action
+    # of those verify_consistency asks for, relaxed or not) and every tree:
+    # the row read on the cached representative, with chips and trees moved
+    # along the isomorphism, equals a fresh direct action
     torsor._minor_actions.clear()
     minors = set()
     for rg in plane_graphs(5):
@@ -335,13 +396,60 @@ def test_cached_minor_actions_match_direct_actions():
     transported = 0
     for tag in VARIANTS:
         for minor in sorted(minors, key=RibbonGraph.to_json):
-            cached = torsor._cached_minor_action(minor, tag)
+            sub, iso, index = torsor._representative(minor, tag)
             direct = TorsorAction(minor, tag)
-            transported += torsor._minor_actions[minor.canonical_form(), tag][1].rg != minor
+            transported += sub.rg != minor
+            rep_trees = sub.graph.spanning_trees()
+            vmap, emap = iso.vertex_map, iso.edge_map
+            back = {f: e for e, f in emap.items()}
             vs = minor.graph.vertices
-            for d in [chip(c, s) for c in vs for s in vs if c != s]:
+            for c, s in [(c, s) for c in vs for s in vs if c != s]:
+                row = sub.pair_row(vmap[c], vmap[s])
                 for t in minor.graph.spanning_trees():
-                    assert cached(d, t) == direct.act(d, t)
+                    got = rep_trees[row[index[frozenset(emap[e] for e in t)]]]
+                    assert frozenset(back[f] for f in got) == direct.act(chip(c, s), t)
     assert len(minors) > 100 and transported > 100
-    # the cache keeps one action per (code, variant)
+    # the cache keeps one representative per (code, variant)
     assert len(torsor._minor_actions) == len({m.canonical_form() for m in minors}) * 4
+
+
+CONDITION_3_RUN = """
+import json
+from rotorsand import torsor
+from rotorsand.catalog import plane_graphs
+
+# the plane graph with a cut vertex and at most 5 edges with the most trees,
+# its own action corrupted by swapping the first and last tree's images
+rg = max(
+    (rg for rg in plane_graphs(5) if rg.graph.cut_vertices()),
+    key=lambda rg: len(rg.graph.spanning_trees()),
+)
+plain = torsor.TorsorAction.pair_row
+
+
+def swapped(self, c, s):
+    row = list(plain(self, c, s))
+    if self.rg == rg:
+        row[0], row[-1] = row[-1], row[0]
+    return tuple(row)
+
+
+torsor.TorsorAction.pair_row = swapped
+rep = torsor.verify_consistency(rg)
+print(json.dumps([rep.checked, rep.violations]))
+"""
+
+
+def test_condition_3_violations_do_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", CONDITION_3_RUN], env=env, capture_output=True, text=True, check=True
+        )
+        outs.append(done.stdout)
+    checked, violations = json.loads(outs[0])
+    assert sum(v["condition"] == 3 for v in violations) > 1
+    assert outs[0] == outs[1]
