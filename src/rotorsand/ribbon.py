@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -261,18 +261,16 @@ class RibbonGraph:
         iso = RibbonIsomorphism(vmap, emap)
         return iso if is_ribbon_isomorphism(self, other, iso) else None
 
-    def find_isomorphism(self, other: "RibbonGraph"):
-        """Some ribbon isomorphism onto other, or None."""
-        return next(self.isomorphisms(other), None)
-
     def canonical_labelling(self) -> tuple[tuple, tuple[int, ...]]:
         """The canonical code and the dart order that reaches it.
 
         Minimum over anchor darts of a breadth-first relabeling of the
-        (rotation, edge-involution) permutation pair; the order lists the
-        darts by their new labels from a minimal anchor.  Equal codes mean
-        ribbon-isomorphic maps, and pairing their orders position by
-        position is an isomorphism (``labelling_isomorphism``).
+        (rotation, edge-involution) permutation pair, found by advancing all
+        anchors in lockstep and dropping each at its first larger entry; the
+        order lists the darts by their new labels from the first minimal
+        anchor.  Equal codes mean ribbon-isomorphic maps, and pairing their
+        orders position by position is an isomorphism
+        (``labelling_isomorphism``).
         """
         return canonical_labelling(self.sigma, len(self.graph.vertices))
 
@@ -322,43 +320,64 @@ def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[int, ...
     """``RibbonGraph.canonical_labelling`` of the map with rotation sigma.
 
     The catalog calls this on rotation systems it has not built as
-    ``RibbonGraph`` objects; the vertex count leads the code.
+    ``RibbonGraph`` objects; the vertex count leads the code.  Every anchor
+    labels its darts breadth-first in lockstep: each round takes the next dart
+    of every surviving anchor, reads the labels of its rotation successor and
+    its edge twin (new darts get the next label), and keeps only the anchors
+    whose pair is least, in anchor order.  Leaf darts, whose first pair is
+    (0, 1), are the only anchors when there are any.  Once one anchor is
+    left, its labelling finishes without comparisons.
     """
-    best, best_order = [], ()
-    for start in range(len(sigma)):
-        found = _anchor_code(sigma, start, best)
-        if found is not None:
-            best, best_order = found
-    return (vertex_count, *best), tuple(best_order)
-
-
-def _anchor_code(sigma, start: int, best: list):
-    """The encoding and dart order from anchor start, if it beats best.
-
-    Darts are labelled breadth-first from start; the encoding lists, dart by
-    dart in that order, the labels of its rotation successor and its edge
-    twin.  Returns None as soon as a prefix exceeds best, and also for a
-    full tie, which keeps the first anchor found.
-    """
-    labels = [-1] * len(sigma)
-    labels[start] = 0
-    order = [start]
+    n = len(sigma)
+    if not n:
+        return (vertex_count,), ()
+    runs = []  # (labels, order) of each surviving anchor
+    for a in [d for d in range(n) if sigma[d] == d] or range(n):
+        labels = [-1] * n
+        labels[a] = 0
+        runs.append((labels, [a]))
     enc = []
-    tied = bool(best)  # enc equals best so far
-    for d in order:
-        for nb in (sigma[d], d ^ 1):
+    k = 0
+    size = 1  # darts labelled so far; equal encodings label equally many
+    while len(runs) > 1 and k < size:
+        low = n * n  # pairs (x, y) compare as x * n + y
+        for run in runs:
+            labels, order = run
+            d = order[k]
+            nb = sigma[d]
             x = labels[nb]
             if x < 0:
-                x = labels[nb] = len(order)
+                x = labels[nb] = size
                 order.append(nb)
-            if tied:
-                b = best[len(enc)]
-                if x != b:
-                    if x > b:
-                        return None
-                    tied = False
-            enc.append(x)
-    return None if tied else (enc, order)
+            nb = d ^ 1
+            y = labels[nb]
+            if y < 0:
+                y = labels[nb] = len(order)
+                order.append(nb)
+            p = x * n + y
+            if p < low:
+                low = p
+                keep = [run]
+            elif p == low:
+                keep.append(run)
+        runs = keep
+        enc += divmod(low, n)
+        size = len(runs[0][1])
+        k += 1
+    labels, order = runs[0]
+    for d in islice(order, k, None):  # order grows as the walk goes
+        nb = sigma[d]
+        x = labels[nb]
+        if x < 0:
+            x = labels[nb] = len(order)
+            order.append(nb)
+        nb = d ^ 1
+        y = labels[nb]
+        if y < 0:
+            y = labels[nb] = len(order)
+            order.append(nb)
+        enc += x, y
+    return (vertex_count, *enc), tuple(order)
 
 
 def is_ribbon_isomorphism(a: RibbonGraph, b: RibbonGraph, iso: RibbonIsomorphism) -> bool:

@@ -174,6 +174,7 @@ def test_ribbon_catalog_pinned():
 RIBBON_7_SHA256 = "7aa9b1ca214c5a8b2638374db259b83c919a2381d1e3b7b33324e3a67dac06cb"
 PLANE_7_SHA256 = "cf7a59b943e6406d58184d06da089a7f8446d8fa8b781f2435c05cb0c3685275"
 MULTIGRAPHS_8_SHA256 = "381bf8de170b8b2eab04e95d9c66fda4b1c5c843047a205b0cc2fc1a544f5446"
+RIBBON_8_SHA256 = "20b1f9e3634e18932df25528160f8f7cf2619d7d62dda7798c4ff34386cf3e2d"
 
 
 def ribbon_digest(gs):
@@ -188,3 +189,11 @@ def test_larger_catalogs_pinned():
     assert len(gs) == 1672
     text = json.dumps([g.to_json() for g in gs])
     assert hashlib.sha256(text.encode()).hexdigest() == MULTIGRAPHS_8_SHA256
+
+
+def test_ribbon_level_8_pinned():
+    # after test_07's unicycle sweep at 8 edges the rotation systems are
+    # cached, and this costs only the JSON texts and one labelling per map
+    gs = ribbon_graphs(8)
+    assert len(gs) == 57675
+    assert ribbon_digest(gs) == RIBBON_8_SHA256

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotorsand import catalog
 from rotorsand.catalog import connected_multigraphs, plane_graphs, ribbon_graphs, rotation_systems
 from rotorsand.multigraph import Multigraph, banana_graph
 from rotorsand.ribbon import (
     RibbonGraph,
     RibbonIsomorphism,
+    canonical_labelling,
     classify_sides,
     is_automorphism,
     is_ribbon_isomorphism,
@@ -112,9 +116,14 @@ def test_reverse_preserves_planarity():
         assert rg.reverse().is_plane()
 
 
+def find_isomorphism(a, b):
+    """Some ribbon isomorphism from a onto b, or None."""
+    return next(a.isomorphisms(b), None)
+
+
 def test_reversed_triple_edge_is_isomorphic_by_vertex_swap():
     rg = e3_plane()
-    iso = rg.find_isomorphism(rg.reverse())
+    iso = find_isomorphism(rg, rg.reverse())
     assert iso is not None
     swap = RibbonIsomorphism(
         {"x": "y", "y": "x"}, {"e0": "e0", "e1": "e1", "e2": "e2"}
@@ -139,7 +148,7 @@ def test_triple_edge_vertex_swap_automorphism():
 
 
 def test_no_isomorphism_between_different_sizes(triangle_ribbon, square_ribbon):
-    assert triangle_ribbon.find_isomorphism(square_ribbon) is None
+    assert find_isomorphism(triangle_ribbon, square_ribbon) is None
 
 
 def relabeled_copy(rg, rng):
@@ -163,7 +172,7 @@ def test_genus_is_isomorphism_invariant():
     pool = [rg for g in connected_multigraphs(5) for rg in rotation_systems(g)]
     for rg in rng.sample(pool, 25):
         other = relabeled_copy(rg, rng)
-        iso = rg.find_isomorphism(other)
+        iso = find_isomorphism(rg, other)
         assert iso is not None
         assert is_ribbon_isomorphism(rg, other, iso)
         assert rg.euler_genus() == other.euler_genus()
@@ -210,6 +219,92 @@ def full_encoding_labelling(rg):
 def test_canonical_labelling_matches_full_encoding():
     for rg in ribbon_graphs(5):
         assert rg.canonical_labelling() == full_encoding_labelling(rg), rg
+
+
+def anchor_labelling(sigma, vertex_count):
+    """canonical_labelling as it was before anchors ran in lockstep: one
+    anchor after another, each dropped once a prefix exceeds the best so far."""
+    best, best_order = [], ()
+    for start in range(len(sigma)):
+        found = anchor_code(sigma, start, best)
+        if found is not None:
+            best, best_order = found
+    return (vertex_count, *best), tuple(best_order)
+
+
+def anchor_code(sigma, start, best):
+    """The encoding and dart order from anchor start, if it beats best; None
+    once a prefix exceeds best, and for a full tie, which keeps the first."""
+    labels = [-1] * len(sigma)
+    labels[start] = 0
+    order = [start]
+    enc = []
+    tied = bool(best)  # enc equals best so far
+    for d in order:
+        for nb in (sigma[d], d ^ 1):
+            x = labels[nb]
+            if x < 0:
+                x = labels[nb] = len(order)
+                order.append(nb)
+            if tied:
+                b = best[len(enc)]
+                if x != b:
+                    if x > b:
+                        return None
+                    tied = False
+            enc.append(x)
+    return None if tied else (enc, order)
+
+
+def test_lockstep_labelling_matches_anchor_search_on_rotation_products():
+    members = 0
+    for g in connected_multigraphs(6):
+        for _, sigma in catalog._rotation_product(g):
+            assert canonical_labelling(sigma, len(g.vertices)) == anchor_labelling(
+                sigma, len(g.vertices)
+            ), sigma
+            members += 1
+    assert members == 2125
+
+
+def test_lockstep_labelling_matches_anchor_search_on_minors():
+    edgeless = 0
+    for rg in plane_graphs(5):
+        for e in rg.graph.edges:
+            for m in (rg.contract(e), rg.delete(e)):
+                n = len(m.graph.vertices)
+                assert m.canonical_labelling() == anchor_labelling(m.sigma, n), m.rotation
+                edgeless += not m.graph.edges
+    assert edgeless > 0
+
+
+def test_edgeless_labelling():
+    assert canonical_labelling((), 1) == ((1,), ())
+    assert canonical_labelling((), 2) == ((2,), ())
+
+
+@st.composite
+def relabelled_sigma(draw):
+    """A ribbon_graphs(6) map's sigma under an edge permutation and dart-pair flips."""
+    rg = draw(st.sampled_from(ribbon_graphs(6)))
+    m = len(rg.graph.edges)
+    perm = draw(st.permutations(range(m)))
+    flips = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    moved = [2 * perm[d >> 1] + ((d & 1) ^ flips[d >> 1]) for d in range(2 * m)]
+    sigma = [0] * (2 * m)
+    for d in range(2 * m):
+        sigma[moved[d]] = moved[rg.sigma[d]]
+    return rg, tuple(sigma)
+
+
+@given(relabelled_sigma())
+@settings(max_examples=300, deadline=None)
+def test_lockstep_labelling_matches_anchor_search_on_relabelled_maps(case):
+    rg, sigma = case
+    n = len(rg.graph.vertices)
+    code, order = canonical_labelling(sigma, n)
+    assert (code, order) == anchor_labelling(sigma, n)
+    assert code == rg.canonical_form()
 
 
 def test_canonical_form_separates_the_two_triple_edges():

@@ -16,7 +16,6 @@ from rotorsand.rotor import (
     _route,
     _spin,
     _tree_darts,
-    arc_rearrangements,
     check_cycle_reversal,
     check_no_repeated_crossing,
     functional_cycles,
@@ -397,6 +396,45 @@ def test_leftright_sweep_flags_swapped_sides(square_ribbon, tree, cycle, expecte
     swapped = SideClassification(sides.right_edges, sides.left_edges, frozenset(), frozenset())
     bad = _check_unicycle_leftright(rg, list(rotors), positions, swapped)
     assert sorted(bad) == [f"sink-free run {msg}" for msg in expected]
+
+
+def arc_rearrangements(rg: RibbonGraph, tree, c: str, s: str, rng, samples: int = 4):
+    """Ribbon structures that provably route (tree, c - s) to the same tree.
+
+    At a vertex x the cyclic order splits into the arc strictly between the
+    starting rotor and the finishing rotor and the complementary arc; both
+    may be permuted freely without changing the routed output.  Yields
+    sampled rearranged ribbon graphs for metamorphic testing.
+    """
+    g = rg.graph
+    tree = frozenset(tree)
+    out_tree, _ = route_chip(rg, tree, c, s)
+    start = tree_to_rotors(g, tree, s)
+    finish = tree_to_rotors(g, out_tree, s)
+    for _ in range(samples):
+        x = rng.choice([v for v in g.vertices if v != s])
+        seq = list(rg.rotation[x])
+        k = seq.index(start[x])
+        seq = seq[k:] + seq[:k]
+        if finish[x] == start[x]:
+            head, mid, tail = seq[:1], [], seq[1:]
+        else:
+            j = seq.index(finish[x])
+            head, mid, tail = seq[:1], seq[1:j], seq[j:]
+        mid2 = list(mid)
+        rng.shuffle(mid2)
+        if finish[x] == start[x]:
+            tail2 = list(tail)
+            rng.shuffle(tail2)
+            new_seq = head + tail2
+        else:
+            rest = tail[1:]
+            rest2 = list(rest)
+            rng.shuffle(rest2)
+            new_seq = head + mid2 + [tail[0]] + rest2
+        rot = dict(rg.rotation)
+        rot[x] = tuple(new_seq)
+        yield RibbonGraph(g, rot)
 
 
 def test_arc_rearrangements_leave_output_unchanged():
