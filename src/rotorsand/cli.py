@@ -318,9 +318,8 @@ SUITE_OPTIONS = {
 }
 
 
-def _check(suite, payload):
-    """Check one pooled instance; returns (graph json, checked, violations, notes)."""
-    text, rg, variant = payload
+def _check(suite, variant, rg):
+    """Check one pooled instance; returns (checked, violations, notes)."""
     if suite == "torsor":
         rep = torsor.verify_torsor_axioms(rg, variant=variant)
     elif suite == "consistency":
@@ -329,10 +328,10 @@ def _check(suite, payload):
         rep = torsor.verify_sink_invariance(rg)
     elif suite == "unicycle":
         rep = verify_full_spin(rg)
-        return text, rep["orbits"], list(rep["violations"]), []
+        return rep["orbits"], list(rep["violations"]), []
     else:
-        return (text, *_check_moves(rg))
-    return text, rep.checked, rep.violations, rep.notes
+        return _check_moves(rg)
+    return rep.checked, rep.violations, rep.notes
 
 
 def _check_moves(rg):
@@ -373,8 +372,9 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
     """Run one verification suite; return the verdict part of its report.
 
     The keys are `instances`, `checked`, `violations`, `findings` and `notes`.
-    The pooled suites check one catalog graph per payload, (json text, graph,
-    variant), in order of the text, which also keys the graph's violations.
+    The pooled suites check one catalog graph per payload, in catalog order;
+    only the graphs with violations or notes are then written as JSON text,
+    which keys their violations and orders them, notes included.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -384,10 +384,15 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
             graphs = catalog.ribbon_graphs(max_edges)
         else:
             graphs = catalog.plane_graphs(max_edges, two_connected=suite == "moves")
-        payloads = sorted(((rg.to_json(), rg, variant) for rg in graphs), key=itemgetter(0))
-        for key, checked, violations, notes in _pool_map(partial(_check, suite), payloads, workers):
+        reported = []
+        for rg, (checked, violations, notes) in zip(
+            graphs, _pool_map(partial(_check, suite, variant), graphs, workers)
+        ):
             out["instances"] += 1
             out["checked"] += checked
+            if violations or notes:
+                reported.append((rg.to_json(), violations, notes))
+        for key, violations, notes in sorted(reported, key=itemgetter(0)):
             out["violations"].extend({"graph": key, "detail": v} for v in violations)
             out["notes"].extend(notes)
     if suite == "sink-invariance" and include_nonplanar:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import InvariantViolation
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph
-from .rotor import route_chip, tree_to_rotors
+from .rotor import tree_to_rotors
 
 
 class MovePair(NamedTuple):
@@ -35,19 +35,6 @@ class MovePair(NamedTuple):
     @property
     def result(self) -> frozenset:
         return self.tree - {self.removed} | {self.added}
-
-
-def precedes(g: Multigraph, tree, root: str, a: str, b: str) -> bool:
-    """Is b on the tree path from a to the root (strictly)?"""
-    if a == b:
-        return False
-    path = g.tree_path(tree, a, root)
-    at = a
-    for e in path:
-        at = g.other(e, at)
-        if at == b:
-            return True
-    return False
 
 
 def classify_pair(rg: RibbonGraph, tree, c: str, s: str):
@@ -90,12 +77,6 @@ def classify_pair(rg: RibbonGraph, tree, c: str, s: str):
                 ):
                     return MovePair("reverse-single-step", c, s, tree, f, gg)
     return None
-
-
-def simulate_pair(rg: RibbonGraph, tree, c: str, s: str):
-    """Oracle for classify_pair: literally run the routing loop."""
-    out, steps = route_chip(rg, tree, c, s, trace=True)
-    return out, len(steps)
 
 
 def is_rotatable(rg: RibbonGraph, tree, root: str, c: str):

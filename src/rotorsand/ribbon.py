@@ -326,7 +326,9 @@ def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[int, ...
     its edge twin (new darts get the next label), and keeps only the anchors
     whose pair is least, in anchor order.  Leaf darts, whose first pair is
     (0, 1), are the only anchors when there are any.  Once one anchor is
-    left, its labelling finishes without comparisons.
+    left, its labelling finishes without comparisons.  A map whose darts
+    lie in more than one component raises ValueError: the walk from one
+    anchor would describe only its own component.
     """
     n = len(sigma)
     if not n:
@@ -377,6 +379,8 @@ def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[int, ...
             y = labels[nb] = len(order)
             order.append(nb)
         enc += x, y
+    if len(order) != n:
+        raise ValueError("canonical labelling needs the darts in one component")
     return (vertex_count, *enc), tuple(order)
 
 

@@ -7,16 +7,23 @@ The spin step is the heart of the package: turn the rotor at the chip to the
 next dart counterclockwise (``sigma``) and move the chip across it (``d ^ 1``).
 Routing stops the chip at the sink, and folding that over a chip
 decomposition of a divisor gives the rotor-routing action on spanning trees.
+The unicycle checks spin integer states instead: the sink-free arrays with a
+single cycle are enumerated once per multigraph, each numbered by its place
+in the product of the darts around each vertex, and a unicycle is that
+number times the vertex count plus its chip, so a flat list marks each
+state's orbit.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph, classify_sides
+from .ribbon import RibbonGraph, classify_sides, dart_numbering
 from .sandpile import Divisor
 
 
@@ -203,34 +210,72 @@ def _reversed(rg: RibbonGraph, rotors, cycle) -> tuple:
     return tuple(out)
 
 
-def _orbits(rg: RibbonGraph, seen: dict):
+@lru_cache(maxsize=8)
+def _unicycle_arrays(g: Multigraph):
+    """The sink-free dart arrays of g with a single cycle, in product order.
+
+    Returns (arrays, pos, radix, size).  arrays holds (index, rotors, cycle)
+    for each such array: its index in the product of the darts around each
+    vertex (in increasing order, the last vertex fastest) and the positions
+    on its cycle.  pos[d] is dart d's place around its vertex and radix the
+    product's mixed radix, so an array's index is the sum of
+    pos[rotors[v]] * radix[v]; size is the product's length.  The arrays
+    depend on g alone, so every rotation system on g shares them; catalog
+    order keeps those together, so a few entries suffice.
+    """
+    dv = dart_numbering(g)[1]
+    around, pos = [[] for _ in g.vertices], []
+    for d, v in enumerate(dv):
+        pos.append(len(around[v]))
+        around[v].append(d)
+    radix = [prod(map(len, around[v + 1 :])) for v in range(len(around))]
+    heads = [[dv[d ^ 1] for d in ds] for ds in around]
+    arrays = []
+    # successors come from a product in lockstep with the rotors'; building
+    # them per array instead is slower
+    for index, (rotors, succ) in enumerate(zip(product(*around), product(*heads))):
+        cycles = functional_cycles(succ)
+        if len(cycles) == 1:
+            arrays.append((index, rotors, cycles[0]))
+    return tuple(arrays), tuple(pos), tuple(radix), prod(map(len, around))
+
+
+def _orbits(rg: RibbonGraph, orbit: list):
     """Every unicycle of rg, spinning each orbit once, the first time it is met.
 
-    Sink-free dart arrays come in product order of the darts around each
-    vertex.  For each one with a single cycle, yields (rotors, cycle, walks):
-    cycle lists the cycle's positions, each the chip of one unicycle
-    (rotors, chip), and walks holds (chip, darts turned, unicycle reached)
-    after 2|E| moves for each chip, in cycle order, whose orbit is new.
-    seen maps every unicycle walked so far to the first unicycle of its orbit.
+    A unicycle (rotors, chip) is the state index * n + chip, with index the
+    rotors' place in the product (_unicycle_arrays) and n the vertex count;
+    one move at chip x changes the index by step[rotors[x]].  orbit, passed
+    empty, becomes a flat list holding each state's orbit number, 1 for the
+    first orbit spun and 0 for a state not yet seen.  For each sink-free
+    array with a single cycle, yields (index, rotors, cycle, walks): cycle
+    lists the cycle's positions, each the chip of one unicycle, and walks
+    holds (chip, darts turned, rotors reached, chip reached) after 2|E|
+    moves for each chip, in cycle order, whose orbit is new.  Each state is
+    numbered before its move.
     """
-    dv, nd = rg.dart_vertex, len(rg.sigma)
-    around = [[] for _ in rg.graph.vertices]
-    for d in range(nd):
-        around[dv[d]].append(d)
-    heads = [[dv[d ^ 1] for d in ds] for ds in around]
-    # successors come from a product in lockstep with the rotors'; building
-    # them per combo instead is slower
-    for combo, succ in zip(product(*around), product(*heads)):
-        cycles = functional_cycles(succ)
-        if len(cycles) != 1:
-            continue
+    sigma, dv = rg.sigma, rg.dart_vertex
+    arrays, pos, radix, size = _unicycle_arrays(rg.graph)
+    n, nd = len(radix), len(sigma)
+    step = [(pos[sigma[d]] - pos[d]) * radix[dv[d]] for d in range(nd)]
+    orbit[:] = [0] * (size * n)
+    count = 0
+    for index, start, cycle in arrays:
         walks = []
-        for chip in cycles[0]:
-            if (combo, chip) not in seen:
-                rotors, turned = list(combo), []
-                end = _spin(rg, rotors, chip, nd, None, seen, turned)
-                walks.append((chip, turned, (tuple(rotors), end)))
-        yield combo, cycles[0], walks
+        for chip in cycle:
+            if orbit[index * n + chip]:
+                continue
+            count += 1
+            rotors, turned, i, x = list(start), [], index, chip
+            for _ in range(nd):
+                orbit[i * n + x] = count
+                d = rotors[x]
+                i += step[d]
+                d = rotors[x] = sigma[d]
+                turned.append(d)
+                x = dv[d ^ 1]
+            walks.append((chip, turned, rotors, x))
+        yield index, start, cycle, walks
 
 
 def verify_full_spin(rg: RibbonGraph) -> dict:
@@ -245,15 +290,15 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
     dv = rg.dart_vertex
     turns = sorted(dv)  # each vertex's position once per dart around it
     report = {"unicycles": 0, "orbits": 0, "violations": []}
-    for rotors, cycle, walks in _orbits(rg, {}):
+    for _, start, cycle, walks in _orbits(rg, []):
         report["unicycles"] += len(cycle)
-        for chip, turned, end in walks:
+        for chip, turned, rotors, end in walks:
             report["orbits"] += 1
-            if end != (rotors, chip):
+            if end != chip or tuple(rotors) != start:
                 report["violations"].append("orbit did not close after a full sweep")
             if len(set(turned)) != len(dv):
                 report["violations"].append("an edge was not crossed once per direction")
-            if sorted(dv[d] for d in turned) != turns:
+            if sorted(map(dv.__getitem__, turned)) != turns:
                 report["violations"].append("a rotor did not make one full turn")
     return report
 
@@ -264,15 +309,23 @@ def verify_reversal_equivalence(rg: RibbonGraph) -> dict:
     True exactly on plane ribbon graphs; the report carries the plane flag
     and every unicycle, as (rotors, chip), whose orbit misses its reversal.
     """
-    seen = {}
+    _, pos, radix, _ = _unicycle_arrays(rg.graph)
+    dv, n = rg.dart_vertex, len(radix)
+    orbit = []
     count = 0
     misses = []
-    for rotors, cycle, walks in _orbits(rg, seen):
-        if any(end != (rotors, chip) for chip, _, end in walks):
+    for index, start, cycle, walks in _orbits(rg, orbit):
+        if any(end != chip or tuple(rotors) != start for chip, _, rotors, end in walks):
             raise InvariantViolation("unicycle did not return after a full sweep")
         count += len(cycle)
-        reverse = _reversed(rg, rotors, cycle)
-        misses += [(rotors, c) for c in cycle if seen.get((reverse, c)) != seen[rotors, c]]
+        reverse = index  # the index of the rotors with their cycle turned around
+        for v in cycle:
+            d = start[v] ^ 1
+            w = dv[d]
+            reverse += (pos[d] - pos[start[w]]) * radix[w]
+        misses += [
+            (start, c) for c in cycle if orbit[reverse * n + c] != orbit[index * n + c]
+        ]
     return {
         "plane": rg.is_plane(),
         "unicycles": count,

@@ -477,6 +477,7 @@ VERIFY_VERDICTS = [
     (["sink-invariance", "--max-edges", "4"], 22, 311, 0, 0),
     (["moves", "--max-edges", "5"], 13, 712, 0, 0),
     (["unicycle", "--max-edges", "5"], 116, 423, 0, 0),
+    (["unicycle", "--max-edges", "6"], 703, 4041, 0, 0),
     (["telescope"], 39, 39, 0, 0),
     (["matroid", "--max-edges", "3"], 32, 136, 0, 0),
     # off the plane, sink dependence is expected and reported as findings
@@ -487,7 +488,10 @@ VERIFY_VERDICTS = [
 @pytest.mark.parametrize(
     "argv,instances,checked,findings,disagreements",
     VERIFY_VERDICTS,
-    ids=[v[0][0] + "-nonplanar" * ("--include-nonplanar" in v[0]) for v in VERIFY_VERDICTS],
+    ids=[
+        v[0][0] + "-nonplanar" * ("--include-nonplanar" in v[0]) + "-6" * ("6" in v[0])
+        for v in VERIFY_VERDICTS
+    ],
 )
 def test_verify_verdicts_pinned(capsys, argv, instances, checked, findings, disagreements):
     rc, out = run(capsys, ["verify", *argv, "--seed", "0"])
@@ -633,3 +637,30 @@ def test_spawn_pool_matches_serial(monkeypatch, suite, max_edges):
 
     monkeypatch.setattr(cli, "_pool_map", spawn_map)
     assert cli.sweep(suite, max_edges, workers=2) == serial
+
+
+def flagging_check(suite, variant, rg):
+    """A stand-in for cli._check that flags every genus-1 graph twice and notes it once."""
+    if rg.euler_genus() != 1:
+        return 1, [], []
+    text = rg.to_json()
+    return 2, [f"first {text}", f"second {text}"], [f"note {text}"]
+
+
+def test_sweep_reports_flagged_graphs_in_text_order(monkeypatch):
+    # checks run in catalog order, but violations and notes are listed by
+    # each graph's JSON text, each graph's own in the order it gave them
+    from rotorsand import catalog
+
+    monkeypatch.setattr(cli, "_check", flagging_check)
+    graphs = catalog.ribbon_graphs(4)
+    flagged = [rg.to_json() for rg in graphs if rg.euler_genus() == 1]
+    assert len(flagged) > 3 and flagged != sorted(flagged)
+    rep = cli.sweep("unicycle", 4)
+    assert rep["instances"] == len(graphs) + len(cli.reversal_instances())
+    assert rep["checked"] == len(graphs) + len(flagged)
+    assert rep["violations"] == [
+        {"graph": t, "detail": f"{w} {t}"} for t in sorted(flagged) for w in ("first", "second")
+    ]
+    assert rep["notes"] == [f"note {t}" for t in sorted(flagged)]
+    assert cli.sweep("unicycle", 4, workers=2) == rep

@@ -16,8 +16,6 @@ from rotorsand.moves import (
     is_single_step_tree,
     leaf_swap_path,
     matches_telescope,
-    precedes,
-    simulate_pair,
     source_turn_neighbors,
     source_turn_path,
     telescope,
@@ -26,6 +24,25 @@ from rotorsand.moves import (
 from rotorsand.rotor import route_chip
 from rotorsand.sandpile import chip
 from rotorsand.torsor import TorsorAction
+
+
+def precedes(g: Multigraph, tree, root: str, a: str, b: str) -> bool:
+    """Is b on the tree path from a to the root (strictly)?"""
+    if a == b:
+        return False
+    path = g.tree_path(tree, a, root)
+    at = a
+    for e in path:
+        at = g.other(e, at)
+        if at == b:
+            return True
+    return False
+
+
+def simulate_pair(rg: RibbonGraph, tree, c: str, s: str):
+    """Oracle for classify_pair: literally run the routing loop."""
+    out, steps = route_chip(rg, tree, c, s, trace=True)
+    return out, len(steps)
 
 
 @pytest.fixture

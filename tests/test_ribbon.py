@@ -268,14 +268,48 @@ def test_lockstep_labelling_matches_anchor_search_on_rotation_products():
 
 
 def test_lockstep_labelling_matches_anchor_search_on_minors():
-    edgeless = 0
+    # a bridge cut that leaves darts on both sides is refused: the anchor
+    # search would label only the winning anchor's component
+    edgeless = split = 0
     for rg in plane_graphs(5):
         for e in rg.graph.edges:
             for m in (rg.contract(e), rg.delete(e)):
                 n = len(m.graph.vertices)
-                assert m.canonical_labelling() == anchor_labelling(m.sigma, n), m.rotation
+                expected = anchor_labelling(m.sigma, n)
+                if len(expected[1]) == len(m.sigma):
+                    assert m.canonical_labelling() == expected, m.rotation
+                else:
+                    split += 1
+                    with pytest.raises(ValueError, match="one component"):
+                        m.canonical_labelling()
                 edgeless += not m.graph.edges
-    assert edgeless > 0
+    assert edgeless > 0 and split > 0
+
+
+def test_canonical_form_refuses_maps_split_into_components():
+    # K2 beside a path of two edges and K2 beside a triangle, both on 5
+    # vertices: one anchor's walk labels only the K2, so both used to get
+    # the code (5, 0, 1, 1, 0)
+    edges = {"ab": ("a", "b"), "cd": ("c", "d"), "de": ("d", "e")}
+    path = RibbonGraph(
+        Multigraph(list("abcde"), edges),
+        {"a": ("ab",), "b": ("ab",), "c": ("cd",), "d": ("cd", "de"), "e": ("de",)},
+    )
+    triangle = RibbonGraph(
+        Multigraph(list("abcde"), {**edges, "ce": ("c", "e")}),
+        {"a": ("ab",), "b": ("ab",), "c": ("cd", "ce"), "d": ("cd", "de"), "e": ("de", "ce")},
+    )
+    for m in (path, triangle):
+        assert anchor_labelling(m.sigma, 5)[0] == (5, 0, 1, 1, 0)
+        with pytest.raises(ValueError, match="one component"):
+            m.canonical_form()
+    # isolated vertices leave every dart reachable, and the vertex count
+    # that leads the code tells them apart
+    k2 = Multigraph(["a", "b"], {"ab": ("a", "b")})
+    k2_apart = Multigraph(["a", "b", "c"], {"ab": ("a", "b")})
+    rot = {"a": ("ab",), "b": ("ab",)}
+    assert RibbonGraph(k2, rot).canonical_form() == (2, 0, 1, 1, 0)
+    assert RibbonGraph(k2_apart, {**rot, "c": ()}).canonical_form() == (3, 0, 1, 1, 0)
 
 
 def test_edgeless_labelling():

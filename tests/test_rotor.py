@@ -12,10 +12,12 @@ from rotorsand.rotor import (
     RouteStep,
     _check_unicycle_leftright,
     _heads,
+    _orbits,
     _reversed,
     _route,
     _spin,
     _tree_darts,
+    _unicycle_arrays,
     check_cycle_reversal,
     check_no_repeated_crossing,
     functional_cycles,
@@ -266,6 +268,72 @@ def test_full_spin_counts_match_unicycle_enumeration():
         assert (rep["unicycles"], rep["orbits"]) == (len(unicycles), len(orbits)), rg
 
 
+def test_unicycle_arrays_index_the_product():
+    # each single-cycle array sits at its place in the product of the darts
+    # around each vertex, and pos and radix give that place back
+    for rg in ribbon_graphs(4):
+        g = rg.graph
+        arrays, pos, radix, size = _unicycle_arrays(g)
+        around = [[] for _ in g.vertices]
+        for d, v in enumerate(rg.dart_vertex):
+            around[v].append(d)
+        members = list(product(*around))
+        assert size == len(members)
+        for index, rotors, cycle in arrays:
+            assert members[index] == rotors
+            assert sum(pos[d] * r for d, r in zip(rotors, radix)) == index
+            assert functional_cycles(_heads(rg, rotors)) == [cycle]
+        assert sum(len(c) for _, _, c in arrays) == len(string_unicycles(g))
+
+
+def test_orbit_numbers_partition_the_unicycles():
+    # every unicycle state gets the number of its orbit, each orbit holds
+    # 2|E| states, and no other state is numbered
+    for rg in ribbon_graphs(4):
+        n = len(rg.graph.vertices)
+        orbit = []
+        spun = list(_orbits(rg, orbit))
+        states = {index * n + c for index, _, cycle, _ in spun for c in cycle}
+        assert {s for s, k in enumerate(orbit) if k} == states
+        orbits = sum(len(walks) for *_, walks in spun)
+        assert sorted(orbit.count(k) for k in range(1, orbits + 1)) == [len(rg.sigma)] * orbits
+
+
+def split_rotation(rg, cycles):
+    """A copy of rg whose sigma takes the given dart cycles instead."""
+    bad = RibbonGraph(rg.graph, rg.rotation)
+    sigma = list(bad.sigma)
+    for cycle in cycles:
+        for d, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[d] = nxt
+    bad.sigma = tuple(sigma)
+    return bad
+
+
+def test_full_spin_flags_a_split_rotation():
+    # negative control: the darts around x (0, 2, 4, 6 on the quadruple edge)
+    # split into two cycles, so no orbit crosses every edge both ways
+    rg = RibbonGraph(banana_graph(4), {v: ("e0", "e1", "e2", "e3") for v in "xy"})
+    assert verify_full_spin(rg)["violations"] == []
+    edge = "an edge was not crossed once per direction"
+    rep = verify_full_spin(split_rotation(rg, [[0, 2], [4, 6]]))
+    assert (rep["unicycles"], rep["orbits"], rep["violations"]) == (32, 4, [edge] * 4)
+    # three darts and one fixed: the orbits no longer close after 2|E| moves
+    rep = verify_full_spin(split_rotation(rg, [[0, 2, 4], [6]]))
+    closed = "orbit did not close after a full sweep"
+    assert (rep["unicycles"], rep["orbits"]) == (32, 5)
+    assert rep["violations"] == [closed, edge] * 4 + [edge]
+    # a double edge a-b with a pendant a-c: dart 0 fixed at a, so some
+    # orbits also turn the rotors at a and b the wrong number of times
+    g = Multigraph(["a", "b", "c"], {"e0": ("a", "b"), "e1": ("a", "b"), "e2": ("a", "c")})
+    rg = RibbonGraph(g, {"a": ("e0", "e1", "e2"), "b": ("e0", "e1"), "c": ("e2",)})
+    assert verify_full_spin(rg)["violations"] == []
+    rep = verify_full_spin(split_rotation(rg, [[0], [2, 4]]))
+    turn = "a rotor did not make one full turn"
+    assert (rep["unicycles"], rep["orbits"]) == (12, 4)
+    assert rep["violations"] == [closed, edge, turn] * 2 + [closed, edge] * 2
+
+
 def test_route_chip_matches_string_loop():
     """route_chip against routing spelled out on the rotation strings."""
     for rg in plane_graphs(4):
@@ -297,7 +365,9 @@ def test_twisted_triple_edge_misses_a_reversal():
     )
     rep = verify_reversal_equivalence(tw)
     assert not rep["plane"]
-    assert rep["misses"], "expected an orbit missing its reversal"
+    assert rep["misses"] == [
+        ((x, y), c) for x, y in [(0, 3), (0, 5), (2, 1), (2, 5), (4, 1), (4, 3)] for c in (0, 1)
+    ]
     assert rep["equivalence_holds"]
 
 
