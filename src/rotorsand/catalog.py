@@ -19,7 +19,6 @@ from itertools import chain, permutations, product
 from operator import itemgetter
 
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph, canonical_labelling, dart_numbering, face_orbits
 
 
 def _relabel_sorted(pairs):
@@ -133,6 +132,8 @@ def _rotation_product(g: Multigraph):
     per the module docstring, and sigma is the dart rotation that
     ``RibbonGraph(g, dict(zip(g.vertices, orders)))`` builds.
     """
+    from .ribbon import dart_numbering  # the multigraph levels never load ribbon
+
     constraints = {v: [] for v in g.vertices}
     for (u, w), es in _parallel_classes(g):
         constraints[u].append(frozenset(es))
@@ -171,6 +172,8 @@ def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGra
     plane_only) and keyed by its canonical code on sigma alone; a
     ``RibbonGraph`` is built only for the first member of each code.
     """
+    from .ribbon import RibbonGraph, canonical_labelling, face_orbits
+
     vcount = len(g.vertices)
     plane_faces = 2 - vcount + len(g.edges)
     found = {}

@@ -19,14 +19,13 @@ from functools import partial
 from itertools import product as iproduct
 from operator import itemgetter
 
-from . import catalog, sandpile, torsor
+from . import catalog
 from .errors import InvariantViolation
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph
-from .rotor import route_chip, verify_full_spin, verify_reversal_equivalence
-from .sandpile import Divisor
 
 SCHEMA = "rotorsand-report-v1"
+# torsor.VARIANTS, spelled out so the parser loads no torsor code
+VARIANTS = ("r", "rbar", "rinv", "rbarinv")
 
 
 class InputError(ValueError):
@@ -49,6 +48,8 @@ def _load_graph(path) -> Multigraph:
 
 
 def _load_ribbon(path) -> RibbonGraph:
+    from .ribbon import RibbonGraph
+
     try:
         rg = RibbonGraph.from_obj(_load_json(path))
     except ValueError as exc:
@@ -84,6 +85,8 @@ def _require_vertex(g: Multigraph, v, what):
 
 
 def _load_divisor(path, g: Multigraph) -> Divisor:
+    from .sandpile import Divisor
+
     obj = _load_json(path)
     if not isinstance(obj, dict) or not all(type(n) is int for n in obj.values()):
         raise InputError("divisor file must map vertex ids to integers")
@@ -129,6 +132,8 @@ def cmd_trees(args):
 
 
 def cmd_group(args):
+    from . import sandpile
+
     g = _load_graph(args.graph)
     _require_connected(g)
     s = sandpile.group_structure(g)
@@ -150,6 +155,8 @@ def cmd_genus(args):
 
 
 def cmd_route(args):
+    from .rotor import route_chip
+
     rg = _load_ribbon(args.graph)
     _require_vertex(rg.graph, args.chip, "chip")
     _require_vertex(rg.graph, args.sink, "sink")
@@ -173,6 +180,8 @@ def cmd_route(args):
 
 
 def cmd_act(args):
+    from . import torsor
+
     rg = _load_ribbon(args.graph)
     if not rg.is_plane():
         raise InputError("act needs a plane ribbon graph")
@@ -185,6 +194,8 @@ def cmd_act(args):
 
 
 def cmd_reduce(args):
+    from . import sandpile
+
     g = _load_graph(args.graph)
     _require_connected(g)
     d = _load_divisor(args.divisor, g)
@@ -316,21 +327,37 @@ SUITE_OPTIONS = {
     "include_nonplanar": (False, ("sink-invariance",)),
     "max_elements": (6, ("matroid",)),
 }
+# largest --max-edges verify accepts, per suite and for sink-invariance with
+# --include-nonplanar: the largest size that ran in under about 5 minutes on
+# one core (telescope runs fixed instances; cli.sweep itself takes any size)
+MAX_EDGES = {
+    "torsor": 9,
+    "sink-invariance": 8,
+    "sink-invariance --include-nonplanar": 7,
+    "consistency": 8,
+    "moves": 9,
+    "unicycle": 9,
+    "matroid": 9,
+}
 
 
 def _check(suite, variant, rg):
     """Check one pooled instance; returns (checked, violations, notes)."""
+    if suite == "unicycle":
+        from .rotor import verify_full_spin
+
+        rep = verify_full_spin(rg)
+        return rep["orbits"], list(rep["violations"]), []
+    if suite == "moves":
+        return _check_moves(rg)
+    from . import torsor
+
     if suite == "torsor":
         rep = torsor.verify_torsor_axioms(rg, variant=variant)
     elif suite == "consistency":
         rep = torsor.verify_consistency(rg, variant)
-    elif suite == "sink-invariance":
-        rep = torsor.verify_sink_invariance(rg)
-    elif suite == "unicycle":
-        rep = verify_full_spin(rg)
-        return rep["orbits"], list(rep["violations"]), []
     else:
-        return _check_moves(rg)
+        rep = torsor.verify_sink_invariance(rg)
     return rep.checked, rep.violations, rep.notes
 
 
@@ -396,10 +423,12 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
             out["violations"].extend({"graph": key, "detail": v} for v in violations)
             out["notes"].extend(notes)
     if suite == "sink-invariance" and include_nonplanar:
+        from .torsor import verify_sink_invariance
+
         for rg in catalog.ribbon_graphs(max_edges):
             if rg.is_plane():
                 continue
-            rep = torsor.verify_sink_invariance(rg)
+            rep = verify_sink_invariance(rg)
             out["instances"] += 1
             out["checked"] += rep.checked
             if rep.violations:
@@ -411,6 +440,8 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
                     }
                 )
     elif suite == "unicycle":
+        from .rotor import verify_reversal_equivalence
+
         for rg, name in reversal_instances():
             out["instances"] += 1
             if not verify_reversal_equivalence(rg)["equivalence_holds"]:
@@ -445,6 +476,10 @@ def cmd_verify(args):
     for name, (default, suites) in SUITE_OPTIONS.items():
         if getattr(args, name) != default and args.suite not in suites:
             raise InputError(f"--{name.replace('_', '-')} does nothing for the {args.suite} suite")
+    sized = f"{args.suite} --include-nonplanar" if args.include_nonplanar else args.suite
+    bound = MAX_EDGES.get(sized, args.max_edges)
+    if args.max_edges > bound:
+        raise InputError(f"--max-edges {args.max_edges} is over the bound of {bound} for {sized}")
     if args.report:
         try:
             open(args.report, "w").close()  # an unwritable path fails before the sweep
@@ -478,6 +513,7 @@ def cmd_verify(args):
 def reversal_instances():
     """The named triple-edge and K4 structures, each plane and genus 1."""
     from .multigraph import banana_graph, complete_graph
+    from .ribbon import RibbonGraph
 
     e3 = banana_graph(3)
     out = [
@@ -533,7 +569,7 @@ def build_parser():
     sp.add_argument("--graph", required=True)
     sp.add_argument("--tree", required=True)
     sp.add_argument("--divisor", required=True)
-    sp.add_argument("--variant", default="r", choices=list(torsor.VARIANTS))
+    sp.add_argument("--variant", default="r", choices=list(VARIANTS))
     sp.set_defaults(fn=cmd_act)
 
     sp = sub.add_parser("reduce", help="canonical reduced divisor")
@@ -568,7 +604,7 @@ def build_parser():
     sp.add_argument("suite", choices=SUITES)
     sp.add_argument("--max-edges", type=int, default=5)
     sp.add_argument("--max-elements", type=int, default=SUITE_OPTIONS["max_elements"][0])
-    sp.add_argument("--variant", default=SUITE_OPTIONS["variant"][0], choices=list(torsor.VARIANTS))
+    sp.add_argument("--variant", default=SUITE_OPTIONS["variant"][0], choices=list(VARIANTS))
     sp.add_argument("--include-nonplanar", action="store_true")
     sp.add_argument("--report", default=None)
     sp.add_argument("--seed", type=int, default=None)

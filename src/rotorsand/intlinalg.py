@@ -129,9 +129,7 @@ class ColumnLattice:
         for k, r in enumerate(self.pivot_rows):
             q = v[r] // self.basis[k][r]
             if q != 0:
-                col = self.basis[k]
-                for i in range(self.dim):
-                    v[i] -= q * col[i]
+                v = [a - q * b for a, b in zip(v, self.basis[k])]
         return v
 
     def contains(self, vector) -> bool:

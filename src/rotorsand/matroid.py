@@ -12,20 +12,21 @@ coset representatives from a Hermite basis.
 
 The BBY action tags each basis with the 0/1 vector of fundamental-circuit
 and fundamental-cocircuit signs picked by a pair of acyclic signatures, and
-acts by translation on the classes of those vectors.
+acts by translation on the classes of those vectors.  Each matroid numbers
+its classes once, with the class of each representative plus each unit
+vector, so the consistency harness reads every act off that table.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .intlinalg import ColumnLattice, det
-from .lp import separating_functional
 from .multigraph import Multigraph, string_list, string_lists
 
 
@@ -110,6 +111,8 @@ class RegularMatroid:
         self._cocircuits = None
         self._fundamental = None
         self._lattice = None
+        self._classes = None
+        self._minors = {}
         self._index = {e: i for i, e in enumerate(self.labels)}
 
     @property
@@ -217,6 +220,55 @@ class RegularMatroid:
     def group_order(self) -> int:
         return self.lattice().index_in_ambient()
 
+    def class_table(self) -> tuple[dict, list[list[int]]]:
+        """(index, succ): every class of Z^E/L numbered once, breadth-first
+        from class_of(0), with succ[i][j] the number of class_of(rep_i + e_j).
+
+        The unit vectors generate Z^E, so the closure reaches every class.
+        """
+        if self._classes is None:
+            zero = self.class_of([0] * self.size)
+            reps, index, succ = [zero], {zero: 0}, []
+            for rep in reps:  # reps grows as new classes turn up
+                row = []
+                for j in range(self.size):
+                    key = self.class_of(rep[:j] + (rep[j] + 1,) + rep[j + 1 :])
+                    if key not in index:
+                        index[key] = len(reps)
+                        reps.append(key)
+                    row.append(index[key])
+                succ.append(row)
+            if len(reps) != self.group_order():
+                raise InvariantViolation("class closure misses part of the group")
+            self._classes = index, succ
+        return self._classes
+
+    # -- single-element minors ----------------------------------------------
+
+    def minor_matroid(self, e, op: str) -> "RegularMatroid":
+        """M \\ e (op 'delete') or M / e (op 'contract'), built once per (e, op)."""
+        if op not in ("delete", "contract"):
+            raise ValueError("op must be 'delete' or 'contract'")
+        if e not in self._index:
+            raise KeyError(f"unknown ground element {e!r}")
+        if (e, op) not in self._minors:
+            j = self._index[e]
+            if op == "delete":
+                if self.is_coloop(e):
+                    raise ValueError("cannot delete a coloop")
+                rows = list(self.matrix)
+            else:
+                if self.is_loop(e):
+                    raise ValueError("cannot contract a loop")
+                rows = [list(row) for row in self.matrix]
+                pivot = next(i for i in range(len(rows)) if rows[i][j] != 0)
+                _pivot(rows, pivot, j)
+                rows.pop(pivot)
+            matrix = [row[:j] + row[j + 1 :] for row in rows]
+            labels = self.labels[:j] + self.labels[j + 1 :]
+            self._minors[e, op] = RegularMatroid(labels, matrix, check_unimodular=False)
+        return self._minors[e, op]
+
     def to_obj(self) -> dict:
         return {"labels": list(self.labels), "matrix": [list(r) for r in self.matrix]}
 
@@ -296,6 +348,8 @@ def default_signatures(m: RegularMatroid) -> SignaturePair:
 
 def check_acyclic(vectors) -> bool:
     """No nonnegative, nonzero combination of the vectors sums to zero."""
+    from .lp import separating_functional  # the sweep never asks; kept off its start-up
+
     ok, _cert = separating_functional([list(v) for v in vectors])
     return ok
 
@@ -343,14 +397,33 @@ def bby_vector(m: RegularMatroid, pair: SignaturePair, basis: frozenset) -> tupl
 def bby_table(m: RegularMatroid, pair: SignaturePair) -> dict:
     """class representative -> basis; a bijection by the torsor theorem."""
     table = {}
+    lookup = SignaturePair(frozenset(pair.circuits), frozenset(pair.cocircuits))  # O(1) _oriented
     for b in m.bases():
-        key = m.class_of(bby_vector(m, pair, b))
+        key = m.class_of(bby_vector(m, lookup, b))
         if key in table:
             raise InvariantViolation("two bases share a class")
         table[key] = b
     if len(table) != m.group_order():
         raise InvariantViolation("basis tags do not exhaust the group")
     return table
+
+
+def bby_action(m: RegularMatroid, pair: SignaturePair):
+    """act(j, b): the basis that the class of the j-th unit vector sends b to.
+
+    One bby_table, with its checks, per call; each act is then a lookup in
+    the matroid's class table, with no reduction.
+    """
+    index, succ = m.class_table()
+    at, basis_at = {}, [None] * len(succ)
+    for key, b in bby_table(m, pair).items():
+        at[b] = i = index[key]
+        basis_at[i] = b
+
+    def act(j, b):
+        return basis_at[succ[at[b]][j]]
+
+    return act
 
 
 def bby_act(m: RegularMatroid, pair: SignaturePair, vector, basis: frozenset) -> frozenset:
@@ -386,27 +459,10 @@ def minor(m: RegularMatroid, pair: SignaturePair, e, op: str):
 
     Deletion keeps circuits avoiding e and restricts cocircuit choices to
     the minimal surviving supports; contraction is dual.  The induced pair
-    of an acyclic pair stays acyclic, which callers may re-check.
+    of an acyclic pair stays acyclic, which callers may re-check.  The minor
+    matroid is m's cached one; only the induced pair depends on the pair.
     """
-    if op not in ("delete", "contract"):
-        raise ValueError("op must be 'delete' or 'contract'")
-    if e not in m.labels:
-        raise KeyError(f"unknown ground element {e!r}")
-    j = m._index[e]
-    if op == "delete":
-        if m.is_coloop(e):
-            raise ValueError("cannot delete a coloop")
-        matrix = [row[:j] + row[j + 1 :] for row in m.matrix]
-    else:
-        if m.is_loop(e):
-            raise ValueError("cannot contract a loop")
-        rows = [list(row) for row in m.matrix]
-        pivot = next(i for i in range(len(rows)) if rows[i][j] != 0)
-        _pivot(rows, pivot, j)
-        rows.pop(pivot)
-        matrix = [row[:j] + row[j + 1 :] for row in rows]
-    labels = m.labels[:j] + m.labels[j + 1 :]
-    sub = RegularMatroid(labels, matrix, check_unimodular=False)
+    sub = m.minor_matroid(e, op)
     induced = SignaturePair(
         _induced_signature(m, pair.circuits, e, sub.circuits(), keep=(op == "delete")),
         _induced_signature(m, pair.cocircuits, e, sub.cocircuits(), keep=(op == "contract")),
@@ -423,27 +479,22 @@ def _induced_signature(m, chosen, e, minor_family, keep: bool):
     cocircuit must be reached with an unambiguous sign.
     """
     j = m._index[e]
-    targets = {_support(v) for v in minor_family}
+    targets = {_support(v) for v in minor_family}  # never the empty support
     out = {}
     for v in chosen:
         if keep and v[j] != 0:
             continue
         w = v[:j] + v[j + 1 :]
-        if all(x == 0 for x in w):
-            continue
-        if _support(w) not in targets:
-            continue
-        prev = out.get(_support(w))
-        if prev is not None and prev != w:
+        supp = _support(w)
+        if supp in targets and out.setdefault(supp, w) != w:
             raise InvariantViolation("conflicting induced signs on a minor")
-        out[_support(w)] = w
     if set(out) != targets:
         raise InvariantViolation("induced signature misses part of the minor")
     return tuple(sorted(out.values()))
 
 
 def _support(v):
-    return tuple(j for j, x in enumerate(v) if x != 0)
+    return tuple(compress(range(len(v)), v))
 
 
 # -- consistency harness ---------------------------------------------------
@@ -458,33 +509,24 @@ def verify_matroid_consistency(
 
     For every generator class [f] and basis B with B' the acted basis:
     contracting any shared e (not f) must commute, and so must deleting any
-    e outside B, B' and f.  Findings are reported, never raised.
+    e outside B, B' and f.  Findings are reported, never raised.  The
+    minor matroids and class tables are cached on m, so calls for the other
+    variants rebuild neither.
     """
     sig = variant_pair(pair, variant_tag)
     report = {"checked": 0, "violations": [], "variant": variant_tag}
+    act_top = bby_action(m, sig)
     minors = {}
-
-    def make_act(mm, sg):
-        table = bby_table(mm, sg)
-        tags = {b: bby_vector(mm, sg, b) for b in mm.bases()}
-
-        def act(vec, b):
-            return table[mm.class_of([a + x for a, x in zip(tags[b], vec)])]
-
-        return act
-
-    act_top = make_act(m, sig)
 
     def get_minor(e, op):
         if (e, op) not in minors:
             sub, ind = minor(m, sig, e, op)
-            minors[(e, op)] = (sub, make_act(sub, ind))
-        return minors[(e, op)]
+            minors[e, op] = sub, bby_action(sub, ind)
+        return minors[e, op]
 
-    for f in m.labels:
-        unit = [int(lbl == f) for lbl in m.labels]
+    for j, f in enumerate(m.labels):
         for b in m.bases():
-            b2 = act_top(unit, b)
+            b2 = act_top(j, b)
             for e in m.labels:
                 if e != f and e in b and e in b2:
                     condition, op, start, expected = 1, "contract", b - {e}, b2 - {e}
@@ -493,7 +535,7 @@ def verify_matroid_consistency(
                 else:
                     continue
                 sub, act_sub = get_minor(e, op)
-                got = act_sub([int(lbl == f) for lbl in sub.labels], start)
+                got = act_sub(sub._index[f], start)
                 report["checked"] += 1
                 if got != expected:
                     report["violations"].append(

@@ -571,9 +571,10 @@ def test_verify_rejects_empty_sizes_and_negative_workers(capsys, argv, message):
 
 def test_telescope_suite_ignores_max_edges(capsys):
     # the telescope suite runs its fixed instances and never reads --max-edges
-    assert main(["verify", "telescope", "--max-edges", "0", "--seed", "0"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["instances"] == 39 and report["violations"] == []
+    for size in ("0", "99"):
+        assert main(["verify", "telescope", "--max-edges", size, "--seed", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["instances"] == 39 and report["violations"] == []
 
 
 def _src_env():
@@ -593,19 +594,75 @@ def test_cli_import_leaves_matroid_code_out():
 
 def test_verify_start_up_loads_only_what_it_runs():
     # a torsor sweep never loads the move or matroid code, dataclasses (and
-    # the inspect chain behind it) or fractions
+    # the inspect chain behind it) or fractions; a matroid sweep loads none of
+    # the plane code, ribbon maps or the LP; a unicycle sweep no torsor code
+    plane = ("rotorsand.torsor", "rotorsand.rotor", "rotorsand.sandpile", "rotorsand.ribbon")
+    cases = [
+        ("torsor", "rotorsand.torsor", ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions")),
+        ("matroid", "rotorsand.matroid", (*plane, "rotorsand.lp", "fractions")),
+        ("unicycle", "rotorsand.rotor", ("rotorsand.torsor",)),
+    ]
+    for suite, needed, absent in cases:
+        code = (
+            "import sys, contextlib, io\n"
+            "from rotorsand import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main(['verify', '{suite}', '--max-edges', '2', '--seed', '0'])\n"
+            "print(rc, *sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
+        rc, *loaded = out.stdout.split()
+        assert rc == "0" and needed in loaded, suite
+        assert [name for name in absent if name in loaded] == [], suite
+
+
+def test_package_re_exports_resolve_on_access():
     code = (
-        "import sys, contextlib, io\n"
-        "from rotorsand import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = cli.main(['verify', 'torsor', '--max-edges', '2', '--seed', '0'])\n"
-        "print(rc, *sys.modules)\n"
+        "import sys, rotorsand\n"
+        "before = 'rotorsand.sandpile' in sys.modules\n"
+        "from rotorsand import Divisor, Multigraph, RibbonGraph, group_structure\n"
+        "from rotorsand import *\n"
+        "print(before, Divisor.__module__, RibbonGraph.__module__, 'rotorsand.sandpile' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
-    rc, *loaded = out.stdout.split()
-    assert rc == "0" and "rotorsand.torsor" in loaded
-    for name in ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions"):
-        assert name not in loaded
+    assert out.stdout.split() == ["False", "rotorsand.sandpile", "rotorsand.ribbon", "True"]
+    import rotorsand
+
+    with pytest.raises(AttributeError):
+        rotorsand.no_such_name
+
+
+def test_parser_variants_are_the_torsor_variants():
+    from rotorsand import torsor
+
+    assert cli.VARIANTS == torsor.VARIANTS
+
+
+@pytest.mark.parametrize("sized", sorted(cli.MAX_EDGES))
+def test_verify_refuses_sizes_over_the_suite_bound(capsys, monkeypatch, sized):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("an oversized sweep was started")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    bound = cli.MAX_EDGES[sized]
+    assert main(["verify", *sized.split(), "--max-edges", str(bound + 1), "--seed", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"bound of {bound} for {sized}" in out.err
+
+
+def test_verify_accepts_a_size_at_the_bound(capsys, monkeypatch):
+    # the matroid bound itself is accepted and reaches the sweep
+    seen = []
+
+    def stub_sweep(suite, max_edges, *args):
+        seen.append((suite, max_edges))
+        return {"instances": 0, "checked": 0, "violations": [], "findings": [], "notes": []}
+
+    monkeypatch.setattr(cli, "sweep", stub_sweep)
+    bound = cli.MAX_EDGES["matroid"]
+    assert main(["verify", "matroid", "--max-edges", str(bound), "--seed", "0"]) == 0
+    assert seen == [("matroid", bound)]
+    assert json.loads(capsys.readouterr().out)["config"]["max_edges"] == bound
 
 
 def test_python_dash_m_runs_the_cli():

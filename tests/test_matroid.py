@@ -13,6 +13,7 @@ from rotorsand.matroid import (
     BBY_VARIANTS,
     RegularMatroid,
     bby_act,
+    bby_action,
     bby_table,
     bby_vector,
     check_acyclic,
@@ -423,3 +424,103 @@ def test_matroid_families_pinned():
     ms = [from_graph(g) for g in connected_multigraphs(5)] + [r10()]
     text = json.dumps([[[sorted(b) for b in m.bases()], m.circuits(), m.cocircuits()] for m in ms])
     assert hashlib.sha256(text.encode()).hexdigest() == MATROID_5_SHA256
+
+
+# sha256 of every act the consistency harness reads: for each graphic matroid
+# with at most 5 edges, then R10, in catalog order, each variant of the
+# default signatures, each generator f and each basis B, the JSON row
+# [variant, f, sorted(B), sorted(B')] with B' the basis [e_f] sends B to;
+# taken from a fresh Hermite reduction of tag(B) + e_f per act, before acts
+# were read off class tables.
+ACT_5_SHA256 = "83ba68c8aef2fc0a69b8f63747792cc61b4bc6b1d0ddbdff42ab712cd10f9f52"
+
+
+def test_bby_acts_pinned():
+    digest = hashlib.sha256()
+    for m in [from_graph(g) for g in connected_multigraphs(5)] + [r10()]:
+        pair = default_signatures(m)
+        for tag in BBY_VARIANTS:
+            act = bby_action(m, variant_pair(pair, tag))
+            for j, f in enumerate(m.labels):
+                for b in m.bases():
+                    digest.update(json.dumps([tag, f, sorted(b), sorted(act(j, b))]).encode())
+    assert digest.hexdigest() == ACT_5_SHA256
+
+
+def test_class_table_steps_are_reductions(worked_matroid):
+    m = worked_matroid
+    index, succ = m.class_table()
+    reps = sorted(index, key=index.get)
+    assert len(reps) == len(succ) == m.group_order() == 8
+    assert reps[0] == m.class_of([0] * m.size)
+    for i, rep in enumerate(reps):
+        for j in range(m.size):
+            step = [x + (k == j) for k, x in enumerate(rep)]
+            assert succ[i][j] == index[m.class_of(step)]
+
+
+def test_minor_matroids_are_cached_per_element_and_op(worked_matroid):
+    m = worked_matroid
+    sig = default_signatures(m)
+    sub, ind = minor(m, sig, "e1", "delete")
+    assert m.minor_matroid("e1", "delete") is sub
+    assert minor(m, sig.flipped("circuits"), "e1", "delete")[0] is sub
+    assert minor(m, sig, "e1", "contract")[0] is not sub
+    flipped = minor(m, sig.flipped("circuits"), "e1", "delete")[1]
+    assert set(flipped.circuits) == {tuple(-x for x in v) for v in ind.circuits}
+    with pytest.raises(ValueError):
+        m.minor_matroid("e1", "shrink")
+    with pytest.raises(KeyError):
+        m.minor_matroid("e9", "delete")
+
+
+def test_conjecture_search_builds_each_minor_once(monkeypatch):
+    # one sweep over the graphic matroids with at most 4 edges: each minor
+    # (matroid, element, op) is built once for all four variants, and each
+    # (matroid or minor, variant) still gets its own bby_table with both checks
+    built, minors, tables = [], [], []
+    init, build_minor, table = RegularMatroid.__init__, RegularMatroid.minor_matroid, matroid.bby_table
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)  # kept alive, so no id is reused
+        init(self, *args, **kwargs)
+
+    def counting_minor(self, e, op):
+        if (e, op) not in self._minors:
+            minors.append((id(self), e, op))
+        return build_minor(self, e, op)
+
+    def counting_table(m, pair):
+        tables.append(id(m))
+        return table(m, pair)
+
+    monkeypatch.setattr(RegularMatroid, "__init__", counting_init)
+    monkeypatch.setattr(RegularMatroid, "minor_matroid", counting_minor)
+    monkeypatch.setattr(matroid, "bby_table", counting_table)
+    report = matroid.conjecture_search(4)
+    assert (report["instances"], report["checked"], report["findings"]) == (80, 1144, [])
+    assert len(minors) == len(set(minors)) == 87
+    assert len(built) == 20 + 87  # was 20 + 4 * 87 with a minor built per variant
+    assert len(tables) == 4 * len(built)
+
+
+def test_flipped_minor_signature_is_caught(worked_matroid, monkeypatch):
+    # negative control: the contraction of e1 gets the circuit signature of
+    # the flipped variant, so its acts no longer match the matroid's
+    m = worked_matroid
+    sig = default_signatures(m)
+    clean = verify_matroid_consistency(m, sig)
+    assert clean["violations"] == []
+    true_minor = matroid.minor
+
+    def skewed_minor(mm, pair, e, op):
+        sub, induced = true_minor(mm, pair, e, op)
+        if (e, op) == ("e1", "contract"):
+            induced = induced.flipped("circuits")
+        return sub, induced
+
+    monkeypatch.setattr(matroid, "minor", skewed_minor)
+    rep = verify_matroid_consistency(m, sig)
+    assert rep["checked"] == clean["checked"]
+    assert {(v["condition"], v["element"]) for v in rep["violations"]} == {(1, "e1")}
+    assert len(rep["violations"]) == 9
