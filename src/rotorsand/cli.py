@@ -199,7 +199,7 @@ def cmd_reduce(args):
     g = _load_graph(args.graph)
     _require_connected(g)
     d = _load_divisor(args.divisor, g)
-    q = args.sink if args.sink else g.vertices[0]
+    q = g.vertices[0] if args.sink is None else args.sink
     _require_vertex(g, q, "sink")
     _emit({"reduced": sandpile.reduce(g, d, q).to_dict(), "sink": q})
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import InvariantViolation
+
 
 def det(matrix) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
@@ -100,7 +102,8 @@ class ColumnLattice:
 
     Stored as a column-style Hermite basis: pivots on strictly increasing
     rows, positive, with entries to their right reduced into [0, pivot).
-    Supports exact membership tests and a canonical coset representative.
+    Supports exact membership tests, a canonical coset representative and,
+    at full rank, the numbering of every coset (``cosets``).
     """
 
     def __init__(self, dim: int, columns):
@@ -144,6 +147,30 @@ class ColumnLattice:
         if self.lattice_rank != self.dim:
             raise ValueError("canonical reduction needs a full-rank lattice")
         return tuple(self._eliminate(vector))
+
+    def cosets(self) -> tuple[dict, tuple[tuple[int, ...], ...]]:
+        """(index, succ): every coset of the full-rank lattice numbered once.
+
+        Breadth-first from 0 by adding unit vectors to reduced keys: index
+        maps each coset's ``reduce`` key to its number, in the order found,
+        and succ[i][j] is the number of key i plus the j-th unit vector.  The
+        unit vectors generate Z^n, so the closure reaches every coset; that
+        it finds exactly ``index_in_ambient()`` of them is asserted.
+        """
+        zero = self.reduce([0] * self.dim)
+        keys, index, succ = [zero], {zero: 0}, []
+        for key in keys:  # keys grows as new cosets turn up
+            row = []
+            for j in range(self.dim):
+                nxt = self.reduce(key[:j] + (key[j] + 1,) + key[j + 1 :])
+                if nxt not in index:
+                    index[nxt] = len(keys)
+                    keys.append(nxt)
+                row.append(index[nxt])
+            succ.append(tuple(row))
+        if len(keys) != self.index_in_ambient():
+            raise InvariantViolation("coset closure disagrees with the lattice index")
+        return index, tuple(succ)
 
 
 def _hermite_columns(dim, cols):

@@ -14,7 +14,8 @@ The BBY action tags each basis with the 0/1 vector of fundamental-circuit
 and fundamental-cocircuit signs picked by a pair of acyclic signatures, and
 acts by translation on the classes of those vectors.  Each matroid numbers
 its classes once, with the class of each representative plus each unit
-vector, so the consistency harness reads every act off that table.
+vector (``ColumnLattice.cosets``, the closure the sandpile classes also
+use), so the consistency harness reads every act off that table.
 """
 
 from __future__ import annotations
@@ -220,27 +221,11 @@ class RegularMatroid:
     def group_order(self) -> int:
         return self.lattice().index_in_ambient()
 
-    def class_table(self) -> tuple[dict, list[list[int]]]:
-        """(index, succ): every class of Z^E/L numbered once, breadth-first
-        from class_of(0), with succ[i][j] the number of class_of(rep_i + e_j).
-
-        The unit vectors generate Z^E, so the closure reaches every class.
-        """
+    def class_table(self) -> tuple[dict, tuple[tuple[int, ...], ...]]:
+        """The lattice's ``cosets()`` closure, built once per matroid: (index,
+        succ), with succ[i][j] the number of class_of(rep_i + e_j)."""
         if self._classes is None:
-            zero = self.class_of([0] * self.size)
-            reps, index, succ = [zero], {zero: 0}, []
-            for rep in reps:  # reps grows as new classes turn up
-                row = []
-                for j in range(self.size):
-                    key = self.class_of(rep[:j] + (rep[j] + 1,) + rep[j + 1 :])
-                    if key not in index:
-                        index[key] = len(reps)
-                        reps.append(key)
-                    row.append(index[key])
-                succ.append(row)
-            if len(reps) != self.group_order():
-                raise InvariantViolation("class closure misses part of the group")
-            self._classes = index, succ
+            self._classes = self.lattice().cosets()
         return self._classes
 
     # -- single-element minors ----------------------------------------------

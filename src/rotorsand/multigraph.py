@@ -256,32 +256,6 @@ class Multigraph:
             parent[a] = b
         return True
 
-    def tree_path(self, tree, start: str, goal: str) -> list[str]:
-        """Edge sequence of the unique tree path from start to goal."""
-        tree = frozenset(tree)
-        prev = {start: None}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x == goal:
-                break
-            for e in self._incident[x]:
-                if e in tree:
-                    y = self.other(e, x)
-                    if y not in prev:
-                        prev[y] = (e, x)
-                        stack.append(y)
-        if goal not in prev:
-            raise ValueError("goal not reached along tree")
-        path = []
-        x = goal
-        while prev[x] is not None:
-            e, p = prev[x]
-            path.append(e)
-            x = p
-        path.reverse()
-        return path
-
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -40,11 +40,6 @@ class RibbonIsomorphism(NamedTuple):
 
     vertex_map: dict
     edge_map: dict
-
-    def __hash__(self):
-        return hash(
-            (tuple(sorted(self.vertex_map.items())), tuple(sorted(self.edge_map.items())))
-        )
 
 
 class SideClassification(NamedTuple):
@@ -205,72 +200,33 @@ class RibbonGraph:
 
     # -- isomorphism ---------------------------------------------------------
 
-    def isomorphisms(self, other: "RibbonGraph"):
-        """Yield every ribbon isomorphism onto other (dart-anchored search)."""
-        ga, gb = self.graph, other.graph
-        if len(ga.vertices) != len(gb.vertices) or len(ga.edges) != len(gb.edges):
-            return
-        if not ga.edges:
-            for vperm in permutations(gb.vertices):
-                yield RibbonIsomorphism(dict(zip(ga.vertices, vperm)), {})
-            return
-        e0 = ga.edges[0]
-        v0 = ga.ends(e0)[0]
-        seen = set()
-        for eb in gb.edges:
-            for vb in gb.ends(eb):
-                iso = self._match_from(other, (v0, e0), (vb, eb))
-                if iso is not None and iso not in seen:
-                    seen.add(iso)
-                    yield iso
+    def isomorphisms(self, other: "RibbonGraph") -> list[RibbonIsomorphism]:
+        """Every ribbon isomorphism onto other, each once.
 
-    def _match_from(self, other, anchor_a, anchor_b):
-        ga, gb = self.graph, other.graph
-        vmap = {anchor_a[0]: anchor_b[0]}
-        emap = {anchor_a[1]: anchor_b[1]}
-        stack = [anchor_a]
-        done = set()
-        while stack:
-            v, e = stack.pop()
-            if (v, e) in done:
-                continue
-            done.add((v, e))
-            if len(self.rotation[v]) != len(other.rotation[vmap[v]]):
-                return None
-            # walk the rotation at v in lockstep
-            ea, eb = e, emap[e]
-            for _ in range(len(self.rotation[v])):
-                na, nb = self.next_edge(v, ea), other.next_edge(vmap[v], eb)
-                if na in emap:
-                    if emap[na] != nb:
-                        return None
-                else:
-                    emap[na] = nb
-                wa, wb = ga.other(na, v), gb.other(nb, vmap[v])
-                if wa in vmap:
-                    if vmap[wa] != wb:
-                        return None
-                else:
-                    vmap[wa] = wb
-                stack.append((wa, na))
-                ea, eb = na, nb
-        if len(vmap) != len(ga.vertices) or len(emap) != len(ga.edges):
-            return None
-        if len(set(vmap.values())) != len(vmap) or len(set(emap.values())) != len(emap):
-            return None
-        iso = RibbonIsomorphism(vmap, emap)
-        return iso if is_ribbon_isomorphism(self, other, iso) else None
+        The image of one dart fixes an isomorphism, and an isomorphism sends
+        this map's first minimal anchor to one of other's, so pairing this
+        map's first canonical order with each of other's orders
+        (``labelling_isomorphism``) gives them all.  A map split into
+        components raises ValueError, as ``canonical_labelling`` does.
+        """
+        if not (self.graph.is_connected() and other.graph.is_connected()):
+            raise ValueError("isomorphisms need maps in one component")
+        code, orders = self.canonical_labelling()
+        other_code, other_orders = other.canonical_labelling()
+        if code != other_code:
+            return []
+        return [labelling_isomorphism(self, orders[0], other, o) for o in other_orders]
 
-    def canonical_labelling(self) -> tuple[tuple, tuple[int, ...]]:
-        """The canonical code and the dart order that reaches it.
+    def canonical_labelling(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+        """The canonical code and every dart order that reaches it.
 
         Minimum over anchor darts of a breadth-first relabeling of the
         (rotation, edge-involution) permutation pair, found by advancing all
-        anchors in lockstep and dropping each at its first larger entry; the
-        order lists the darts by their new labels from the first minimal
-        anchor.  Equal codes mean ribbon-isomorphic maps, and pairing their
-        orders position by position is an isomorphism
-        (``labelling_isomorphism``).
+        anchors in lockstep and dropping each at its first larger entry; each
+        order lists the darts by their new labels from one minimal anchor,
+        the first minimal anchor's order first.  Equal codes mean
+        ribbon-isomorphic maps, and pairing two of their orders position by
+        position is an isomorphism (``labelling_isomorphism``).
         """
         return canonical_labelling(self.sigma, len(self.graph.vertices))
 
@@ -316,7 +272,7 @@ def face_orbits(sigma) -> list[list[int]]:
     return out
 
 
-def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[int, ...]]:
+def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
     """``RibbonGraph.canonical_labelling`` of the map with rotation sigma.
 
     The catalog calls this on rotation systems it has not built as
@@ -326,13 +282,15 @@ def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[int, ...
     its edge twin (new darts get the next label), and keeps only the anchors
     whose pair is least, in anchor order.  Leaf darts, whose first pair is
     (0, 1), are the only anchors when there are any.  Once one anchor is
-    left, its labelling finishes without comparisons.  A map whose darts
-    lie in more than one component raises ValueError: the walk from one
-    anchor would describe only its own component.
+    left, its labelling finishes without comparisons; anchors that tie to
+    the end have each labelled every dart, and all their orders come back,
+    in anchor order.  A map whose darts lie in more than one component
+    raises ValueError: the walk from one anchor would describe only its own
+    component.
     """
     n = len(sigma)
     if not n:
-        return (vertex_count,), ()
+        return (vertex_count,), ((),)
     runs = []  # (labels, order) of each surviving anchor
     for a in [d for d in range(n) if sigma[d] == d] or range(n):
         labels = [-1] * n
@@ -381,7 +339,7 @@ def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[int, ...
         enc += x, y
     if len(order) != n:
         raise ValueError("canonical labelling needs the darts in one component")
-    return (vertex_count, *enc), tuple(order)
+    return (vertex_count, *enc), tuple(tuple(order) for _, order in runs)
 
 
 def is_ribbon_isomorphism(a: RibbonGraph, b: RibbonGraph, iso: RibbonIsomorphism) -> bool:

@@ -316,32 +316,28 @@ def tree_count(g: Multigraph) -> int:
     return abs(det(reduced_laplacian(g)))
 
 
-def enumerate_classes(g: Multigraph, succ=None) -> list[Divisor]:
-    """One representative of every sandpile class, in a fixed order.
+@lru_cache(maxsize=64)
+def enumerate_classes(g: Multigraph) -> tuple[tuple[Divisor, ...], tuple[tuple[int, ...], ...]]:
+    """(classes, succ): one representative of every sandpile class, in a
+    fixed order, and the closure's Cayley table.
 
-    Breadth-first closure of the zero class under adding the generators
-    [v - q], q = vertices[0].  Each class is represented by the first
-    generator sum that reaches it, so every representative is nonnegative
-    off q; it need not be q-reduced.  The count must match the lattice
-    index, the number of spanning trees, which is asserted.  A list passed
-    as succ receives the closure's Cayley table: succ[i][k] is the index of
-    the class of classes[i] + [vertices[k + 1] - q].
+    The cosets of the reduced-Laplacian lattice, numbered breadth-first from
+    the zero class by adding the generators [v - q], q = vertices[0]
+    (``ColumnLattice.cosets``): succ[i][k] is the index of the class of
+    classes[i] + [vertices[k + 1] - q].  Each class is represented by the sum
+    of generators along the word that first reaches it, so every
+    representative is nonnegative off q; it need not be q-reduced.  The count
+    is the lattice index, the number of spanning trees.  Cached per graph for
+    the few verifiers that read one graph's classes in turn.
     """
-    q = g.vertices[0]
-    gens = [chip(v, q) for v in g.vertices[1:]]
-    order = [Divisor({})]
-    seen = {canonical_class(g, order[0]): 0}
-    for d in order:
-        row = []
-        for gen in gens:
-            c = d + gen
-            key = canonical_class(g, c)
-            if key not in seen:
-                seen[key] = len(order)
-                order.append(c)
-            row.append(seen[key])
-        if succ is not None:
-            succ.append(tuple(row))
-    if len(order) != _class_lattice(g).index_in_ambient():
-        raise InvariantViolation("class enumeration disagrees with the group order")
-    return order
+    q, rest = g.vertices[0], g.vertices[1:]
+    _, succ = _class_lattice(g).cosets()
+    chips = [None] * len(succ)  # each representative's chips off q
+    chips[0] = (0,) * len(rest)
+    for i, row in enumerate(succ):
+        c = chips[i]
+        for k, j in enumerate(row):
+            if chips[j] is None:
+                chips[j] = c[:k] + (c[k] + 1,) + c[k + 1 :]
+    classes = tuple(Divisor({q: -sum(c), **dict(zip(rest, c))}) for c in chips)
+    return classes, succ

@@ -7,10 +7,12 @@ given.  Three companion actions come from reversing the rotation, negating
 the class, or both.  The verifiers read an action as permutations of tree
 indices, trees numbered in ``spanning_trees()`` order: one row per single
 chip at a sink, routing every tree once, and one row per class, composed
-from the generator rows along the words ``sandpile.enumerate_classes`` finds.
-Every composed row a verifier uses is checked once against routing the
-class's burning-reduced representative.  The verifiers check the torsor
-axioms, independence of the sink choice, and compatibility with
+from the generator rows along the words of the class closure
+(``sandpile.enumerate_classes``, the lattice's ``cosets`` closure, cached
+per graph, so ``TorsorAction.table`` and the verifiers each read it without
+handing it on).  Every composed row a verifier uses is checked once against
+routing the class's burning-reduced representative.  The verifiers check
+the torsor axioms, independence of the sink choice, and compatibility with
 contraction, deletion and cut vertices, exhaustively over whatever
 instances they are handed; the consistency check reads each minor's rows
 through a sweep-wide cache keyed by canonical code.
@@ -147,18 +149,15 @@ class TorsorAction:
         if route_divisor(self._routing_rg, self._trees[0], rd, q) != self._trees[row[0]]:
             raise InvariantViolation(f"composed row of {d.to_dict()} disagrees with routing")
 
-    def table(self, classes=None, succ=None, s=None) -> list:
-        """Each class's tree-index row at sink s, in the order of classes.
+    def table(self, s=None) -> list:
+        """Each class's tree-index row at sink s, in the order of
+        ``sandpile.enumerate_classes``; s defaults to vertices[0].
 
-        classes and succ are ``sandpile.enumerate_classes`` and its closure,
-        both computed when succ is not given; s defaults to vertices[0].
         Rows compose the generator rows at s along the closure's words.  At
         vertices[0] each row is checked once against routing.
         """
         g = self.graph
-        if succ is None:
-            succ = []
-            classes = sandpile.enumerate_classes(g, succ)
+        classes, succ = sandpile.enumerate_classes(g)
         q = g.vertices[0]
         gens = self._generators(q if s is None else s)
         rows = _along_words(succ, gens[1:], len(gens[0]))
@@ -205,12 +204,11 @@ def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Repor
     along the closure of enumerate_classes, not keyed again.
     """
     g = rg.graph
-    succ = []
-    classes = sandpile.enumerate_classes(g, succ)
+    classes, succ = sandpile.enumerate_classes(g)
     trees = g.spanning_trees()
     n = len(trees)
     if act is None:
-        rows = TorsorAction(rg, variant).table(classes, succ)
+        rows = TorsorAction(rg, variant).table()
     else:
         index = {t: i for i, t in enumerate(trees)}
         rows = [tuple([index[act(d, t)] for t in trees]) for d in classes]
@@ -268,14 +266,13 @@ def verify_sink_invariance(rg: RibbonGraph) -> Report:
     """
     g = rg.graph
     action = TorsorAction(rg, require_plane=False)
-    succ = []
-    classes = sandpile.enumerate_classes(g, succ)
+    classes, _ = sandpile.enumerate_classes(g)
     trees = g.spanning_trees()
     rep = Report()
     base = g.vertices[0]
-    expected = action.table(classes, succ)
+    expected = action.table()
     for s in g.vertices[1:]:
-        for d, r0, r in zip(classes, expected, action.table(classes, succ, s)):
+        for d, r0, r in zip(classes, expected, action.table(s)):
             rep.checked += len(trees)
             if r0 == r:
                 continue
@@ -299,15 +296,15 @@ def _representative(minor: RibbonGraph, variant_tag: str):
     representative.  verify_sink_invariance re-proves that independence on
     the catalog.
     """
-    code, order = minor.canonical_labelling()
+    code, orders = minor.canonical_labelling()
     key = (code, variant_tag)
     if key not in _minor_actions:
         if len(_minor_actions) >= MINOR_CACHE_LIMIT:
             _minor_actions.clear()
         index = {t: i for i, t in enumerate(minor.graph.spanning_trees())}
-        _minor_actions[key] = (order, TorsorAction(minor, variant_tag), index)
+        _minor_actions[key] = (orders[0], TorsorAction(minor, variant_tag), index)
     rep_order, action, index = _minor_actions[key]
-    return action, labelling_isomorphism(minor, order, action.rg, rep_order), index
+    return action, labelling_isomorphism(minor, orders[0], action.rg, rep_order), index
 
 
 def verify_consistency(
@@ -412,6 +409,4 @@ def verify_consistency(
 
 def distinct_variant_count(rg: RibbonGraph) -> int:
     """How many of the four companion actions differ as full action tables."""
-    succ = []
-    classes = sandpile.enumerate_classes(rg.graph, succ)
-    return len({tuple(TorsorAction(rg, tag).table(classes, succ)) for tag in VARIANTS})
+    return len({tuple(TorsorAction(rg, tag).table()) for tag in VARIANTS})

@@ -469,6 +469,15 @@ def test_unknown_reduce_sink_is_input_error(triangle_files, tmp_path, capsys):
     assert out.out == "" and "zz" in out.err
 
 
+def test_empty_reduce_sink_is_input_error(triangle_files, tmp_path, capsys):
+    # an empty id names no vertex; it does not fall back to the first one
+    dpath = _write(tmp_path, "divisor", {"a": 1, "b": -1})
+    argv = ["reduce", "--graph", triangle_files["graph"], "--divisor", dpath, "--sink", ""]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unknown sink ''" in out.err
+
+
 # Verdicts of the sweeps at small sizes; a refactor that changes what a suite
 # covers changes these counts.
 VERIFY_VERDICTS = [
@@ -614,6 +623,26 @@ def test_verify_start_up_loads_only_what_it_runs():
         rc, *loaded = out.stdout.split()
         assert rc == "0" and needed in loaded, suite
         assert [name for name in absent if name in loaded] == [], suite
+
+
+def test_runtime_loads_only_the_standard_library():
+    # the modules that importing the package's entry points, and running
+    # every verify suite, add to those the interpreter started with; a diff,
+    # because site hooks may load third-party modules at start-up
+    code = (
+        "import sys, contextlib, io\n"
+        "before = set(sys.modules)\n"
+        "import rotorsand.cli, rotorsand.moves, rotorsand.matroid, rotorsand.lp\n"
+        "from rotorsand import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', s, '--max-edges', '2', '--workers', '1']) for s in cli.SUITES]\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*codes, '|', *sorted(added - set(sys.stdlib_module_names)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
+    codes, added = out.stdout.split("|")
+    assert codes.split() == ["0"] * len(cli.SUITES)
+    assert added.split() == ["rotorsand"]
 
 
 def test_package_re_exports_resolve_on_access():

@@ -7,7 +7,8 @@ import pytest
 
 from rotorsand import matroid, sandpile
 from rotorsand.catalog import connected_multigraphs
-from rotorsand.intlinalg import rank
+from rotorsand.errors import InvariantViolation
+from rotorsand.intlinalg import ColumnLattice, rank
 from rotorsand.lp import separating_functional
 from rotorsand.matroid import (
     BBY_VARIANTS,
@@ -447,16 +448,32 @@ def test_bby_acts_pinned():
     assert digest.hexdigest() == ACT_5_SHA256
 
 
-def test_class_table_steps_are_reductions(worked_matroid):
+def test_class_table_steps_are_reductions(worked_matroid, fig_graph):
+    # the matroid's class table, and the same closure on a graph's
+    # reduced-Laplacian lattice
     m = worked_matroid
-    index, succ = m.class_table()
-    reps = sorted(index, key=index.get)
-    assert len(reps) == len(succ) == m.group_order() == 8
-    assert reps[0] == m.class_of([0] * m.size)
-    for i, rep in enumerate(reps):
-        for j in range(m.size):
-            step = [x + (k == j) for k, x in enumerate(rep)]
-            assert succ[i][j] == index[m.class_of(step)]
+    assert m.group_order() == 8
+    lap = sandpile._class_lattice(fig_graph)
+    for lattice, (index, succ) in ((m.lattice(), m.class_table()), (lap, lap.cosets())):
+        reps = sorted(index, key=index.get)
+        assert len(reps) == len(succ) == lattice.index_in_ambient()
+        assert reps[0] == lattice.reduce([0] * lattice.dim)
+        for i, rep in enumerate(reps):
+            for j in range(lattice.dim):
+                step = [x + (k == j) for k, x in enumerate(rep)]
+                assert succ[i][j] == index[lattice.reduce(step)]
+    assert len(lap.cosets()[0]) == sandpile.tree_count(fig_graph)
+
+
+def test_class_closure_count_is_checked(worked_matroid, fig_graph, monkeypatch):
+    # a closure that stops short of the lattice index is an invariant
+    # violation, for the sandpile classes and for the matroid's
+    monkeypatch.setattr(ColumnLattice, "index_in_ambient", lambda self: 10**6)
+    sandpile.enumerate_classes.cache_clear()
+    with pytest.raises(InvariantViolation, match="coset closure"):
+        sandpile.enumerate_classes(fig_graph)
+    with pytest.raises(InvariantViolation, match="coset closure"):
+        bby_action(worked_matroid, default_signatures(worked_matroid))
 
 
 def test_minor_matroids_are_cached_per_element_and_op(worked_matroid):

@@ -21,7 +21,7 @@ from rotorsand.moves import (
     telescope,
     verify_telescope_equivalence,
 )
-from rotorsand.rotor import route_chip
+from rotorsand.rotor import route_chip, tree_to_rotors
 from rotorsand.sandpile import chip
 from rotorsand.torsor import TorsorAction
 
@@ -30,10 +30,10 @@ def precedes(g: Multigraph, tree, root: str, a: str, b: str) -> bool:
     """Is b on the tree path from a to the root (strictly)?"""
     if a == b:
         return False
-    path = g.tree_path(tree, a, root)
+    rotors = tree_to_rotors(g, tree, root)
     at = a
-    for e in path:
-        at = g.other(e, at)
+    while at != root:
+        at = g.other(rotors[at], at)
         if at == b:
             return True
     return False

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from rotorsand.ribbon import (
     is_ribbon_isomorphism,
     labelling_isomorphism,
 )
+from rotorsand.rotor import tree_to_rotors
 
 
 def e3_plane():
@@ -118,7 +120,7 @@ def test_reverse_preserves_planarity():
 
 def find_isomorphism(a, b):
     """Some ribbon isomorphism from a onto b, or None."""
-    return next(a.isomorphisms(b), None)
+    return next(iter(a.isomorphisms(b)), None)
 
 
 def test_reversed_triple_edge_is_isomorphic_by_vertex_swap():
@@ -186,8 +188,8 @@ def test_labelling_isomorphism_onto_relabelled_copies():
     moved = 0
     for rg in ribbon_graphs(5):
         other = relabeled_copy(rg, rng)
-        code, order = rg.canonical_labelling()
-        code2, order2 = other.canonical_labelling()
+        code, (order, *_) = rg.canonical_labelling()
+        code2, (order2, *_) = other.canonical_labelling()
         assert code == code2 == rg.canonical_form()
         assert sorted(order) == list(range(len(rg.sigma)))
         iso = labelling_isomorphism(rg, order, other, order2)
@@ -195,6 +197,12 @@ def test_labelling_isomorphism_onto_relabelled_copies():
         assert is_ribbon_isomorphism(other, rg, labelling_isomorphism(other, order2, rg, order))
         moved += order != order2
     assert moved > 0
+
+
+def first_order(labelling):
+    """A canonical labelling cut down to its code and its first order."""
+    code, orders = labelling
+    return code, orders[0]
 
 
 def full_encoding_labelling(rg):
@@ -218,7 +226,7 @@ def full_encoding_labelling(rg):
 
 def test_canonical_labelling_matches_full_encoding():
     for rg in ribbon_graphs(5):
-        assert rg.canonical_labelling() == full_encoding_labelling(rg), rg
+        assert first_order(rg.canonical_labelling()) == full_encoding_labelling(rg), rg
 
 
 def anchor_labelling(sigma, vertex_count):
@@ -256,11 +264,99 @@ def anchor_code(sigma, start, best):
     return None if tied else (enc, order)
 
 
+def anchored_isomorphisms(a, b):
+    """RibbonGraph.isomorphisms as it was before it read the canonical
+    labelling: anchor a's first edge at its lower end, try every (edge, end)
+    of b as its image, and walk both rotations in lockstep from there."""
+    ga, gb = a.graph, b.graph
+    if len(ga.vertices) != len(gb.vertices) or len(ga.edges) != len(gb.edges):
+        return []
+    if not ga.edges:
+        return [RibbonIsomorphism(dict(zip(ga.vertices, p)), {}) for p in permutations(gb.vertices)]
+    e0 = ga.edges[0]
+    found = {}
+    for eb in gb.edges:
+        for vb in gb.ends(eb):
+            iso = anchored_match(a, b, (ga.ends(e0)[0], e0), (vb, eb))
+            if iso is not None:
+                found.setdefault(iso_key(iso), iso)
+    return list(found.values())
+
+
+def anchored_match(a, b, anchor_a, anchor_b):
+    """The isomorphism sending anchor_a's (vertex, edge) to anchor_b's, or None."""
+    ga, gb = a.graph, b.graph
+    vmap = {anchor_a[0]: anchor_b[0]}
+    emap = {anchor_a[1]: anchor_b[1]}
+    stack = [anchor_a]
+    done = set()
+    while stack:
+        v, e = stack.pop()
+        if (v, e) in done:
+            continue
+        done.add((v, e))
+        if len(a.rotation[v]) != len(b.rotation[vmap[v]]):
+            return None
+        ea, eb = e, emap[e]
+        for _ in range(len(a.rotation[v])):
+            na, nb = a.next_edge(v, ea), b.next_edge(vmap[v], eb)
+            if emap.setdefault(na, nb) != nb:
+                return None
+            wa, wb = ga.other(na, v), gb.other(nb, vmap[v])
+            if vmap.setdefault(wa, wb) != wb:
+                return None
+            stack.append((wa, na))
+            ea, eb = na, nb
+    if len(vmap) != len(ga.vertices) or len(emap) != len(ga.edges):
+        return None
+    if len(set(vmap.values())) != len(vmap) or len(set(emap.values())) != len(emap):
+        return None
+    iso = RibbonIsomorphism(vmap, emap)
+    return iso if is_ribbon_isomorphism(a, b, iso) else None
+
+
+def iso_key(iso):
+    return tuple(sorted(iso.vertex_map.items())), tuple(sorted(iso.edge_map.items()))
+
+
+def test_isomorphisms_match_anchored_search():
+    # every map with at most 6 edges onto itself and onto its mirror: the
+    # same isomorphisms as the lockstep walk from one anchored dart, each once
+    pairs = total = 0
+    for rg in ribbon_graphs(6):
+        for other in (rg, rg.reverse()):
+            got = [iso_key(iso) for iso in rg.isomorphisms(other)]
+            assert len(set(got)) == len(got)
+            assert set(got) == {iso_key(iso) for iso in anchored_isomorphisms(rg, other)}
+            pairs += 1
+            total += len(got)
+    assert (pairs, total) == (1398, 1774)
+
+
+def test_isomorphisms_refuse_maps_split_into_components():
+    k2 = {"ab": ("a", "b")}
+    rot = {"a": ("ab",), "b": ("ab",)}
+    whole = RibbonGraph(Multigraph(["a", "b"], k2), rot)
+    # a bridge cut leaves darts on both sides; an isolated vertex leaves none
+    apart = RibbonGraph(
+        Multigraph(list("abcd"), {**k2, "cd": ("c", "d")}), {**rot, "c": ("cd",), "d": ("cd",)}
+    )
+    beside = RibbonGraph(Multigraph(list("abc"), k2), {**rot, "c": ()})
+    for m in (apart, beside):
+        with pytest.raises(ValueError):
+            m.isomorphisms(m)
+        with pytest.raises(ValueError):
+            whole.isomorphisms(m)
+        with pytest.raises(ValueError):
+            m.isomorphisms(whole)
+    assert len(whole.isomorphisms(whole)) == 2
+
+
 def test_lockstep_labelling_matches_anchor_search_on_rotation_products():
     members = 0
     for g in connected_multigraphs(6):
         for _, sigma in catalog._rotation_product(g):
-            assert canonical_labelling(sigma, len(g.vertices)) == anchor_labelling(
+            assert first_order(canonical_labelling(sigma, len(g.vertices))) == anchor_labelling(
                 sigma, len(g.vertices)
             ), sigma
             members += 1
@@ -277,7 +373,7 @@ def test_lockstep_labelling_matches_anchor_search_on_minors():
                 n = len(m.graph.vertices)
                 expected = anchor_labelling(m.sigma, n)
                 if len(expected[1]) == len(m.sigma):
-                    assert m.canonical_labelling() == expected, m.rotation
+                    assert first_order(m.canonical_labelling()) == expected, m.rotation
                 else:
                     split += 1
                     with pytest.raises(ValueError, match="one component"):
@@ -313,8 +409,8 @@ def test_canonical_form_refuses_maps_split_into_components():
 
 
 def test_edgeless_labelling():
-    assert canonical_labelling((), 1) == ((1,), ())
-    assert canonical_labelling((), 2) == ((2,), ())
+    assert canonical_labelling((), 1) == ((1,), ((),))
+    assert canonical_labelling((), 2) == ((2,), ((),))
 
 
 @st.composite
@@ -336,7 +432,7 @@ def relabelled_sigma(draw):
 def test_lockstep_labelling_matches_anchor_search_on_relabelled_maps(case):
     rg, sigma = case
     n = len(rg.graph.vertices)
-    code, order = canonical_labelling(sigma, n)
+    code, order = first_order(canonical_labelling(sigma, n))
     assert (code, order) == anchor_labelling(sigma, n)
     assert code == rg.canonical_form()
 
@@ -375,12 +471,13 @@ def test_classify_sides_partitions_and_swaps():
             if f in t:
                 continue
             u, w = g.ends(f)
-            path = g.tree_path(t, w, u)
+            # the tree path from w to u, along the rotors that point to u
+            rotors = tree_to_rotors(g, t, u)
             cyc = []
             at = w
-            for e in path:
-                cyc.append((at, e))
-                at = g.other(e, at)
+            while at != u:
+                cyc.append((at, rotors[at]))
+                at = g.other(rotors[at], at)
             cyc.append((u, f))
             sides = classify_sides(rg, cyc)
             cyc_edges = {e for _, e in cyc}

@@ -270,9 +270,43 @@ def test_double_chip_can_vanish_between_degree_two_vertices(fig_graph):
 
 def test_enumerate_classes_sizes():
     for g in connected_multigraphs(5):
-        classes = sandpile.enumerate_classes(g)
+        classes, _ = sandpile.enumerate_classes(g)
         assert len(classes) == sandpile.group_structure(g).order
         assert len(set(classes)) == len(classes)
+
+
+def reference_classes(g):
+    """enumerate_classes as it was before it ran on the lattice's cosets:
+    the breadth-first closure of the zero class over divisor sums, each sum
+    keyed by canonical_class, and the closure's Cayley table."""
+    q = g.vertices[0]
+    gens = [chip(v, q) for v in g.vertices[1:]]
+    order = [Divisor({})]
+    seen = {sandpile.canonical_class(g, order[0]): 0}
+    succ = []
+    for d in order:
+        row = []
+        for gen in gens:
+            c = d + gen
+            key = sandpile.canonical_class(g, c)
+            if key not in seen:
+                seen[key] = len(order)
+                order.append(c)
+            row.append(seen[key])
+        succ.append(tuple(row))
+    return order, succ
+
+
+def test_class_closure_matches_divisor_closure():
+    # the same representatives, in the same order, and the same Cayley table
+    graphs = classes = 0
+    for g in connected_multigraphs(6):
+        got, succ = sandpile.enumerate_classes(g)
+        order, ref_succ = reference_classes(g)
+        assert list(got) == order and list(succ) == ref_succ, g.to_json()
+        graphs += 1
+        classes += len(order)
+    assert (graphs, classes) == (156, 688)
 
 
 def test_move_to_sink_requires_degree_zero(triangle):
@@ -287,7 +321,7 @@ def test_lattice_keys_split_like_burning():
     rng = random.Random(11)
     for g in dict.fromkeys(rg.graph for rg in plane_graphs(6)):
         q = g.vertices[0]
-        classes = sandpile.enumerate_classes(g)
+        classes, _ = sandpile.enumerate_classes(g)
         assert all(d[v] >= 0 for d in classes for v in g.vertices[1:])
         divs = list(classes)
         divs += [sandpile.fire(g, d, rng.choice(g.vertices)) for d in classes]
