@@ -12,10 +12,13 @@ coset representatives from a Hermite basis.
 
 The BBY action tags each basis with the 0/1 vector of fundamental-circuit
 and fundamental-cocircuit signs picked by a pair of acyclic signatures, and
-acts by translation on the classes of those vectors.  Each matroid numbers
-its classes once, with the class of each representative plus each unit
-vector (``ColumnLattice.cosets``, the closure the sandpile classes also
-use), so the consistency harness reads every act off that table.
+acts by translation on the classes of those vectors.  Its three companions
+negate every circuit, every cocircuit or both, which flips the tag bits
+outside the basis, inside it or both (``BBY_VARIANTS``), so all four share
+one pair and, in the consistency harness, one induced pair per minor.  Each
+matroid numbers its classes once, with the class of each representative
+plus each unit vector (``ColumnLattice.cosets``, the closure the sandpile
+classes also use), so the harness reads every act off that table.
 """
 
 from __future__ import annotations
@@ -308,13 +311,6 @@ class SignaturePair(NamedTuple):
     circuits: tuple[tuple[int, ...], ...]
     cocircuits: tuple[tuple[int, ...], ...]
 
-    def flipped(self, which: str) -> "SignaturePair":
-        if which == "circuits":
-            return SignaturePair(tuple(_neg(v) for v in self.circuits), self.cocircuits)
-        if which == "cocircuits":
-            return SignaturePair(self.circuits, tuple(_neg(v) for v in self.cocircuits))
-        raise ValueError("which must be 'circuits' or 'cocircuits'")
-
     def to_obj(self) -> dict:
         return {
             "circuits": [list(v) for v in self.circuits],
@@ -379,12 +375,28 @@ def bby_vector(m: RegularMatroid, pair: SignaturePair, basis: frozenset) -> tupl
     return tuple(out)
 
 
-def bby_table(m: RegularMatroid, pair: SignaturePair) -> dict:
-    """class representative -> basis; a bijection by the torsor theorem."""
+# variant -> (negate every circuit, negate every cocircuit) of the pair
+BBY_VARIANTS = {
+    "bby": (False, False),
+    "bby_flip_circuits": (True, False),
+    "bby_flip_both": (True, True),
+    "bby_flip_cocircuits": (False, True),
+}
+
+
+def bby_table(m: RegularMatroid, pair: SignaturePair, variant: str = "bby") -> dict:
+    """class representative -> basis; a bijection by the torsor theorem.
+
+    The variant's tags are the pair's with the bits outside the basis
+    (negated circuits), inside it (negated cocircuits) or both flipped: each
+    bit is the sign of one fundamental vector's own entry.
+    """
+    flips = BBY_VARIANTS[variant]  # indexed by membership in the basis
     table = {}
     lookup = SignaturePair(frozenset(pair.circuits), frozenset(pair.cocircuits))  # O(1) _oriented
     for b in m.bases():
-        key = m.class_of(bby_vector(m, lookup, b))
+        tag = bby_vector(m, lookup, b)
+        key = m.class_of([x ^ flips[e in b] for e, x in zip(m.labels, tag)])
         if key in table:
             raise InvariantViolation("two bases share a class")
         table[key] = b
@@ -393,15 +405,16 @@ def bby_table(m: RegularMatroid, pair: SignaturePair) -> dict:
     return table
 
 
-def bby_action(m: RegularMatroid, pair: SignaturePair):
-    """act(j, b): the basis that the class of the j-th unit vector sends b to.
+def bby_action(m: RegularMatroid, pair: SignaturePair, variant: str = "bby"):
+    """act(j, b): the basis that the class of the j-th unit vector sends b to
+    under the variant.
 
     One bby_table, with its checks, per call; each act is then a lookup in
     the matroid's class table, with no reduction.
     """
     index, succ = m.class_table()
     at, basis_at = {}, [None] * len(succ)
-    for key, b in bby_table(m, pair).items():
+    for key, b in bby_table(m, pair, variant).items():
         at[b] = i = index[key]
         basis_at[i] = b
 
@@ -419,21 +432,6 @@ def bby_act(m: RegularMatroid, pair: SignaturePair, vector, basis: frozenset) ->
     if key not in table:
         raise InvariantViolation("translated class has no basis")
     return table[key]
-
-
-BBY_VARIANTS = ("bby", "bby_flip_circuits", "bby_flip_both", "bby_flip_cocircuits")
-
-
-def variant_pair(pair: SignaturePair, tag: str) -> SignaturePair:
-    if tag == "bby":
-        return pair
-    if tag == "bby_flip_circuits":
-        return pair.flipped("circuits")
-    if tag == "bby_flip_cocircuits":
-        return pair.flipped("cocircuits")
-    if tag == "bby_flip_both":
-        return pair.flipped("circuits").flipped("cocircuits")
-    raise ValueError(f"unknown variant {tag!r}")
 
 
 # -- minors -------------------------------------------------------------------
@@ -498,42 +496,54 @@ def verify_matroid_consistency(
     minor matroids and class tables are cached on m, so calls for the other
     variants rebuild neither.
     """
-    sig = variant_pair(pair, variant_tag)
-    report = {"checked": 0, "violations": [], "variant": variant_tag}
-    act_top = bby_action(m, sig)
-    minors = {}
+    return _consistency_reports(m, pair, (variant_tag,))[0]
 
-    def get_minor(e, op):
+
+def _consistency_reports(m: RegularMatroid, pair: SignaturePair, tags) -> list[dict]:
+    """verify_matroid_consistency's report for each variant, from one pass.
+
+    Each (e, op) minor and its induced pair are built from the base pair
+    once, on first use, and serve every variant: the induced pair of a
+    negated family is the negated induced pair, so a variant's minor table
+    is the base induced pair's under the same flips.
+    """
+    reports = [{"checked": 0, "violations": [], "variant": tag} for tag in tags]
+    tops = [bby_action(m, pair, tag) for tag in tags]
+    minors, acts = {}, {}
+
+    def minor_action(e, op, tag):
         if (e, op) not in minors:
-            sub, ind = minor(m, sig, e, op)
-            minors[e, op] = sub, bby_action(sub, ind)
-        return minors[e, op]
+            minors[e, op] = minor(m, pair, e, op)
+        if (e, op, tag) not in acts:
+            acts[e, op, tag] = bby_action(*minors[e, op], tag)
+        return minors[e, op][0], acts[e, op, tag]
 
     for j, f in enumerate(m.labels):
         for b in m.bases():
-            b2 = act_top(j, b)
-            for e in m.labels:
-                if e != f and e in b and e in b2:
-                    condition, op, start, expected = 1, "contract", b - {e}, b2 - {e}
-                elif e != f and e not in b and e not in b2:
-                    condition, op, start, expected = 2, "delete", b, b2
-                else:
-                    continue
-                sub, act_sub = get_minor(e, op)
-                got = act_sub(sub._index[f], start)
-                report["checked"] += 1
-                if got != expected:
-                    report["violations"].append(
-                        {
-                            "condition": condition,
-                            "f": f,
-                            "basis": sorted(b),
-                            "element": e,
-                            "expected": sorted(expected),
-                            "actual": sorted(got),
-                        }
-                    )
-    return report
+            for report, act_top in zip(reports, tops):
+                b2 = act_top(j, b)
+                for e in m.labels:
+                    if e != f and e in b and e in b2:
+                        condition, op, start, expected = 1, "contract", b - {e}, b2 - {e}
+                    elif e != f and e not in b and e not in b2:
+                        condition, op, start, expected = 2, "delete", b, b2
+                    else:
+                        continue
+                    sub, act_sub = minor_action(e, op, report["variant"])
+                    got = act_sub(sub._index[f], start)
+                    report["checked"] += 1
+                    if got != expected:
+                        report["violations"].append(
+                            {
+                                "condition": condition,
+                                "f": f,
+                                "basis": sorted(b),
+                                "element": e,
+                                "expected": sorted(expected),
+                                "actual": sorted(got),
+                            }
+                        )
+    return reports
 
 
 def conjecture_search(max_graph_edges: int, include_r10: bool = False) -> dict:
@@ -556,13 +566,11 @@ def conjecture_search(max_graph_edges: int, include_r10: bool = False) -> dict:
 
     report = {"instances": 0, "checked": 0, "findings": []}
     for m, name, tags in cases():
-        pair = default_signatures(m)
-        for tag in tags:
-            rep = verify_matroid_consistency(m, pair, tag)
+        for rep in _consistency_reports(m, default_signatures(m), tags):
             report["instances"] += 1
             report["checked"] += rep["checked"]
             for v in rep["violations"]:
-                report["findings"].append({"matroid": name, "variant": tag, "detail": v})
+                report["findings"].append({"matroid": name, "variant": rep["variant"], "detail": v})
     return report
 
 

@@ -268,30 +268,20 @@ def is_single_step_tree(rg: RibbonGraph, tree, labels: TelescopeLabels) -> bool:
 
     Equivalent to (c - s, T) being single-step from g to f or (s - c, T) a
     reverse pair from f to g; the cross-check against classify_pair is in
-    the tests.
+    the tests.  The tree holds one x-to-s path, the walk from x along the
+    rotors toward s.
     """
     g = rg.graph
     tree = frozenset(tree)
     if (labels.f in tree) == (labels.g in tree):
         return False
-    if labels.x == labels.s:
-        return True
-    sub_edges = {
-        e: g.ends(e)
-        for e in tree
-        if labels.c not in g.ends(e)
-    }
-    sub = Multigraph([v for v in g.vertices if v != labels.c], sub_edges)
-    comp = {labels.x}
-    stack = [labels.x]
-    while stack:
-        v = stack.pop()
-        for e in sub.incident(v):
-            w = sub.other(e, v)
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return labels.s in comp
+    rotors = tree_to_rotors(g, tree, labels.s)
+    v = labels.x
+    while v != labels.s:
+        if v == labels.c:
+            return False
+        v = g.other(rotors[v], v)
+    return True
 
 
 def single_step_trees(rg: RibbonGraph, labels: TelescopeLabels) -> list[frozenset]:

@@ -332,12 +332,24 @@ def enumerate_classes(g: Multigraph) -> tuple[tuple[Divisor, ...], tuple[tuple[i
     """
     q, rest = g.vertices[0], g.vertices[1:]
     _, succ = _class_lattice(g).cosets()
-    chips = [None] * len(succ)  # each representative's chips off q
-    chips[0] = (0,) * len(rest)
-    for i, row in enumerate(succ):
-        c = chips[i]
-        for k, j in enumerate(row):
-            if chips[j] is None:
-                chips[j] = c[:k] + (c[k] + 1,) + c[k + 1 :]
+    # each representative's chips off q
+    chips = along_words(succ, (0,) * len(rest), lambda c, k: c[:k] + (c[k] + 1,) + c[k + 1 :])
     classes = tuple(Divisor({q: -sum(c), **dict(zip(rest, c))}) for c in chips)
     return classes, succ
+
+
+def along_words(succ, first, step) -> list:
+    """A value per class along the words of the closure succ: class 0 gets
+    first, and class j, first reached from class i by generator k, gets
+    step(value of class i, k).
+
+    Classes are visited in closure order, so class i always has its value
+    before any class it first reaches.
+    """
+    out = [None] * len(succ)
+    out[0] = first
+    for i, row in enumerate(succ):
+        for k, j in enumerate(row):
+            if out[j] is None:
+                out[j] = step(out[i], k)
+    return out

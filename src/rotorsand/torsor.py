@@ -1,16 +1,16 @@
 """Sandpile torsor actions on plane ribbon graphs and their verifiers.
 
 The rotor-routing action evaluates a class on a tree by routing its reduced
-representative at the first vertex into that sink, chip by chip; classes are
-memo keys through ``sandpile.canonical_class``, whichever representative is
-given.  Three companion actions come from reversing the rotation, negating
-the class, or both.  The verifiers read an action as permutations of tree
-indices, trees numbered in ``spanning_trees()`` order: one row per single
-chip at a sink, routing every tree once, and one row per class, composed
-from the generator rows along the words of the class closure
-(``sandpile.enumerate_classes``, the lattice's ``cosets`` closure, cached
-per graph, so ``TorsorAction.table`` and the verifiers each read it without
-handing it on).  Every composed row a verifier uses is checked once against
+representative at the first vertex into that sink, chip by chip, whichever
+representative is given.  Three companion actions come from reversing the
+rotation, negating the class, or both.  The verifiers read an action as
+permutations of tree indices, trees numbered in ``spanning_trees()`` order:
+one row per single chip at a sink, routing every tree once, and one row per
+class, composed from the generator rows along the words of the class
+closure (``sandpile.enumerate_classes``, the lattice's ``cosets`` closure,
+cached per graph, so ``TorsorAction.table`` and the verifiers each read it
+without handing it on; ``sandpile.along_words`` is the one walk along those
+words).  Every composed row a verifier uses is checked once against
 routing the class's burning-reduced representative.  The verifiers check
 the torsor axioms, independence of the sink choice, and compatibility with
 contraction, deletion and cut vertices, exhaustively over whatever
@@ -48,32 +48,15 @@ def _inverse(row) -> tuple:
     return tuple(out)
 
 
-def _along_words(succ, gens, size: int) -> list:
-    """Every class's row, the identity first, from generator rows.
-
-    gens[k] acts as [vertices[k + 1] - q].  Class j, which the closure succ
-    of enumerate_classes first reaches from class i by generator k, gets
-    gens[k] after row i: its row follows the chips of its representative.
-    """
-    rows = [None] * len(succ)
-    rows[0] = tuple(range(size))
-    for i, nxt in enumerate(succ):
-        for gen, j in zip(gens, nxt):
-            if rows[j] is None:
-                rows[j] = tuple([gen[x] for x in rows[i]])
-    return rows
-
-
 class TorsorAction:
     """A free transitive action of the sandpile group on spanning trees.
 
     ``variant`` selects among rotor-routing ("r"), its mirror ("rbar",
     rotors turn the other way), its inverse ("rinv", the class is negated),
-    and both ("rbarinv").  ``act`` memoizes per (class, tree), with classes
-    keyed by ``sandpile.canonical_class``; a miss routes the class's reduced
-    representative at the first vertex, which serves as the sink.  Each
-    divisor act sees is keyed once.  The rows the verifiers read are built
-    only when asked for, so a one-shot ``act`` sets up nothing else.
+    and both ("rbarinv").  ``act`` routes the class's reduced representative
+    at the first vertex, which serves as the sink.  The rows the verifiers
+    read are built only when asked for, so a one-shot ``act`` sets up
+    nothing else.
     """
 
     def __init__(self, rg: RibbonGraph, variant: str = "r", require_plane: bool = True):
@@ -84,8 +67,6 @@ class TorsorAction:
         self.rg = rg
         self.variant = variant
         self._routing_rg = rg.reverse() if variant in ("rbar", "rbarinv") else rg
-        self._memo = {}
-        self._keys = {}
         self._trees = None
         self._chips = {}  # sink -> chip rows by vertex position
         self._gens = {}  # sink -> generator rows by vertex position
@@ -104,16 +85,9 @@ class TorsorAction:
         g = self.graph
         if d.degree() != 0:
             raise ValueError("torsor actions act by degree-0 classes")
-        tree = frozenset(tree)
-        if self.variant in INVERSES:
-            d = -d
-        if d not in self._keys:
-            self._keys[d] = sandpile.canonical_class(g, d)
-        key = (self._keys[d], tree)
-        if key not in self._memo:
-            s = g.vertices[0]
-            self._memo[key] = route_divisor(self._routing_rg, tree, sandpile.reduce(g, d, s), s)
-        return self._memo[key]
+        s = g.vertices[0]
+        rd = sandpile.reduce(g, -d if self.variant in INVERSES else d, s)
+        return route_divisor(self._routing_rg, tree, rd, s)
 
     def chip_table(self, c: str, s: str) -> tuple:
         """Tree-index row of one chip c - s routed on the routing ribbon.
@@ -160,7 +134,8 @@ class TorsorAction:
         classes, succ = sandpile.enumerate_classes(g)
         q = g.vertices[0]
         gens = self._generators(q if s is None else s)
-        rows = _along_words(succ, gens[1:], len(gens[0]))
+        ident = tuple(range(len(gens[0])))
+        rows = sandpile.along_words(succ, ident, lambda r, k: tuple([gens[k + 1][x] for x in r]))
         if s in (None, q):
             for d, row in zip(classes, rows):
                 self._check(d, row)
@@ -239,7 +214,9 @@ def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Repor
     # each first class comes with sums[j], the class of it plus classes[j]
     cayley = [tuple([r[k] for r in succ]) for k in range(len(g.vertices) - 1)]
     if exhaustive_pairs:
-        firsts = zip(classes, _along_words(succ, cayley, len(classes)))
+        ident = tuple(range(len(classes)))
+        sum_rows = sandpile.along_words(succ, ident, lambda r, k: tuple([cayley[k][x] for x in r]))
+        firsts = zip(classes, sum_rows)
     else:
         firsts = zip([chip(v, g.vertices[0]) for v in g.vertices[1:]], cayley)
     for d1, sums in firsts:

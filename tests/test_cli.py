@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -510,6 +511,81 @@ def test_verify_verdicts_pinned(capsys, argv, instances, checked, findings, disa
     assert rep["violations"] == []
     assert len(rep["findings"]) == findings
     assert sum(f["disagreements"] for f in rep["findings"]) == disagreements
+
+
+# sha256 of whole `verify ... --seed 1` reports, wall_time_s removed, as
+# json.dumps(report, sort_keys=True, indent=2); a refactor that claims
+# byte-identical reports keeps every digest.
+REPORT_SHA256 = [
+    (
+        ["torsor", "--max-edges", "4", "--variant", "r"],
+        "9c744a5c98351be9e75912d8b976a314fb72e7335710f7eeedd43c65d33e423c",
+    ),
+    (
+        ["torsor", "--max-edges", "4", "--variant", "rbar"],
+        "7001ff8a9d032e3faf799e5fc1c9bddd9026708b89d481969cc42471dd499b1c",
+    ),
+    (
+        ["torsor", "--max-edges", "4", "--variant", "rinv"],
+        "c88c6da2772bac0b7cfa481c26f3720440b279b9b8cea4003d5b77ac7faf7d8d",
+    ),
+    (
+        ["torsor", "--max-edges", "4", "--variant", "rbarinv"],
+        "560d1e5fbe8f587e8c242f6721d3febcc7597363904f79f494d3c2cafdbee747",
+    ),
+    (
+        ["consistency", "--max-edges", "4", "--variant", "r"],
+        "7961848f830daee7d12a00ccc65e224c55190998c0ed1010c4d78a5711acf0f3",
+    ),
+    (
+        ["consistency", "--max-edges", "4", "--variant", "rbar"],
+        "40a1675edc9810d32fa0ebd3ad1bd6b464801d3e607d092779b6b8004002bd86",
+    ),
+    (
+        ["consistency", "--max-edges", "4", "--variant", "rinv"],
+        "a0c480ad12f13ddf3ab736feb4a7f54c70bef28bcf8fd3b4f092dfc4bf693d87",
+    ),
+    (
+        ["consistency", "--max-edges", "4", "--variant", "rbarinv"],
+        "b78b41446c694a3877902cdc0f22f8d9f405b669d4b307cd3adc42181ad80885",
+    ),
+    (
+        ["sink-invariance", "--max-edges", "4", "--include-nonplanar"],
+        "b48d6f6203b2a2bff64db44356aaa2eee5be00063b21297a8418529eb59ec296",
+    ),
+    (
+        ["moves", "--max-edges", "5"],
+        "d816e77df7bb4c9420e88ea0effad96a74d9460ec3b53157a61ec287c14f20db",
+    ),
+    (
+        ["unicycle", "--max-edges", "5"],
+        "c17fd8a77d2dcc2fbee12c9c0791b0420754972e33a18a60bbfd38c5e56e8015",
+    ),
+    (
+        ["telescope"],
+        "a36bba3d5c39a8257ef20e77ee4b50fa53f8e08825383a95e5ecd28436f5a9a4",
+    ),
+    (
+        ["matroid", "--max-edges", "3"],
+        "bedeedc8694af80b98c3ab2f967c7b7798ab02684bc739232a803d1554ce6226",
+    ),
+    (
+        ["matroid", "--max-edges", "3", "--max-elements", "10"],
+        "0610b0bb3565649bc872859a776b2cd98a837202ba79ba58d5c1bf0923c1ffb0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", REPORT_SHA256, ids=[" ".join(a) for a, _ in REPORT_SHA256]
+)
+def test_verify_reports_pinned(capsys, argv, digest):
+    rc, out = run(capsys, ["verify", *argv, "--seed", "1"])
+    rep = json.loads(out)
+    assert rc == 0
+    rep.pop("wall_time_s")
+    text = json.dumps(rep, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_internal_key_error_is_not_an_input_error(triangle_files, tmp_path, capsys, monkeypatch):

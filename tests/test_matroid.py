@@ -13,6 +13,7 @@ from rotorsand.lp import separating_functional
 from rotorsand.matroid import (
     BBY_VARIANTS,
     RegularMatroid,
+    SignaturePair,
     bby_act,
     bby_action,
     bby_table,
@@ -25,7 +26,6 @@ from rotorsand.matroid import (
     fundamental_cocircuit,
     minor,
     r10,
-    variant_pair,
     verify_matroid_consistency,
 )
 from rotorsand.multigraph import Multigraph, banana_graph, complete_graph
@@ -307,15 +307,20 @@ def test_minor_ops_commute(worked_matroid):
     assert set(m2.cocircuits()) == set(m4.cocircuits())
 
 
-def test_variant_definitional_identity(worked_matroid):
-    m = worked_matroid
-    sig = default_signatures(m)
-    flipped = variant_pair(sig, "bby_flip_circuits")
-    assert flipped.circuits == tuple(tuple(-x for x in v) for v in sig.circuits)
-    assert flipped.cocircuits == sig.cocircuits
-    both = variant_pair(sig, "bby_flip_both")
-    assert both.circuits == flipped.circuits
-    assert both.cocircuits != sig.cocircuits
+def test_variant_tables_match_negated_pairs():
+    # each variant's table is the base table of the pair with the variant's
+    # families negated outright
+    def neg(vectors):
+        return tuple(tuple(-x for x in v) for v in vectors)
+
+    for m in [from_graph(g) for g in connected_multigraphs(5)] + [r10()]:
+        pair = default_signatures(m)
+        for tag, (flip_circuits, flip_cocircuits) in BBY_VARIANTS.items():
+            negated = SignaturePair(
+                neg(pair.circuits) if flip_circuits else pair.circuits,
+                neg(pair.cocircuits) if flip_cocircuits else pair.cocircuits,
+            )
+            assert bby_table(m, pair, tag) == bby_table(m, negated)
 
 
 def test_consistency_harness_on_worked_matroid(worked_matroid):
@@ -441,7 +446,7 @@ def test_bby_acts_pinned():
     for m in [from_graph(g) for g in connected_multigraphs(5)] + [r10()]:
         pair = default_signatures(m)
         for tag in BBY_VARIANTS:
-            act = bby_action(m, variant_pair(pair, tag))
+            act = bby_action(m, pair, tag)
             for j, f in enumerate(m.labels):
                 for b in m.bases():
                     digest.update(json.dumps([tag, f, sorted(b), sorted(act(j, b))]).encode())
@@ -481,9 +486,10 @@ def test_minor_matroids_are_cached_per_element_and_op(worked_matroid):
     sig = default_signatures(m)
     sub, ind = minor(m, sig, "e1", "delete")
     assert m.minor_matroid("e1", "delete") is sub
-    assert minor(m, sig.flipped("circuits"), "e1", "delete")[0] is sub
+    negated = sig._replace(circuits=tuple(tuple(-x for x in v) for v in sig.circuits))
+    assert minor(m, negated, "e1", "delete")[0] is sub
     assert minor(m, sig, "e1", "contract")[0] is not sub
-    flipped = minor(m, sig.flipped("circuits"), "e1", "delete")[1]
+    flipped = minor(m, negated, "e1", "delete")[1]
     assert set(flipped.circuits) == {tuple(-x for x in v) for v in ind.circuits}
     with pytest.raises(ValueError):
         m.minor_matroid("e1", "shrink")
@@ -493,10 +499,12 @@ def test_minor_matroids_are_cached_per_element_and_op(worked_matroid):
 
 def test_conjecture_search_builds_each_minor_once(monkeypatch):
     # one sweep over the graphic matroids with at most 4 edges: each minor
-    # (matroid, element, op) is built once for all four variants, and each
-    # (matroid or minor, variant) still gets its own bby_table with both checks
-    built, minors, tables = [], [], []
+    # (matroid, element, op) and its induced pair are built once for all four
+    # variants, and each (matroid or minor, variant) still gets its own
+    # bby_table with both checks
+    built, minors, tables, induced = [], [], [], []
     init, build_minor, table = RegularMatroid.__init__, RegularMatroid.minor_matroid, matroid.bby_table
+    induce = matroid._induced_signature
 
     def counting_init(self, *args, **kwargs):
         built.append(self)  # kept alive, so no id is reused
@@ -507,18 +515,24 @@ def test_conjecture_search_builds_each_minor_once(monkeypatch):
             minors.append((id(self), e, op))
         return build_minor(self, e, op)
 
-    def counting_table(m, pair):
+    def counting_table(m, pair, *args):
         tables.append(id(m))
-        return table(m, pair)
+        return table(m, pair, *args)
+
+    def counting_induce(*args, **kwargs):
+        induced.append(args)
+        return induce(*args, **kwargs)
 
     monkeypatch.setattr(RegularMatroid, "__init__", counting_init)
     monkeypatch.setattr(RegularMatroid, "minor_matroid", counting_minor)
     monkeypatch.setattr(matroid, "bby_table", counting_table)
+    monkeypatch.setattr(matroid, "_induced_signature", counting_induce)
     report = matroid.conjecture_search(4)
     assert (report["instances"], report["checked"], report["findings"]) == (80, 1144, [])
     assert len(minors) == len(set(minors)) == 87
     assert len(built) == 20 + 87  # was 20 + 4 * 87 with a minor built per variant
     assert len(tables) == 4 * len(built)
+    assert len(induced) == 2 * 87  # was 4 * 2 * 87 with an induced pair per variant
 
 
 def test_flipped_minor_signature_is_caught(worked_matroid, monkeypatch):
@@ -533,7 +547,7 @@ def test_flipped_minor_signature_is_caught(worked_matroid, monkeypatch):
     def skewed_minor(mm, pair, e, op):
         sub, induced = true_minor(mm, pair, e, op)
         if (e, op) == ("e1", "contract"):
-            induced = induced.flipped("circuits")
+            induced = induced._replace(circuits=tuple(tuple(-x for x in v) for v in induced.circuits))
         return sub, induced
 
     monkeypatch.setattr(matroid, "minor", skewed_minor)
