@@ -207,14 +207,15 @@ def cmd_reduce(args):
 def cmd_moves(args):
     from . import moves
 
-    rg = _load_ribbon(args.graph)
-    if not rg.graph.is_two_connected():
+    # leaf-swap paths read no rotation, so they take a plain graph
+    rg = None if args.leaf_swap else _load_ribbon(args.graph)
+    g = _load_graph(args.graph) if rg is None else rg.graph
+    if not g.is_two_connected():
         raise InputError("move paths need a 2-connected graph")
-    t1 = _load_spanning_tree(args.src, rg.graph)
-    t2 = _load_spanning_tree(args.dst, rg.graph)
-    if args.leaf_swap:
-        path = moves.leaf_swap_path(rg.graph, t1, t2)
-        _emit({"trees": [sorted(t) for t in path]})
+    t1 = _load_spanning_tree(args.src, g)
+    t2 = _load_spanning_tree(args.dst, g)
+    if rg is None:
+        _emit({"trees": [sorted(t) for t in moves.leaf_swap_path(g, t1, t2)]})
         return
     seq = moves.source_turn_path(rg, t1, t2)
     _emit(
@@ -296,24 +297,27 @@ def _check_signature_choice(chosen, family, kind):
         raise InputError(f"signature must choose one orientation per {kind}")
 
 
+def _parts(text, sep):
+    """The parts of text between the separators, stripped, empty ones left out."""
+    return [part.strip() for part in text.split(sep) if part.strip()]
+
+
 def cmd_bby(args):
     from .matroid import bby_act, bby_vector
 
     m = _load_matroid(args)
     pair = _load_signatures(args, m)
-    basis = frozenset(args.basis.split(","))
+    basis = frozenset(_parts(args.basis, ","))
     if basis not in m.bases():
         raise InputError(f"{sorted(basis)} is not a basis of the matroid")
     if args.action == "vector":
         _emit({"vector": list(bby_vector(m, pair, basis))})
         return
     vec = [0] * m.size
-    for part in args.cls.split("+"):
-        part = part.strip()
-        if part:
-            if part not in m.labels:
-                raise InputError(f"unknown ground element {part!r}")
-            vec[m.labels.index(part)] += 1
+    for part in _parts(args.cls, "+"):
+        if part not in m.labels:
+            raise InputError(f"unknown ground element {part!r}")
+        vec[m.labels.index(part)] += 1
     _emit({"basis": sorted(bby_act(m, pair, vec, basis))})
 
 
@@ -401,10 +405,13 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
     The keys are `instances`, `checked`, `violations`, `findings` and `notes`.
     The pooled suites check one catalog graph per payload, in catalog order;
     only the graphs with violations or notes are then written as JSON text,
-    which keys their violations and orders them, notes included.
+    which keys their violations and orders them, notes included.  The
+    non-plane maps of ``include_nonplanar`` take the same path, and their
+    findings stay in catalog order.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    check = partial(_check, suite, variant)
     out = {"instances": 0, "checked": 0, "violations": [], "findings": [], "notes": []}
     if suite in POOLED:
         if suite == "unicycle":
@@ -412,9 +419,7 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
         else:
             graphs = catalog.plane_graphs(max_edges, two_connected=suite == "moves")
         reported = []
-        for rg, (checked, violations, notes) in zip(
-            graphs, _pool_map(partial(_check, suite, variant), graphs, workers)
-        ):
+        for rg, (checked, violations, notes) in zip(graphs, _pool_map(check, graphs, workers)):
             out["instances"] += 1
             out["checked"] += checked
             if violations or notes:
@@ -423,19 +428,15 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
             out["violations"].extend({"graph": key, "detail": v} for v in violations)
             out["notes"].extend(notes)
     if suite == "sink-invariance" and include_nonplanar:
-        from .torsor import verify_sink_invariance
-
-        for rg in catalog.ribbon_graphs(max_edges):
-            if rg.is_plane():
-                continue
-            rep = verify_sink_invariance(rg)
+        graphs = [rg for rg in catalog.ribbon_graphs(max_edges) if not rg.is_plane()]
+        for rg, (checked, violations, _) in zip(graphs, _pool_map(check, graphs, workers)):
             out["instances"] += 1
-            out["checked"] += rep.checked
-            if rep.violations:
+            out["checked"] += checked
+            if violations:
                 out["findings"].append(
                     {
                         "graph": rg.to_json(),
-                        "disagreements": len(rep.violations),
+                        "disagreements": len(violations),
                         "expected": "sink dependence is forced off the plane",
                     }
                 )

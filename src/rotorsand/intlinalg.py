@@ -56,14 +56,20 @@ def rref(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_step(rows, r, c)
         pivots.append(c)
     return rows, pivots
+
+
+def pivot_step(rows, r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row r to a 1 in column c, then
+    clear column c from every other row.  Entries are Fractions."""
+    inv = 1 / rows[r][c]
+    rows[r] = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
 
 
 def rank(matrix) -> int:

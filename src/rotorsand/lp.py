@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .intlinalg import pivot_step
+
 
 def _phase1(eq_rows, rhs):
     """Minimize artificial mass for {x >= 0 : A x = b}; returns x or None.
@@ -21,29 +23,21 @@ def _phase1(eq_rows, rhs):
         return []
     n = len(eq_rows[0])
     tab = []
-    for row, b in zip(eq_rows, rhs):
-        row = [Fraction(x) for x in row]
-        b = Fraction(b)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tab.append(row + [b])
+    for i, (row, b) in enumerate(zip(eq_rows, rhs)):
+        sign = -1 if b < 0 else 1
+        # structural columns, the artificial identity, then the rhs
+        unit = [Fraction(int(i == j)) for j in range(m)]
+        tab.append([Fraction(sign * x) for x in row] + unit + [Fraction(sign * b)])
     basis = list(range(n, n + m))
-    # extend with the artificial identity
-    for i, row in enumerate(tab):
-        row[-1:-1] = [Fraction(int(i == j)) for j in range(m)]
-    ncols = n + m
-    # reduced-cost row for minimizing the artificial mass: structural
-    # columns carry the column sums, artificial columns start at zero and
-    # must never re-enter the basis
-    cost = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        for j in range(n):
-            cost[j] += tab[i][j]
-        cost[-1] += tab[i][-1]
+    # the tableau's last row holds the reduced costs for minimizing the
+    # artificial mass: structural columns carry the column sums, artificial
+    # columns start at zero and must never re-enter the basis
+    cost = [sum(col) for col in zip(*tab)]
+    cost[n : n + m] = [Fraction(0)] * m
+    tab.append(cost)
 
     while True:
-        enter = next((j for j in range(n) if cost[j] > 0 and j not in basis), None)
+        enter = next((j for j in range(n) if tab[m][j] > 0 and j not in basis), None)
         if enter is None:
             break
         ratios = [
@@ -54,18 +48,10 @@ def _phase1(eq_rows, rhs):
         if not ratios:
             break  # unbounded cannot happen in phase 1; defensive
         _, _, leave = min(ratios)
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, tab[leave])]
+        pivot_step(tab, leave, enter)
         basis[leave] = enter
 
-    if cost[-1] != 0:
+    if tab[m][-1] != 0:
         return None
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):

@@ -130,28 +130,21 @@ class RibbonGraph:
 
     # -- faces and genus -----------------------------------------------------
 
-    def faces(self) -> list[tuple]:
-        """Face boundary walks as tuples of darts; every dart appears once.
+    def faces(self) -> list[list[int]]:
+        """Face boundary walks as lists of darts; every dart appears once.
 
         Each walk is an orbit of ``d -> sigma[d] ^ 1`` listed from its
-        smallest dart, and the walks come in order of those darts.
+        smallest dart, and the walks come in order of those darts.  The
+        edgeless map is a sphere with one face, whose walk is empty.
         """
         if self._faces is None:
-            if not self.graph.is_connected():
+            if not (self.graph.vertices and self.graph.is_connected()):
                 raise ValueError("faces need a connected graph")
-            edges, vs, dv = self.graph.edges, self.graph.vertices, self.dart_vertex
-            self._faces = [
-                tuple((edges[d >> 1], vs[dv[d]]) for d in walk) for walk in face_orbits(self.sigma)
-            ]
+            self._faces = face_orbits(self.sigma) or [[]]
         return self._faces
 
     def euler_genus(self) -> int:
         g = self.graph
-        if not g.edges:
-            # the edgeless sphere keeps one face that no dart orbit records
-            if len(g.vertices) != 1:
-                raise ValueError("genus needs a connected graph")
-            return 0
         two_g = 2 - len(g.vertices) + len(g.edges) - len(self.faces())
         if two_g < 0 or two_g % 2:
             raise InvariantViolation(f"impossible Euler count {two_g}")
@@ -406,22 +399,21 @@ def classify_sides(rg: RibbonGraph, cycle) -> SideClassification:
         raise ValueError("cycle repeats an edge")
 
     faces = rg.faces()
-    face_of = {}
+    face_of = [0] * len(rg.sigma)
     for i, walk in enumerate(faces):
         for d in walk:
             face_of[d] = i
 
     parent = list(range(len(faces)))
-    for e in g.edges:
+    for i, e in enumerate(g.edges):
         if e not in cyc_edges:
-            u, w = g.ends(e)
-            a, b = find_root(parent, face_of[(e, u)]), find_root(parent, face_of[(e, w)])
+            a, b = find_root(parent, face_of[2 * i]), find_root(parent, face_of[2 * i + 1])
             parent[a] = b
 
     # face tracing leaves along the next edge counterclockwise, which puts
     # the tail dart of a traversal on the face to its left
-    left_roots = {find_root(parent, face_of[(e, v)]) for v, e in cyc}
-    right_roots = {find_root(parent, face_of[(e, g.other(e, v))]) for v, e in cyc}
+    left_roots = {find_root(parent, face_of[rg.dart(e, v)]) for v, e in cyc}
+    right_roots = {find_root(parent, face_of[rg.dart(e, v) ^ 1]) for v, e in cyc}
     if len(left_roots) != 1 or len(right_roots) != 1:
         raise InvariantViolation("cycle sides did not merge into two regions")
     left_root, right_root = left_roots.pop(), right_roots.pop()
@@ -429,19 +421,17 @@ def classify_sides(rg: RibbonGraph, cycle) -> SideClassification:
         raise InvariantViolation("left and right regions coincide")
 
     left_edges, right_edges = set(), set()
-    for e in g.edges:
+    for i, e in enumerate(g.edges):
         if e in cyc_edges:
             continue
-        u, _ = g.ends(e)
-        root = find_root(parent, face_of[(e, u)])
+        root = find_root(parent, face_of[2 * i])
         (left_edges if root == left_root else right_edges).add(e)
     cyc_vertices = set(tails)
     left_vertices, right_vertices = set(), set()
     for v in g.vertices:
         if v in cyc_vertices:
             continue
-        e = g.incident(v)[0]
-        root = find_root(parent, face_of[(e, v)])
+        root = find_root(parent, face_of[rg.dart(g.incident(v)[0], v)])
         (left_vertices if root == left_root else right_vertices).add(v)
     return SideClassification(
         frozenset(left_edges),

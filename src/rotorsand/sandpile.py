@@ -29,33 +29,30 @@ from .multigraph import Multigraph
 
 
 class Divisor:
-    """An immutable vertex -> int chip map; missing vertices hold 0 chips."""
+    """An immutable vertex -> int chip map; missing vertices hold 0 chips.
 
-    __slots__ = ("_map", "_chips", "_hash")
+    Only nonzero entries are kept; ``items``, ``to_dict``, hash and repr sort them."""
+
+    __slots__ = ("_map",)
 
     def __init__(self, chips=None):
         self._map = {v: int(n) for v, n in dict(chips or {}).items() if n != 0}
-        self._chips = tuple(sorted(self._map.items()))
-        self._hash = hash(self._chips)
 
     def __getitem__(self, v) -> int:
         return self._map.get(v, 0)
 
     def items(self):
-        return self._chips
-
-    def support(self):
-        return tuple(v for v, _ in self._chips)
+        return tuple(sorted(self._map.items()))
 
     def degree(self) -> int:
-        return sum(n for _, n in self._chips)
+        return sum(self._map.values())
 
     def to_dict(self) -> dict:
-        return dict(self._chips)
+        return dict(self.items())
 
     def __add__(self, other):
-        out = dict(self._chips)
-        for v, n in other.items():
+        out = dict(self._map)
+        for v, n in other._map.items():
             out[v] = out.get(v, 0) + n
         return Divisor(out)
 
@@ -63,21 +60,21 @@ class Divisor:
         return self + (-other)
 
     def __neg__(self):
-        return Divisor({v: -n for v, n in self._chips})
+        return Divisor({v: -n for v, n in self._map.items()})
 
     def __mul__(self, k: int):
-        return Divisor({v: k * n for v, n in self._chips})
+        return Divisor({v: k * n for v, n in self._map.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, Divisor) and self._chips == other._chips
+        return isinstance(other, Divisor) and self._map == other._map
 
     def __hash__(self):
-        return self._hash
+        return hash(self.items())
 
     def __repr__(self):
-        body = ", ".join(f"{v}: {n}" for v, n in self._chips)
+        body = ", ".join(f"{v}: {n}" for v, n in self.items())
         return "Divisor({" + body + "})"
 
 

@@ -67,7 +67,6 @@ class TorsorAction:
         self.rg = rg
         self.variant = variant
         self._routing_rg = rg.reverse() if variant in ("rbar", "rbarinv") else rg
-        self._trees = None
         self._chips = {}  # sink -> chip rows by vertex position
         self._gens = {}  # sink -> generator rows by vertex position
         self._pairs = {}  # (c, s) -> row of [c - s] at vertices[0]
@@ -96,9 +95,7 @@ class TorsorAction:
         are routed together, once per tree, and kept.
         """
         if s not in self._chips:
-            if self._trees is None:
-                self._trees = self.graph.spanning_trees()
-            self._chips[s] = chip_rows(self._routing_rg, self._trees, s)
+            self._chips[s] = chip_rows(self._routing_rg, self.graph.spanning_trees(), s)
         return self._chips[s][self.graph.vertices.index(c)]
 
     def _generators(self, s: str) -> list:
@@ -114,13 +111,9 @@ class TorsorAction:
             self._gens[s] = [_inverse(r) for r in rows] if self.variant in INVERSES else rows
         return self._gens[s]
 
-    def _check(self, d: Divisor, row) -> None:
-        """Route d's burning-reduced representative at vertices[0] from the
-        first tree; it must land where row sends that tree."""
-        g = self.graph
-        q = g.vertices[0]
-        rd = sandpile.reduce(g, -d if self.variant in INVERSES else d, q)
-        if route_divisor(self._routing_rg, self._trees[0], rd, q) != self._trees[row[0]]:
+    def _check(self, d: Divisor, row, trees) -> None:
+        """``act`` must send the first tree where row does."""
+        if self.act(d, trees[0]) != trees[row[0]]:
             raise InvariantViolation(f"composed row of {d.to_dict()} disagrees with routing")
 
     def table(self, s=None) -> list:
@@ -137,8 +130,9 @@ class TorsorAction:
         ident = tuple(range(len(gens[0])))
         rows = sandpile.along_words(succ, ident, lambda r, k: tuple([gens[k + 1][x] for x in r]))
         if s in (None, q):
+            trees = g.spanning_trees()
             for d, row in zip(classes, rows):
-                self._check(d, row)
+                self._check(d, row, trees)
         return rows
 
     def pair_row(self, c: str, s: str) -> tuple:
@@ -148,7 +142,7 @@ class TorsorAction:
             gens = self._generators(vs[0])
             gc = gens[vs.index(c)]
             row = tuple([gc[x] for x in _inverse(gens[vs.index(s)])])
-            self._check(chip(c, s), row)
+            self._check(chip(c, s), row, self.graph.spanning_trees())
             self._pairs[c, s] = row
         return self._pairs[c, s]
 

@@ -91,6 +91,32 @@ def test_genus_and_dot(files, capsys):
     assert rc == 0 and out.startswith("graph {")
 
 
+def test_genus_of_one_vertex_map_counts_its_face(tmp_path, capsys):
+    path = _write(tmp_path, "point", {"vertices": ["a"], "edges": [], "rotation": {"a": []}})
+    rc, out = run(capsys, ["genus", path])
+    assert rc == 0 and json.loads(out) == {"faces": 1, "genus": 0, "plane": True}
+
+
+def test_leaf_swap_path_takes_a_plain_graph(tmp_path, capsys):
+    edge = {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"]}]}
+    tree = _write(tmp_path, "tree", ["e"])
+    argv = ["moves", "path", "--graph", _write(tmp_path, "edge", edge), "--from", tree, "--to", tree]
+    rc, out = run(capsys, [*argv, "--leaf-swap"])
+    assert rc == 0 and json.loads(out) == {"trees": [["e"]]}
+    # source-turn paths still need the rotation
+    assert main(argv) == 2
+    assert "rotation" in capsys.readouterr().err
+    path = {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": "ab", "ends": ["a", "b"]}, {"id": "bc", "ends": ["b", "c"]}],
+    }
+    tree = _write(tmp_path, "path_tree", ["ab", "bc"])
+    argv = ["moves", "path", "--leaf-swap", "--graph", _write(tmp_path, "path", path)]
+    assert main([*argv, "--from", tree, "--to", tree]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and "2-connected" in err.err
+
+
 def test_moves_command(files, tmp_path, capsys):
     goal = tmp_path / "goal.json"
     goal.write_text(json.dumps(["ab", "bc", "cs"]))
@@ -168,6 +194,16 @@ def test_bby_commands(files, capsys):
     )
     assert rc == 0
     assert json.loads(out)["basis"] == ["e1", "e3", "e4"]
+
+
+def test_bby_basis_parts_are_read_like_class_parts(files, tmp_path, capsys):
+    # a rank-0 matroid's one basis is empty, and only an empty --basis names it
+    path = _write(tmp_path, "rank0", {"labels": ["e1", "e2"], "matrix": [[0, 0]]})
+    rc, out = run(capsys, ["bby", "vector", "--matroid", path, "--basis", ""])
+    assert rc == 0 and json.loads(out) == {"vector": [1, 1]}
+    argv = ["bby", "act", "--matroid", files["matroid"], "--class", " e3 +", "--basis"]
+    rc, out = run(capsys, [*argv, " e2, e3,,e5 "])
+    assert rc == 0 and json.loads(out)["basis"] == ["e1", "e3", "e4"]
 
 
 def test_exit_code_on_bad_input(tmp_path, capsys):
@@ -261,14 +297,19 @@ def test_verify_rejects_options_its_suite_ignores(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "suite,max_edges",
-    [("consistency", "3"), ("moves", "4"), ("unicycle", "4")],
-    ids=["consistency", "moves", "unicycle"],
+    "suite,max_edges,extra",
+    [
+        ("consistency", "3", []),
+        ("moves", "4", []),
+        ("unicycle", "4", []),
+        ("sink-invariance", "4", ["--include-nonplanar"]),
+    ],
+    ids=["consistency", "moves", "unicycle", "sink-invariance-nonplanar"],
 )
-def test_workers_option_matches_serial(tmp_path, capsys, suite, max_edges):
+def test_workers_option_matches_serial(tmp_path, capsys, suite, max_edges, extra):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    argv = ["verify", suite, "--max-edges", max_edges, "--seed", "1"]
+    argv = ["verify", suite, "--max-edges", max_edges, "--seed", "1", *extra]
     main([*argv, "--report", str(a)])
     capsys.readouterr()
     main([*argv, "--workers", "2", "--report", str(b)])
@@ -278,6 +319,8 @@ def test_workers_option_matches_serial(tmp_path, capsys, suite, max_edges):
         r.pop("wall_time_s")
         r["config"].pop("workers")
     assert ra == rb
+    if extra:  # the non-plane maps' findings, in catalog order
+        assert len(ra["findings"]) > 1
 
 
 def _write(tmp_path, name, obj):
@@ -799,6 +842,19 @@ def test_spawn_pool_matches_serial(monkeypatch, suite, max_edges):
 
     monkeypatch.setattr(cli, "_pool_map", spawn_map)
     assert cli.sweep(suite, max_edges, workers=2) == serial
+
+
+def test_nonplane_sink_invariance_maps_go_through_the_pool(monkeypatch):
+    seen = []
+    pool_map = cli._pool_map
+
+    def recording_map(fn, payloads, workers):
+        seen.extend(payloads)
+        return pool_map(fn, payloads, workers)
+
+    monkeypatch.setattr(cli, "_pool_map", recording_map)
+    rep = cli.sweep("sink-invariance", 4, include_nonplanar=True)
+    assert len(seen) == rep["instances"] and not all(rg.is_plane() for rg in seen)
 
 
 def flagging_check(suite, variant, rg):

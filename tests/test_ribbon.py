@@ -77,6 +77,21 @@ def test_face_tracing_covers_every_dart(square_ribbon):
     assert len(set(darts)) == len(darts)
 
 
+def test_faces_are_dart_walks():
+    for rg in [e3_plane(), e3_twisted(), *ribbon_graphs(4)[::7]]:
+        walks = rg.faces()
+        assert all(type(d) is int for walk in walks for d in walk)
+        assert sorted(d for walk in walks for d in walk) == list(range(len(rg.sigma)))
+        for walk in walks:
+            assert [rg.sigma[d] ^ 1 for d in walk] == walk[1:] + walk[:1]
+
+
+def test_edgeless_map_has_one_face():
+    rg = RibbonGraph(Multigraph(["a"], {}), {"a": ()})
+    assert rg.faces() == [[]]
+    assert rg.euler_genus() == 0
+
+
 def test_delete_and_contract_track_graph_minors(square_ribbon):
     g = square_ribbon.graph
     for e in g.edges:

@@ -63,6 +63,25 @@ def test_divisor_arithmetic():
     assert Divisor({"a": 0}) == Divisor({})
 
 
+def test_divisor_semantics_do_not_depend_on_insertion_order():
+    d = Divisor({"b": -2, "z": 0, "a": 2, "c": 1})
+    e = Divisor({"c": 1, "a": 2, "b": -2})
+    assert d == e and hash(d) == hash(e)
+    assert hash(d) == hash((("a", 2), ("b", -2), ("c", 1)))
+    assert d["z"] == 0 and d["q"] == 0 and d.degree() == 1
+    assert d.items() == (("a", 2), ("b", -2), ("c", 1))
+    assert list(d.to_dict().items()) == [("a", 2), ("b", -2), ("c", 1)]
+    assert repr(d) == "Divisor({a: 2, b: -2, c: 1})"
+    assert d != Divisor({"a": 2, "b": -2}) and d != d.to_dict()
+    assert len({d, e, Divisor({"a": 2, "b": -2, "c": 1, "d": 0})}) == 1
+    assert (-d).items() == (("a", -2), ("b", 2), ("c", -1))
+    f = Divisor({"c": -1, "d": 4})
+    assert (d + f).items() == (("a", 2), ("b", -2), ("d", 4))
+    assert (d - f).items() == (("a", 2), ("b", -2), ("c", 2), ("d", -4))
+    assert (d - d).items() == () and d - d == Divisor()
+    assert 0 * d == Divisor({}) and (2 * d).to_dict() == {"a": 4, "b": -4, "c": 2}
+
+
 def test_fire_triangle(triangle):
     d = sandpile.fire(triangle, Divisor({}), "u")
     assert d.to_dict() == {"u": -2, "v": 1, "w": 1}
