@@ -126,11 +126,10 @@ def _is_increasing_subsequence(seq, members):
 
 
 def _rotation_product(g: Multigraph):
-    """The normalised rotation product as (orders, sigma), in product order.
+    """The dart rotations sigma of the normalised rotation product, in product order.
 
-    orders holds one anchored cyclic order per vertex, symmetry-normalized
-    per the module docstring, and sigma is the dart rotation that
-    ``RibbonGraph(g, dict(zip(g.vertices, orders)))`` builds.
+    Each vertex lists its incident edges from the smallest id on, in every
+    order that the symmetry normalizations of the module docstring allow.
     """
     from .ribbon import dart_numbering  # the multigraph levels never load ribbon
 
@@ -142,26 +141,24 @@ def _rotation_product(g: Multigraph):
 
     dart, _ = dart_numbering(g)
     slots = []  # darts in the order their successors are listed below
-    per_vertex, successors = [], []
+    successors = []
     for v in g.vertices:
         inc = sorted(g.incident(v))
         if not inc:
             raise ValueError("isolated vertex has no rotation")
         slots += (dart[e, v] for e in inc)
         head, rest = inc[0], inc[1:]
-        orders, nexts = [], []
+        nexts = []
         for perm in permutations(rest):
             seq = (head,) + perm
             if all(_is_increasing_subsequence(seq, cl) for cl in constraints[v]):
                 after = dict(zip(seq, seq[1:] + seq[:1]))
-                orders.append(seq)
                 nexts.append(tuple(dart[after[e], v] for e in inc))
-        per_vertex.append(orders)
         successors.append(nexts)
 
     scatter = itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
-    for orders, nexts in zip(product(*per_vertex), product(*successors)):
-        yield orders, scatter(tuple(chain.from_iterable(nexts)))
+    for nexts in product(*successors):
+        yield scatter(tuple(chain.from_iterable(nexts)))
 
 
 @lru_cache(maxsize=4096)
@@ -170,18 +167,18 @@ def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGra
 
     Each member of the rotation product is filtered (faces = 2 - V + E when
     plane_only) and keyed by its canonical code on sigma alone; a
-    ``RibbonGraph`` is built only for the first member of each code.
+    ``RibbonGraph`` is built, unchecked, only for the first member of each code.
     """
-    from .ribbon import RibbonGraph, canonical_labelling, face_orbits
+    from .ribbon import RibbonGraph, canonical_labelling, functional_cycles
 
     vcount = len(g.vertices)
     plane_faces = 2 - vcount + len(g.edges)
     found = {}
-    for orders, sigma in _rotation_product(g):
-        if plane_only and len(face_orbits(sigma)) != plane_faces:
+    for sigma in _rotation_product(g):
+        if plane_only and len(functional_cycles([d ^ 1 for d in sigma])) != plane_faces:
             continue
-        found.setdefault(canonical_labelling(sigma, vcount)[0], orders)
-    return tuple(RibbonGraph(g, dict(zip(g.vertices, found[k]))) for k in sorted(found))
+        found.setdefault(canonical_labelling(sigma, vcount)[0], sigma)
+    return tuple(RibbonGraph.from_sigma(g, found[k]) for k in sorted(found))
 
 
 def ribbon_graphs(max_edges: int, min_edges: int = 1, plane_only: bool = False):

@@ -102,9 +102,8 @@ def _emit(obj):
 
 def _dot_ribbon(rg: RibbonGraph) -> str:
     lines = ["graph {"]
-    for v in rg.graph.vertices:
-        order = " ".join(rg.rotation[v])
-        lines.append(f'  "{v}";  // rotation: {order}')
+    for v, seq in rg.rotation.items():
+        lines.append(f'  "{v}";  // rotation: {" ".join(seq)}')
     for e in rg.graph.edges:
         u, w = rg.graph.ends(e)
         lines.append(f'  "{u}" -- "{w}" [label="{e}"];')

@@ -127,9 +127,9 @@ class Multigraph:
         return comps
 
     def is_connected(self) -> bool:
-        """One component or none (cached)."""
+        """Exactly one component (cached)."""
         if self._connected is None:
-            self._connected = len(self._components()) <= 1
+            self._connected = len(self._components()) == 1
         return self._connected
 
     def _vertex_splits(self) -> dict:

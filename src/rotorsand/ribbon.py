@@ -1,18 +1,16 @@
 """Ribbon graphs: a multigraph plus a counterclockwise edge order at each vertex.
 
-The rotation at a vertex is stored as a tuple of incident edge ids,
-canonicalized so the smallest id comes first; two structures are equal iff
-the cyclic orders agree.  Faces, genus, minors, reversal, isomorphism and the
-left/right classification of embedded directed cycles all live here.
-
 A dart ``(edge, vertex)`` is numbered as in Lando and Zvonkin's permutation
 pair: ``2i`` is edge ``graph.edges[i]`` at its lower endpoint, ``2i + 1`` at
 its higher one, so the edge involution is ``d ^ 1`` and integer order is tuple
-order.  ``sigma[d]`` is the next dart counterclockwise around the same vertex,
-whose index in ``graph.vertices`` is ``dart_vertex[d]``.  Read as "arrival at
-vertex along edge", a dart's face walk leaves along the next edge
-counterclockwise (``sigma[d] ^ 1``); the walk keeps its face on the right, so
-the face to the left of a traversal is the one holding its tail dart.
+order.  The map is its dart rotation alone: ``sigma[d]`` is the next dart
+counterclockwise around the same vertex, whose index in ``graph.vertices`` is
+``dart_vertex[d]``, and the edge-id rotation at each vertex is a view read off
+sigma's cycles.  Read as "arrival at vertex along edge", a dart's face walk
+leaves along the next edge counterclockwise (``sigma[d] ^ 1``); the walk keeps
+its face on the right, so the face to the left of a traversal is the one
+holding its tail dart.  Faces, genus, minors, reversal, isomorphism and the
+left/right classification of embedded directed cycles all live here.
 """
 
 from __future__ import annotations
@@ -26,13 +24,31 @@ from .errors import InvariantViolation
 from .multigraph import Multigraph, find_root, string_lists
 
 
-def canonical_rotation(seq) -> tuple[str, ...]:
-    """Rotate a cyclic sequence so its smallest element comes first."""
-    seq = tuple(seq)
-    if not seq:
-        return seq
-    k = seq.index(min(seq))
-    return seq[k:] + seq[:k]
+def functional_cycles(succ) -> list[list[int]]:
+    """Every cycle of the functional graph i -> succ[i] on range(len(succ)).
+
+    succ[i] is None where the walk stops (the sink).  Starts are tried in
+    increasing order and each cycle is listed from the first node reached, so
+    a permutation's cycles each start at their smallest element, in order of
+    those.
+    """
+    cycles = []
+    walk = [0] * len(succ)  # 0 unseen, else 1 + the start whose walk met it
+    for start in range(len(succ)):
+        if walk[start]:
+            continue
+        x = start
+        while x is not None and not walk[x]:
+            walk[x] = start + 1
+            x = succ[x]
+        if x is not None and walk[x] == start + 1:
+            cycle = [x]
+            y = succ[x]
+            while y != x:
+                cycle.append(y)
+                y = succ[y]
+            cycles.append(cycle)
+    return cycles
 
 
 class RibbonIsomorphism(NamedTuple):
@@ -67,12 +83,14 @@ def dart_numbering(graph: Multigraph):
 
 
 class RibbonGraph:
-    """A connected multigraph with a rotation system."""
+    """A connected multigraph with a rotation system, held as its dart rotation sigma."""
 
-    __slots__ = ("graph", "rotation", "sigma", "dart_vertex", "_dart", "_hash", "_faces")
+    __slots__ = ("graph", "sigma", "dart_vertex", "_dart", "_faces")
 
     def __init__(self, graph: Multigraph, rotation):
-        rot = {}
+        """The map with the given cyclic edge order at each vertex, checked."""
+        dart, _ = dart_numbering(graph)
+        sigma = [0] * 2 * len(graph.edges)
         for v in graph.vertices:
             try:
                 seq = tuple(rotation[v])
@@ -80,37 +98,52 @@ class RibbonGraph:
                 raise ValueError(f"rotation missing vertex {v!r}") from None
             if sorted(seq) != sorted(graph.incident(v)):
                 raise ValueError(f"rotation at {v!r} is not a cyclic order of its edges")
-            rot[v] = canonical_rotation(seq)
-        if set(rotation) != set(rot):
-            raise ValueError("rotation has extra vertices")
-        self.graph = graph
-        self.rotation = rot
-        self._hash = hash((graph, tuple(sorted(rot.items()))))
-        self._dart, self.dart_vertex = dart_numbering(graph)
-        sigma = [0] * len(self.dart_vertex)
-        for v, seq in rot.items():
             for e, f in zip(seq, seq[1:] + seq[:1]):
-                sigma[self._dart[e, v]] = self._dart[f, v]
-        self.sigma = tuple(sigma)
+                sigma[dart[e, v]] = dart[f, v]
+        if len(rotation) != len(graph.vertices):
+            raise ValueError("rotation has extra vertices")
+        self._bind(graph, tuple(sigma))
+
+    @classmethod
+    def from_sigma(cls, graph: Multigraph, sigma: tuple) -> "RibbonGraph":
+        """The map on graph with dart rotation sigma, trusted as given."""
+        rg = cls.__new__(cls)
+        rg._bind(graph, sigma)
+        return rg
+
+    def _bind(self, graph, sigma):
+        self.graph = graph
+        self.sigma = sigma
+        self._dart, self.dart_vertex = dart_numbering(graph)
         self._faces = None
 
     def __eq__(self, other):
         return (
             isinstance(other, RibbonGraph)
             and self.graph == other.graph
-            and self.rotation == other.rotation
+            and self.sigma == other.sigma
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.graph, self.sigma))
 
     def __reduce__(self):
-        # rebuilt from its arguments, so no string hash crosses a process
-        return RibbonGraph, (self.graph, self.rotation)
+        # rebuilt from its values, so no string hash crosses a process
+        return RibbonGraph.from_sigma, (self.graph, self.sigma)
 
     def __repr__(self):
         g = self.graph
-        return f"RibbonGraph({len(g.vertices)} vertices, {len(g.edges)} edges, genus {self.euler_genus()})"
+        genus = f"genus {self.euler_genus()}" if g.is_connected() else "not connected"
+        return f"RibbonGraph({len(g.vertices)} vertices, {len(g.edges)} edges, {genus})"
+
+    @property
+    def rotation(self) -> dict:
+        """Each vertex's counterclockwise edge ids from its smallest, read off sigma."""
+        g = self.graph
+        rot = dict.fromkeys(g.vertices, ())
+        for cycle in functional_cycles(self.sigma):
+            rot[g.vertices[self.dart_vertex[cycle[0]]]] = tuple(g.edges[d >> 1] for d in cycle)
+        return rot
 
     def dart(self, e: str, x: str) -> int:
         """The number of edge e's dart at vertex x."""
@@ -124,23 +157,25 @@ class RibbonGraph:
         return self.graph.edges[self.sigma[self.dart(e, x)] >> 1]
 
     def prev_edge(self, x: str, e: str) -> str:
-        seq = self.rotation[x]
-        i = seq.index(e)
-        return seq[i - 1]
+        """The edge before e in the counterclockwise order at x."""
+        start = d = self.dart(e, x)
+        while self.sigma[d] != start:
+            d = self.sigma[d]
+        return self.graph.edges[d >> 1]
 
     # -- faces and genus -----------------------------------------------------
 
     def faces(self) -> list[list[int]]:
         """Face boundary walks as lists of darts; every dart appears once.
 
-        Each walk is an orbit of ``d -> sigma[d] ^ 1`` listed from its
+        Each walk is a cycle of ``d -> sigma[d] ^ 1`` listed from its
         smallest dart, and the walks come in order of those darts.  The
         edgeless map is a sphere with one face, whose walk is empty.
         """
         if self._faces is None:
-            if not (self.graph.vertices and self.graph.is_connected()):
+            if not self.graph.is_connected():
                 raise ValueError("faces need a connected graph")
-            self._faces = face_orbits(self.sigma) or [[]]
+            self._faces = functional_cycles([d ^ 1 for d in self.sigma]) or [[]]
         return self._faces
 
     def euler_genus(self) -> int:
@@ -156,40 +191,47 @@ class RibbonGraph:
     # -- derived structures ----------------------------------------------------
 
     def reverse(self) -> "RibbonGraph":
-        """Reverse the cyclic order around every vertex (mirror embedding)."""
-        return RibbonGraph(
-            self.graph, {v: tuple(reversed(seq)) for v, seq in self.rotation.items()}
-        )
+        """Reverse the cyclic order around every vertex (mirror embedding): sigma inverted."""
+        inverse = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
+        return RibbonGraph.from_sigma(self.graph, tuple(inverse))
 
     def delete(self, e: str) -> "RibbonGraph":
-        g2 = self.graph.delete(e)
-        rot = {v: tuple(x for x in seq if x != e) for v, seq in self.rotation.items()}
-        return RibbonGraph(g2, rot)
+        """Delete e: its two darts leave their rotations."""
+        a = self.dart(e, self.graph.ends(e)[0])
+        return self._minor(self.graph.delete(e), self.sigma, {a, a ^ 1}, {})
 
     def contract(self, e: str) -> "RibbonGraph":
         """Contract e; parallels of e leave the structure as deleted loops.
 
-        With parallels gone, write the order at x as (e, e_1..e_p) and at y
-        as (e, ee_1..ee_l); the merged vertex gets (e_1..e_p, ee_1..ee_l).
+        Swapping e's two darts before each rotation step joins the orders
+        (e, e_1..e_p) at x and (e, ee_1..ee_l) at y into (e_1..e_p,
+        ee_1..ee_l) at the merged vertex, which keeps the smaller id x.
         """
         x, y = self.graph.ends(e)
-        parallels = set(self.graph.parallel_class(e))
-        g2 = self.graph.contract(e)
+        a = self.dart(e, x)
+        turn = list(self.sigma)
+        turn[a], turn[a ^ 1] = self.sigma[a ^ 1], self.sigma[a]
+        skip = {self._dart[f, v] for f in self.graph.parallel_class(e) for v in (x, y)}
+        return self._minor(self.graph.contract(e), turn, skip, {y: x})
 
-        def tail(v):
-            seq = [f for f in self.rotation[v] if f not in parallels or f == e]
-            k = seq.index(e)
-            seq = seq[k:] + seq[:k]
-            return seq[1:]
+    def _minor(self, g2: Multigraph, turn, skip, merged) -> "RibbonGraph":
+        """The map on g2 sending each kept dart to the next kept one along turn.
 
-        merged = tuple(tail(x) + tail(y))
-        rot = {}
-        for v in g2.vertices:
-            if v == x:
-                rot[v] = merged
-            else:
-                rot[v] = tuple(f for f in self.rotation[v] if f not in parallels)
-        return RibbonGraph(g2, rot)
+        A kept dart keeps its (edge, vertex) pair, with vertex ids renamed
+        through merged.
+        """
+        dart2, _ = dart_numbering(g2)
+        edges, names = self.graph.edges, [merged.get(v, v) for v in self.graph.vertices]
+        rename = {
+            d: dart2[edges[d >> 1], names[v]] for d, v in enumerate(self.dart_vertex) if d not in skip
+        }
+        sigma = [0] * len(rename)
+        for d, d2 in rename.items():
+            nxt = turn[d]
+            while nxt in skip:
+                nxt = turn[nxt]
+            sigma[d2] = rename[nxt]
+        return RibbonGraph.from_sigma(g2, tuple(sigma))
 
     # -- isomorphism ---------------------------------------------------------
 
@@ -247,22 +289,6 @@ class RibbonGraph:
     @classmethod
     def from_json(cls, text: str) -> "RibbonGraph":
         return cls.from_obj(json.loads(text))
-
-
-def face_orbits(sigma) -> list[list[int]]:
-    """The orbits of ``d -> sigma[d] ^ 1``, each from its smallest dart, in order of those."""
-    seen = [False] * len(sigma)
-    out = []
-    for start in range(len(sigma)):
-        if not seen[start]:
-            walk = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                walk.append(d)
-                d = sigma[d] ^ 1
-            out.append(walk)
-    return out
 
 
 def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:

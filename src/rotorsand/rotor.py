@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph, classify_sides, dart_numbering
+from .ribbon import RibbonGraph, classify_sides, dart_numbering, functional_cycles
 from .sandpile import Divisor
 
 
@@ -54,31 +54,6 @@ def tree_to_rotors(g: Multigraph, tree, s: str) -> dict:
     if len(tree) != len(g.vertices) - 1 or len(seen) != len(g.vertices):
         raise ValueError("not a spanning tree")
     return rotors
-
-
-def functional_cycles(succ) -> list[list[int]]:
-    """Every cycle of the functional graph i -> succ[i] on range(len(succ)).
-
-    succ[i] is None where the walk stops (the sink).  Starts are tried in
-    increasing order and each cycle is listed from the first node reached.
-    """
-    cycles = []
-    walk = [0] * len(succ)  # 0 unseen, else 1 + the start whose walk met it
-    for start in range(len(succ)):
-        if walk[start]:
-            continue
-        x = start
-        while x is not None and not walk[x]:
-            walk[x] = start + 1
-            x = succ[x]
-        if x is not None and walk[x] == start + 1:
-            cycle = [x]
-            y = succ[x]
-            while y != x:
-                cycle.append(y)
-                y = succ[y]
-            cycles.append(cycle)
-    return cycles
 
 
 def _tree_darts(rg: RibbonGraph, tree, s: str) -> list:

@@ -127,8 +127,8 @@ def test_rotation_systems_match_unnormalized_enumeration():
 def test_sigma_code_matches_ribbon_labelling():
     members = 0
     for g in connected_multigraphs(5):
-        for orders, sigma in catalog._rotation_product(g):
-            rg = RibbonGraph(g, dict(zip(g.vertices, orders)))
+        for sigma in catalog._rotation_product(g):
+            rg = RibbonGraph(g, RibbonGraph.from_sigma(g, sigma).rotation)
             assert sigma == rg.sigma
             code = canonical_labelling(sigma, len(g.vertices))[0]
             assert code == rg.canonical_labelling()[0]

@@ -88,7 +88,31 @@ def test_genus_and_dot(files, capsys):
     rc, out = run(capsys, ["genus", files["graph"]])
     assert rc == 0 and json.loads(out)["plane"] is True
     rc, out = run(capsys, ["genus", files["graph"], "--dot"])
-    assert rc == 0 and out.startswith("graph {")
+    assert rc == 0
+    assert out == """graph {
+  "a";  // rotation: ab ac sa
+  "b";  // rotation: ab bc
+  "c";  // rotation: ac bc cs
+  "s";  // rotation: cs sa
+  "a" -- "b" [label="ab"];
+  "a" -- "c" [label="ac"];
+  "b" -- "c" [label="bc"];
+  "c" -- "s" [label="cs"];
+  "a" -- "s" [label="sa"];
+}
+"""
+
+
+def test_route_dot(files, capsys):
+    argv = ["route", "--graph", files["graph"], "--tree", files["tree"], "--chip", "c", "--sink", "s"]
+    rc, out = run(capsys, [*argv, "--dot"])
+    assert rc == 0
+    assert out == """digraph {
+  "a" -> "s" [label="sa"];
+  "b" -> "c" [label="bc"];
+  "c" -> "a" [label="ac"];
+}
+"""
 
 
 def test_genus_of_one_vertex_map_counts_its_face(tmp_path, capsys):
@@ -327,6 +351,14 @@ def _write(tmp_path, name, obj):
     p = tmp_path / f"{name}.json"
     p.write_text(json.dumps(obj))
     return str(p)
+
+
+@pytest.mark.parametrize("cmd", ["trees", "genus", "group"])
+def test_graph_with_no_vertices_is_an_input_error(tmp_path, capsys, cmd):
+    path = _write(tmp_path, "empty", {"vertices": [], "edges": [], "rotation": {}})
+    assert main([cmd, path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "connected" in out.err
 
 
 def test_duplicate_edge_ids_are_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import permutations
 
@@ -122,6 +123,62 @@ def test_minors_preserve_planarity():
             if rg.delete(e).graph.is_connected():
                 assert rg.delete(e).is_plane()
             assert rg.contract(e).is_plane()
+
+
+def reference_delete(rg, e):
+    """Deletion walked on the rotation's edge ids."""
+    rot = {v: tuple(f for f in seq if f != e) for v, seq in rg.rotation.items()}
+    return RibbonGraph(rg.graph.delete(e), rot)
+
+
+def reference_contract(rg, e):
+    """Contraction walked on the rotation's edge ids: with e's parallels
+    gone, (e, e_1..e_p) at x and (e, ee_1..ee_l) at y splice into
+    (e_1..e_p, ee_1..ee_l) at x."""
+    x, y = rg.graph.ends(e)
+    parallels = set(rg.graph.parallel_class(e))
+    g2 = rg.graph.contract(e)
+
+    def tail(v):
+        seq = [f for f in rg.rotation[v] if f not in parallels or f == e]
+        k = seq.index(e)
+        return seq[k + 1 :] + seq[:k]
+
+    rot = {v: tuple(f for f in rg.rotation[v] if f not in parallels) for v in g2.vertices}
+    rot[x] = tuple(tail(x) + tail(y))
+    return RibbonGraph(g2, rot)
+
+
+def test_dart_minors_match_rotation_walks():
+    minors = bridges = parallel = leaves = 0
+    for rg in ribbon_graphs(6):
+        g = rg.graph
+        assert RibbonGraph(g, rg.rotation) == rg
+        assert rg.reverse().reverse() == rg
+        assert rg.reverse() == RibbonGraph(g, {v: seq[::-1] for v, seq in rg.rotation.items()})
+        for e in g.edges:
+            for got, want in ((rg.delete(e), reference_delete(rg, e)), (rg.contract(e), reference_contract(rg, e))):
+                assert got == want and got.rotation == want.rotation, (rg.rotation, e)
+                minors += 1
+            bridges += not g.delete(e).is_connected()
+            parallel += len(g.parallel_class(e)) > 1
+            leaves += min(g.degree(v) for v in g.ends(e)) == 1
+    assert minors == 8082  # both minors at every edge of the 699 maps
+    assert bridges and parallel and leaves
+
+
+def test_prev_edge_undoes_next_edge():
+    for rg in ribbon_graphs(4):
+        for e in rg.graph.edges:
+            for x in rg.graph.ends(e):
+                assert rg.prev_edge(x, rg.next_edge(x, e)) == e
+
+
+def test_repr_of_a_map_split_into_components():
+    g = Multigraph(["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c")})
+    rg = RibbonGraph(g, {"a": ("ab",), "b": ("ab", "bc"), "c": ("bc",)})
+    assert repr(rg) == "RibbonGraph(3 vertices, 2 edges, genus 0)"
+    assert repr(rg.delete("ab")) == "RibbonGraph(3 vertices, 1 edges, not connected)"
 
 
 def test_reverse_is_involution(square_ribbon):
@@ -370,7 +427,7 @@ def test_isomorphisms_refuse_maps_split_into_components():
 def test_lockstep_labelling_matches_anchor_search_on_rotation_products():
     members = 0
     for g in connected_multigraphs(6):
-        for _, sigma in catalog._rotation_product(g):
+        for sigma in catalog._rotation_product(g):
             assert first_order(canonical_labelling(sigma, len(g.vertices))) == anchor_labelling(
                 sigma, len(g.vertices)
             ), sigma
@@ -521,3 +578,4 @@ def test_classify_sides_parallel_two_cycle():
 
 def test_ribbon_json_round_trip(square_ribbon):
     assert RibbonGraph.from_json(square_ribbon.to_json()) == square_ribbon
+    assert pickle.loads(pickle.dumps(square_ribbon)) == square_ribbon
