@@ -161,6 +161,20 @@ def _rotation_product(g: Multigraph):
         yield scatter(tuple(chain.from_iterable(nexts)))
 
 
+def _face_count(sigma) -> int:
+    """The number of cycles of the face permutation d -> sigma[d] ^ 1, in one pass."""
+    seen = [False] * len(sigma)
+    count = 0
+    for start in range(len(sigma)):
+        if not seen[start]:
+            count += 1
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                d = sigma[d] ^ 1
+    return count
+
+
 @lru_cache(maxsize=4096)
 def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGraph, ...]:
     """All ribbon structures on g up to ribbon isomorphism, deterministic order.
@@ -169,13 +183,13 @@ def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGra
     plane_only) and keyed by its canonical code on sigma alone; a
     ``RibbonGraph`` is built, unchecked, only for the first member of each code.
     """
-    from .ribbon import RibbonGraph, canonical_labelling, functional_cycles
+    from .ribbon import RibbonGraph, canonical_labelling
 
     vcount = len(g.vertices)
     plane_faces = 2 - vcount + len(g.edges)
     found = {}
     for sigma in _rotation_product(g):
-        if plane_only and len(functional_cycles([d ^ 1 for d in sigma])) != plane_faces:
+        if plane_only and _face_count(sigma) != plane_faces:
             continue
         found.setdefault(canonical_labelling(sigma, vcount)[0], sigma)
     return tuple(RibbonGraph.from_sigma(g, found[k]) for k in sorted(found))

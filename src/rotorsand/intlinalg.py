@@ -184,35 +184,34 @@ def _hermite_columns(dim, cols):
 
     Only elementary column operations are used, so the spanned lattice never
     changes.  After extracting the pivot for row r, every remaining working
-    column is zero at r, which makes the basis triangular on pivot rows.
+    column is zero at r, which makes the basis triangular on pivot rows; it
+    also keeps the working columns zero above row r, so every operation
+    with one of them starts there.
     """
-    work = [list(c) for c in cols if any(x != 0 for x in c)]
+    work = [list(c) for c in cols if any(c)]
     basis = []
     pivot_rows = []
     for r in range(dim):
-        while True:
-            live = [i for i, c in enumerate(work) if c[r] != 0]
-            if len(live) <= 1:
-                break
-            p = min(live, key=lambda i: abs(work[i][r]))
-            pc = work[p]
-            for i in live:
-                if i == p:
-                    continue
-                q = work[i][r] // pc[r]
-                work[i] = [a - q * b for a, b in zip(work[i], pc)]
-        live = [i for i, c in enumerate(work) if c[r] != 0]
+        live = [c for c in work if c[r] != 0]
+        while len(live) > 1:
+            pc = min(live, key=lambda c: abs(c[r]))
+            tail = pc[r:]
+            for c in live:
+                if c is not pc:
+                    q = c[r] // tail[0]
+                    c[r:] = [a - q * b for a, b in zip(c[r:], tail)]
+            live = [c for c in live if c[r] != 0]
         if not live:
             continue
-        col = work.pop(live[0])
+        col = live[0]
+        work = [c for c in work if c is not col and any(c[r + 1 :])]
         if col[r] < 0:
             col = [-x for x in col]
         # keep earlier pivots reduced against the new one
-        for k in range(len(basis)):
-            q = basis[k][r] // col[r]
+        for b in basis:
+            q = b[r] // col[r]
             if q != 0:
-                basis[k] = [a - q * b for a, b in zip(basis[k], col)]
+                b[r:] = [x - q * y for x, y in zip(b[r:], col[r:])]
         basis.append(col)
         pivot_rows.append(r)
-        work = [c for c in work if any(x != 0 for x in c)]
     return basis, pivot_rows

@@ -19,12 +19,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph, classify_sides, dart_numbering, functional_cycles
-from .sandpile import Divisor
+
+if TYPE_CHECKING:  # annotation only: the unicycle and moves sweeps never load sandpile
+    from .sandpile import Divisor
 
 
 class RouteStep(NamedTuple):

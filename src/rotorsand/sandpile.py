@@ -5,22 +5,31 @@ modulo the integer image of the Laplacian form the sandpile group.  A class
 is keyed by its degree and the Hermite reduction of its chips off the first
 vertex modulo the reduced-Laplacian lattice.  Dhar's burning loop
 (``reduce``) finds the q-reduced representative for any sink q: ``act`` and
-the ``reduce`` command use it, and it cross-checks the lattice keys.  All
-arithmetic is exact.
+the ``reduce`` command use it, and it cross-checks the lattice keys.  Every
+answer is exact; the one float computation picks where ``reduce`` starts.
 
 Chip-firing runs on integer vertex positions: ``_neighbours`` lists each
 position's (neighbour, edge multiplicity) pairs once per graph.  ``_lift``
 moves a divisor's debt onto a sink by firing balls around it, one layer of
-graph distance at a time (``_shells``); ``move_to_sink`` is that lift, and
-``reduce`` starts from it.  ``_burn`` is one pass of Dhar's fire over a chip
-list, and ``reduce`` fires the unburnt set as many times as it legally can
-before burning again.
+graph distance at a time (``_shells``); ``move_to_sink`` is that lift.
+``_burn`` is one pass of Dhar's fire over a chip list, and ``reduce`` fires
+the unburnt set as many times as it legally can before burning again.
+
+On a large divisor the lift drives many times the answer's debt onto the
+sink, and burning spends its rounds handing it back.  So ``reduce`` first
+fires the divisor to a nearby equivalent one (``_seed``, after Baker and
+Shokrieh), through a float LU of the reduced Laplacian cached per graph
+(``_reduced_lu``).  The firing is integer, so the class stays and burning
+still decides the unique answer; float rounding can only make the start
+less close.  Divisors under the seed's own bound, 2|E| chips, burn as
+before, those of the exhaustive sweeps among them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -158,11 +167,12 @@ def _shells(g: Multigraph, q: str) -> tuple:
                 order.append(y)
     if len(order) < len(nbrs):
         raise ValueError("graph must be connected")
+    layers = [[] for _ in range(dist[order[-1]] + 1)]
+    for x in order:
+        layers[dist[x]].append(x)
 
     def layer(k, into):
-        return tuple(
-            (x, sum(m for y, m in nbrs[x] if dist[y] == into)) for x in order if dist[x] == k
-        )
+        return tuple((x, sum(m for y, m in nbrs[x] if dist[y] == into)) for x in layers[k])
 
     return tuple((layer(k, k - 1), layer(k - 1, k)) for k in range(dist[order[-1]], 0, -1))
 
@@ -200,6 +210,62 @@ def move_to_sink(g: Multigraph, d: Divisor, s: str) -> Divisor:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _reduced_lu(g: Multigraph) -> tuple[tuple[float, ...], ...]:
+    """Float LU factors of the reduced Laplacian at vertices[0], in one matrix.
+
+    Below the diagonal sit the multipliers of the unit lower factor, on and
+    above it the upper factor.  On a connected graph the matrix is symmetric
+    positive definite, so elimination needs no pivoting.  Cached per graph,
+    an immutable value.
+    """
+    a = [[float(x) for x in row] for row in reduced_laplacian(g)]
+    for k, pivot in enumerate(a):
+        for row in a[k + 1 :]:
+            f = row[k] / pivot[k]
+            if f:
+                row[k] = f
+                for j in range(k + 1, len(row)):
+                    row[j] -= f * pivot[j]
+    return tuple(map(tuple, a))
+
+
+def _seed(g: Multigraph, chips: list, qi: int) -> None:
+    """Fire chips (in vertex order) close to q-reduced, in place.
+
+    Let c be the chips off position 0, with the degree taken off position
+    qi, so that a divisor of any degree seeds towards q.  When c holds at
+    least 2|E| chips in absolute value, fire x = round(L0^-1 c), x = 0 at
+    position 0, where L0 is the reduced Laplacian at position 0.  The
+    firing is integer, so the class stays; c - L0 x is L0 times a vector of
+    entries at most 1/2 in absolute value, so up to float rounding every
+    position but 0 and qi ends within its degree of 0, at most 2|E| in all.
+    A c beyond float range is left as given.
+    """
+    c = chips[1:]
+    if qi:
+        c[qi - 1] -= sum(chips)
+    if sum(map(abs, c)) < 2 * len(g.edges):
+        return
+    lu = _reduced_lu(g)
+    try:
+        y = [float(n) for n in c]
+        for i, row in enumerate(lu):
+            y[i] -= sum(map(mul, row[:i], y[:i]))
+        for i in range(len(lu) - 1, -1, -1):
+            row = lu[i]
+            y[i] = (y[i] - sum(map(mul, row[i + 1 :], y[i + 1 :]))) / row[i]
+        x = [round(t) for t in y]
+    except (OverflowError, ValueError):  # chips or potential beyond float range
+        return
+    for i, nbrs in enumerate(_neighbours(g)[1:], 1):
+        xi = x[i - 1]
+        if xi:
+            for j, m in nbrs:
+                chips[i] -= m * xi
+                chips[j] += m * xi
+
+
 def _burn(nbrs, chips, qi):
     """Dhar's fire from position qi over chips: (burnt flags, heat).
 
@@ -225,16 +291,19 @@ def _burn(nbrs, chips, qi):
 def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
     """The unique q-reduced divisor equivalent to d (any degree).
 
-    First move the debt onto q (``_lift``), then repeatedly burn outward
-    from q and fire whatever survives, as many times as it legally can in
-    one step; once the fire consumes the whole graph, no nonempty set off q
-    can fire without going negative.
+    Large divisors first fire to a nearby equivalent one (``_seed``).  Then
+    move the debt onto q (``_lift``), and repeatedly burn outward from q and
+    fire whatever survives, as many times as it legally can in one step;
+    once the fire consumes the whole graph, no nonempty set off q can fire
+    without going negative.  The seed only picks the start within d's
+    class, and the q-reduced divisor of a class is unique, so the answer
+    does not depend on it.  Raises ValueError on a disconnected graph.
     """
-    if q not in g.vertices:
-        raise KeyError(f"unknown vertex id {q!r}")
+    _shells(g, q)  # an unknown sink or a disconnected graph raises here, for every d
     vs, nbrs = g.vertices, _neighbours(g)
     qi = vs.index(q)
     chips = [d[v] for v in vs]
+    _seed(g, chips, qi)
     _lift(g, chips, q)
     spread = sum(abs(n) for n in chips) + 1
     guard_limit = 64 + 16 * len(vs) * len(g.edges) * spread
@@ -245,9 +314,8 @@ def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
         if not unburnt:
             return Divisor(dict(zip(vs, chips)))
         # each unburnt v holds at least heat[v] chips, so this is at least 1;
-        # a set no edge joins to the fire (off a disconnected graph) moves
-        # nothing and runs into the guard
-        times = min((chips[v] // heat[v] for v in unburnt if heat[v]), default=1)
+        # the graph is connected, so some unburnt v has heat
+        times = min(chips[v] // heat[v] for v in unburnt if heat[v])
         for v in unburnt:
             chips[v] -= times * heat[v]
             for y, k in nbrs[v]:

@@ -755,12 +755,15 @@ def test_cli_import_leaves_matroid_code_out():
 def test_verify_start_up_loads_only_what_it_runs():
     # a torsor sweep never loads the move or matroid code, dataclasses (and
     # the inspect chain behind it) or fractions; a matroid sweep loads none of
-    # the plane code, ribbon maps or the LP; a unicycle sweep no torsor code
+    # the plane code, ribbon maps or the LP; unicycle and move sweeps, which
+    # only route rotors, load no torsor, sandpile or lattice code
     plane = ("rotorsand.torsor", "rotorsand.rotor", "rotorsand.sandpile", "rotorsand.ribbon")
+    rotors_only = ("rotorsand.torsor", "rotorsand.sandpile", "rotorsand.intlinalg")
     cases = [
         ("torsor", "rotorsand.torsor", ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions")),
         ("matroid", "rotorsand.matroid", (*plane, "rotorsand.lp", "fractions")),
-        ("unicycle", "rotorsand.rotor", ("rotorsand.torsor",)),
+        ("unicycle", "rotorsand.rotor", rotors_only),
+        ("moves", "rotorsand.moves", rotors_only),
     ]
     for suite, needed, absent in cases:
         code = (

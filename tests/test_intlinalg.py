@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorsand.intlinalg import ColumnLattice, det, rank, smith_diagonal
+from rotorsand.intlinalg import ColumnLattice, _hermite_columns, det, rank, smith_diagonal
 
 
 def brute_det(m):
@@ -117,3 +117,57 @@ def test_lattice_reduce_is_canonical_on_cosets():
 def test_lattice_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         ColumnLattice(2, [[1, 2, 3]])
+
+
+def hermite_columns_reference(dim, cols):
+    """Column HNF with every column operation over the whole column.
+
+    The Hermite reduction as it stood before its column operations started
+    at the current row; kept as the oracle for that restriction.
+    """
+    work = [list(c) for c in cols if any(x != 0 for x in c)]
+    basis = []
+    pivot_rows = []
+    for r in range(dim):
+        while True:
+            live = [i for i, c in enumerate(work) if c[r] != 0]
+            if len(live) <= 1:
+                break
+            p = min(live, key=lambda i: abs(work[i][r]))
+            pc = work[p]
+            for i in live:
+                if i == p:
+                    continue
+                q = work[i][r] // pc[r]
+                work[i] = [a - q * b for a, b in zip(work[i], pc)]
+        live = [i for i, c in enumerate(work) if c[r] != 0]
+        if not live:
+            continue
+        col = work.pop(live[0])
+        if col[r] < 0:
+            col = [-x for x in col]
+        for k in range(len(basis)):
+            q = basis[k][r] // col[r]
+            if q != 0:
+                basis[k] = [a - q * b for a, b in zip(basis[k], col)]
+        basis.append(col)
+        pivot_rows.append(r)
+        work = [c for c in work if any(x != 0 for x in c)]
+    return basis, pivot_rows
+
+
+def test_hermite_columns_match_the_full_column_reference():
+    # square, wide and tall matrices, full rank and rank-deficient, with and
+    # without zero columns; the input columns stay untouched
+    rng = random.Random(41)
+    for _ in range(1500):
+        dim, ncols = rng.randint(1, 6), rng.randint(0, 7)
+        k = rng.randint(0, min(dim, ncols) + 1)
+        a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(dim)]
+        b = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(k)]
+        cols = [[sum(a[i][t] * b[t][j] for t in range(k)) for i in range(dim)] for j in range(ncols)]
+        if rng.random() < 0.3:
+            cols = [[rng.randint(-20, 20) for _ in range(dim)] for _ in range(ncols)]
+        before = [list(c) for c in cols]
+        assert _hermite_columns(dim, cols) == hermite_columns_reference(dim, cols), cols
+        assert cols == before

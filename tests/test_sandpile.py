@@ -356,6 +356,71 @@ def test_reduce_rejects_unknown_sink(triangle):
         sandpile.reduce(triangle, Divisor({"u": 1}), "zz")
 
 
+def test_reduce_rejects_a_disconnected_graph_up_front():
+    # two disjoint edges: this divisor has no debt off q, and once burnt
+    # until the step guard; every divisor, the zero one included, raises
+    from rotorsand.multigraph import Multigraph
+
+    g = Multigraph(["a", "b", "c", "d"], {"ab": ("a", "b"), "cd": ("c", "d")})
+    for d in (Divisor({"a": -(10**4), "c": 10**4}), Divisor({}), Divisor({"b": -3})):
+        with pytest.raises(ValueError, match="graph must be connected"):
+            sandpile.reduce(g, d, "a")
+
+
+def _check_reduced_answer(g, d, q, r):
+    # is_reduced, the class and the degree determine the answer uniquely
+    assert r.degree() == d.degree()
+    assert sandpile.is_reduced(g, r, q)
+    assert sandpile.laplacian_image_contains(g, d - r)
+
+
+def test_seeded_reduce_on_large_divisors():
+    # amplitudes far above the 2|E| guard, any degree, at vertices[0] and at
+    # other sinks; the seed alone leaves every vertex but vertices[0] and q
+    # within its degree of 0
+    rng = random.Random(29)
+    cases = [(g, q) for g in connected_multigraphs(5) for q in g.vertices]
+    for n in range(3, 11):
+        g = moves.telescope(n, [rng.randrange(3) for _ in range(n + 1)])[0].graph
+        cases += [(g, g.vertices[0]), (g, rng.choice(g.vertices[1:]))]
+    for g, q in cases:
+        vs, qi = g.vertices, g.vertices.index(q)
+        for amplitude in (10**3, 10**6):
+            d = Divisor({v: rng.randint(-amplitude, amplitude) for v in vs})
+            chips = [d[v] for v in vs]
+            sandpile._seed(g, chips, qi)
+            assert sum(chips) == d.degree()
+            rest = [(v, n) for i, (v, n) in enumerate(zip(vs, chips)) if i not in (0, qi)]
+            assert all(abs(n) <= g.degree(v) for v, n in rest)
+            _check_reduced_answer(g, d, q, sandpile.reduce(g, d, q))
+
+
+def test_reduce_beyond_float_range_starts_from_the_chips():
+    g = banana_graph(3)
+    for d in (Divisor({"x": 10**400, "y": -(10**400)}), Divisor({"x": -(10**400), "y": 10**400 + 7})):
+        chips = [d[v] for v in g.vertices]
+        sandpile._seed(g, chips, 0)
+        assert chips == [d[v] for v in g.vertices]
+        for q in g.vertices:
+            _check_reduced_answer(g, d, q, sandpile.reduce(g, d, q))
+
+
+def test_seed_cuts_the_burn_rounds_of_a_telescope_query(monkeypatch):
+    # one large-act-sized query (21 vertices, 40 edges): 22 burns from the
+    # lift alone, 6 from the seed, with the same answer
+    g = moves.telescope(9, [0, 1, 2, 0, 1, 2, 0, 1, 2, 1])[0].graph
+    rng = random.Random(20)
+    d = Divisor({v: rng.randint(-10, 10) for v in g.vertices})
+    d = d - Divisor({g.vertices[0]: d.degree()})
+    burns = []
+    burn = sandpile._burn
+    monkeypatch.setattr(sandpile, "_burn", lambda *args: burns.append(1) or burn(*args))
+    seeded = sandpile.reduce(g, d, "c")
+    assert (g.vertices[0], len(burns)) == ("c", 6)
+    monkeypatch.setattr(sandpile, "_seed", lambda *args: None)
+    assert sandpile.reduce(g, d, "c") == seeded and len(burns) == 6 + 22
+
+
 def test_telescope_group_structure():
     g = moves.telescope(7, [1, 2, 1, 2, 1, 2, 1, 2])[0].graph
     s = sandpile.group_structure(g)
