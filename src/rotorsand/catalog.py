@@ -31,35 +31,38 @@ def _graph_key(n: int, pairs) -> tuple:
     """Minimum edge-multiset encoding over degree-refined vertex bijections.
 
     The graph has vertices 0..n-1 and one (low, high) pair per edge; the key
-    is (n, least sorted pair list) over the orders within the colour blocks.
+    is (n, least sorted list of the codes low * n + high, which sort like the
+    pairs) over the orders within the colour blocks.  Colours are renumbered
+    by rank after each refinement round, which keeps blocks and their order.
     """
     around = [[] for _ in range(n)]
     for a, b in pairs:
         around[a].append(b)
         around[b].append(a)
-    colors = [(len(ws),) for ws in around]
+    colors = [len(ws) for ws in around]
     for _ in range(n):
         nxt = [(colors[v], tuple(sorted(colors[w] for w in around[v]))) for v in range(n)]
-        stable = len(set(nxt)) == len(set(colors))
-        colors = nxt
+        rank = {c: r for r, c in enumerate(sorted(set(nxt)))}
+        stable = len(rank) == len(set(colors))
+        colors = [rank[c] for c in nxt]
         if stable:
             break
-    classes = {}
+    blocks = [[] for _ in rank]
     for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    blocks = [permutations(classes[c]) for c in sorted(classes)]
+        blocks[colors[v]].append(v)
+    cell = [[i * n + j if i < j else j * n + i for j in range(n)] for i in range(n)]
     ix = [0] * n
     best = None
-    for combo in product(*blocks):
+    for combo in product(*map(permutations, blocks)):
         pos = 0
         for perm in combo:
             for v in perm:
                 ix[v] = pos
                 pos += 1
-        enc = tuple(sorted((ix[a], ix[b]) if ix[a] < ix[b] else (ix[b], ix[a]) for a, b in pairs))
+        enc = sorted([cell[ix[a]][ix[b]] for a, b in pairs])
         if best is None or enc < best:
             best = enc
-    return (n, best)
+    return (n, tuple(best))
 
 
 def _augmentations(n: int, pairs: tuple):
@@ -95,9 +98,9 @@ def _pair_level(m: int) -> tuple[tuple[int, tuple], ...]:
     if m == 1:
         return ((2, ((0, 1),)),)
     nxt = {}
-    for n, pairs in _pair_level(m - 1):
-        for cand in _augmentations(n, pairs):
-            nxt.setdefault(_graph_key(*cand), cand)
+    # distinct parents can offer the same candidate: key each one once
+    for cand in dict.fromkeys(c for n, ps in _pair_level(m - 1) for c in _augmentations(n, ps)):
+        nxt.setdefault(_graph_key(*cand), cand)
     return tuple(nxt[k] for k in sorted(nxt))
 
 
@@ -120,24 +123,36 @@ def _leaf_twin_classes(g: Multigraph):
     return [(c, sorted(es)) for c, es in by_center.items() if len(es) >= 2]
 
 
-def _is_increasing_subsequence(seq, members):
-    sub = [e for e in seq if e in members]
-    return sub == sorted(sub)
+@lru_cache(maxsize=None)
+def _successor_orders(k: int, classes: tuple) -> tuple[tuple[int, ...], ...]:
+    """Cyclic orders of positions 0..k-1 from 0 on, in permutation order, as
+    successor tuples; each class, a tuple of increasing positions, must
+    appear in increasing order.  Vertices of one shape share them."""
+    out = []
+    for perm in permutations(range(1, k)):
+        cyc = (0, *perm)
+        if all(tuple(i for i in cyc if i in cl) == cl for cl in classes):
+            succ = [0] * k
+            for a, b in zip(cyc, perm):
+                succ[a] = b
+            out.append(tuple(succ))
+    return tuple(out)
 
 
 def _rotation_product(g: Multigraph):
     """The dart rotations sigma of the normalised rotation product, in product order.
 
     Each vertex lists its incident edges from the smallest id on, in every
-    order that the symmetry normalizations of the module docstring allow.
+    order that the symmetry normalizations of the module docstring allow,
+    as position classes over its sorted incident edges (_successor_orders).
     """
     from .ribbon import dart_numbering  # the multigraph levels never load ribbon
 
     constraints = {v: [] for v in g.vertices}
     for (u, w), es in _parallel_classes(g):
-        constraints[u].append(frozenset(es))
+        constraints[u].append(es)
     for center, es in _leaf_twin_classes(g):
-        constraints[center].append(frozenset(es))
+        constraints[center].append(es)
 
     dart, _ = dart_numbering(g)
     slots = []  # darts in the order their successors are listed below
@@ -146,15 +161,11 @@ def _rotation_product(g: Multigraph):
         inc = sorted(g.incident(v))
         if not inc:
             raise ValueError("isolated vertex has no rotation")
-        slots += (dart[e, v] for e in inc)
-        head, rest = inc[0], inc[1:]
-        nexts = []
-        for perm in permutations(rest):
-            seq = (head,) + perm
-            if all(_is_increasing_subsequence(seq, cl) for cl in constraints[v]):
-                after = dict(zip(seq, seq[1:] + seq[:1]))
-                nexts.append(tuple(dart[after[e], v] for e in inc))
-        successors.append(nexts)
+        darts = [dart[e, v] for e in inc]
+        slots += darts
+        classes = tuple(tuple(sorted(map(inc.index, es))) for es in constraints[v])
+        orders = _successor_orders(len(inc), classes)
+        successors.append([tuple(map(darts.__getitem__, succ)) for succ in orders])
 
     scatter = itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
     for nexts in product(*successors):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvariantViolation
@@ -102,15 +103,17 @@ def _spin(
     return x
 
 
-def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
-    """Route one chip from position x to sink, turning the dart array in place.
-
-    seen and turned are passed to _spin.  The final rotors are asserted
-    acyclic.
-    """
+def _to_sink(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
+    """Move one chip from position x to sink within the routing step bound,
+    turning the dart array in place; seen and turned are passed to _spin."""
     bound = 2 * len(rg.graph.edges) * (len(rotors) + 1) + 8
     if _spin(rg, rotors, x, bound, sink, seen, turned) != sink:
         raise InvariantViolation("routing exceeded its step bound")
+
+
+def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
+    """Route one chip (_to_sink); the final rotors are asserted acyclic."""
+    _to_sink(rg, rotors, x, sink, seen, turned)
     if functional_cycles(_heads(rg, rotors)):
         raise InvariantViolation("routing finished on a cyclic rotor configuration")
 
@@ -162,18 +165,21 @@ def chip_rows(rg: RibbonGraph, trees, s: str) -> list[tuple[int, ...]]:
     """Tree-index rows of the single chips [v - s], by vertex position.
 
     Row v sends i to the index of the tree that one chip routed from v to s
-    leaves of trees[i]; the row at s is the identity.  Each tree's rotors are
-    set up once, and each chip routes a copy of them on the dart array; the
-    rotors are asserted acyclic after every chip.
+    leaves of trees[i], every spanning tree; the row at s is the identity.
+    Each tree's rotors are set up once, and each chip routes a copy of them
+    on the dart array.  The trees' arrays are exactly the acyclic ones, so
+    looking the routed rotors up among them asserts them acyclic.
     """
     sink = rg.graph.vertices.index(s)
     starts = [_tree_darts(rg, t, s) for t in trees]
     index = {tuple(r): i for i, r in enumerate(starts)}
 
     def routed(rotors, v):
-        if v != sink:
-            _route(rg, rotors, v, sink)
-        return index[tuple(rotors)]
+        _to_sink(rg, rotors, v, sink)
+        i = index.get(tuple(rotors))
+        if i is None:
+            raise InvariantViolation("routing finished on a cyclic rotor configuration")
+        return i
 
     return [tuple([routed(list(r), v) for r in starts]) for v in range(len(rg.graph.vertices))]
 
@@ -217,42 +223,44 @@ def _unicycle_arrays(g: Multigraph):
     return tuple(arrays), tuple(pos), tuple(radix), prod(map(len, around))
 
 
-def _orbits(rg: RibbonGraph, orbit: list):
-    """Every unicycle of rg, spinning each orbit once, the first time it is met.
+def _orbits(rg: RibbonGraph):
+    """Spin every unicycle orbit of rg once, in one flat pass over its states.
 
     A unicycle (rotors, chip) is the state index * n + chip, with index the
     rotors' place in the product (_unicycle_arrays) and n the vertex count;
-    one move at chip x changes the index by step[rotors[x]].  orbit, passed
-    empty, becomes a flat list holding each state's orbit number, 1 for the
-    first orbit spun and 0 for a state not yet seen.  For each sink-free
-    array with a single cycle, yields (index, rotors, cycle, walks): cycle
-    lists the cycle's positions, each the chip of one unicycle, and walks
-    holds (chip, darts turned, rotors reached, chip reached) after 2|E|
-    moves for each chip, in cycle order, whose orbit is new.  Each state is
-    numbered before its move.
+    a move that turns a rotor onto dart d changes the state by jump[d], the
+    turn's step in the index times n plus the chip's shift.  The pass visits
+    the states of each single-cycle array in turn and spins 2|E| moves from
+    each one no earlier orbit has numbered.  Returns (orbit, walks): orbit
+    is a flat list holding each state's orbit number, 1 for the first orbit
+    spun and 0 for a state that no orbit passed, and walks holds (state,
+    state reached, darts turned) for each orbit, in the order they were
+    spun.  Each state is numbered before its move.
     """
     sigma, dv = rg.sigma, rg.dart_vertex
     arrays, pos, radix, size = _unicycle_arrays(rg.graph)
     n, nd = len(radix), len(sigma)
-    step = [(pos[sigma[d]] - pos[d]) * radix[dv[d]] for d in range(nd)]
-    orbit[:] = [0] * (size * n)
-    count = 0
+    head = [dv[d ^ 1] for d in range(nd)]
+    jump = [0] * nd
+    for d, t in enumerate(sigma):
+        jump[t] = (pos[t] - pos[d]) * radix[dv[d]] * n + head[t] - dv[d]
+    orbit = [0] * (size * n)
+    walks = []
+    moves = range(nd)
     for index, start, cycle in arrays:
-        walks = []
+        base = index * n
         for chip in cycle:
-            if orbit[index * n + chip]:
+            if orbit[base + chip]:
                 continue
-            count += 1
-            rotors, turned, i, x = list(start), [], index, chip
-            for _ in range(nd):
-                orbit[i * n + x] = count
-                d = rotors[x]
-                i += step[d]
-                d = rotors[x] = sigma[d]
-                turned.append(d)
-                x = dv[d ^ 1]
-            walks.append((chip, turned, rotors, x))
-        yield index, start, cycle, walks
+            k = len(walks) + 1
+            rotors, turned, s, x = list(start), [0] * nd, base + chip, chip
+            for j in moves:
+                orbit[s] = k
+                d = turned[j] = rotors[x] = sigma[rotors[x]]
+                s += jump[d]
+                x = head[d]
+            walks.append((base + chip, s, turned))
+    return orbit, walks
 
 
 def verify_full_spin(rg: RibbonGraph) -> dict:
@@ -260,25 +268,24 @@ def verify_full_spin(rg: RibbonGraph) -> dict:
 
     Checks, for one representative per orbit (the orbit is a single cycle,
     so shifted starts see the same crossing multiset and the same return
-    time): the walk returns to its start at step 2|E| and not earlier, each
-    edge is crossed exactly once in each direction, and each rotor turns a
-    full circle.
+    time): the walk returns to its start state (rotors and chip) at step
+    2|E| and not earlier, each edge is crossed exactly once in each
+    direction, and each rotor turns a full circle.
     """
     dv = rg.dart_vertex
     turns = sorted(dv)  # each vertex's position once per dart around it
-    report = {"unicycles": 0, "orbits": 0, "violations": []}
-    for _, start, cycle, walks in _orbits(rg, []):
-        report["unicycles"] += len(cycle)
-        for chip, turned, rotors, end in walks:
-            report["orbits"] += 1
-            if end != chip or tuple(rotors) != start:
-                report["violations"].append("orbit did not close after a full sweep")
-            if len(set(turned)) != len(dv):
-                report["violations"].append("an edge was not crossed once per direction")
-                # 2|E| turns over every dart are a full turn of each rotor,
-                # so only a walk that missed a dart can miss a turn
-                if sorted(map(dv.__getitem__, turned)) != turns:
-                    report["violations"].append("a rotor did not make one full turn")
+    _, walks = _orbits(rg)
+    unicycles = sum(map(len, map(itemgetter(2), _unicycle_arrays(rg.graph)[0])))
+    report = {"unicycles": unicycles, "orbits": len(walks), "violations": []}
+    for state, end, turned in walks:
+        if end != state:
+            report["violations"].append("orbit did not close after a full sweep")
+        if len(set(turned)) != len(dv):
+            report["violations"].append("an edge was not crossed once per direction")
+            # 2|E| turns over every dart are a full turn of each rotor,
+            # so only a walk that missed a dart can miss a turn
+            if sorted(map(dv.__getitem__, turned)) != turns:
+                report["violations"].append("a rotor did not make one full turn")
     return report
 
 
@@ -288,15 +295,13 @@ def verify_reversal_equivalence(rg: RibbonGraph) -> dict:
     True exactly on plane ribbon graphs; the report carries the plane flag
     and every unicycle, as (rotors, chip), whose orbit misses its reversal.
     """
-    _, pos, radix, _ = _unicycle_arrays(rg.graph)
+    arrays, pos, radix, _ = _unicycle_arrays(rg.graph)
     dv, n = rg.dart_vertex, len(radix)
-    orbit = []
-    count = 0
+    orbit, walks = _orbits(rg)
+    if any(end != state for state, end, _ in walks):
+        raise InvariantViolation("unicycle did not return after a full sweep")
     misses = []
-    for index, start, cycle, walks in _orbits(rg, orbit):
-        if any(end != chip or tuple(rotors) != start for chip, _, rotors, end in walks):
-            raise InvariantViolation("unicycle did not return after a full sweep")
-        count += len(cycle)
+    for index, start, cycle in arrays:
         reverse = index  # the index of the rotors with their cycle turned around
         for v in cycle:
             d = start[v] ^ 1
@@ -307,7 +312,7 @@ def verify_reversal_equivalence(rg: RibbonGraph) -> dict:
         ]
     return {
         "plane": rg.is_plane(),
-        "unicycles": count,
+        "unicycles": sum(map(len, map(itemgetter(2), arrays))),
         "misses": misses,
         "equivalence_holds": rg.is_plane() == (not misses),
     }

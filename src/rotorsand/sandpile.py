@@ -202,6 +202,7 @@ def move_to_sink(g: Multigraph, d: Divisor, s: str) -> Divisor:
     """An equivalent divisor with all debt on s (nonnegative elsewhere)."""
     if d.degree() != 0:
         raise ValueError("move_to_sink expects a degree-0 divisor")
+    _shells(g, s)  # an unknown sink or a disconnected graph raises here, for every d
     chips = [d[v] for v in g.vertices]
     if not _lift(g, chips, s):
         return d

@@ -154,7 +154,8 @@ def test_07_unicycles():
     bad = len(v["violations"])
     named = reversal_instances()
     plane_ok = all(rg.is_plane() == name.endswith(", plane") for rg, name in named)
-    ok = bad == 0 and plane_ok
+    # the sweep covers every orbit: 57,675 ribbon graphs plus the named four
+    ok = bad == 0 and plane_ok and (v["instances"], v["checked"]) == (57679, 766118)
     report(7, "unicycles", ok, f"{v['instances'] - len(named)} ribbon graphs, {v['checked']} orbits spun, {bad} violations, reversal equivalence on {len(named)} named structures, {time.time()-t0:.0f}s")
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
+from operator import itemgetter
 
 from rotorsand import catalog
 from rotorsand.catalog import (
@@ -82,13 +83,14 @@ def test_multigraph_counts_match_brute_force():
 
 def test_int_key_matches_string_key_on_every_candidate():
     cands = [(2, ((0, 1),))]
-    for m in range(1, 6):
+    for m in range(1, 7):
         for n, pairs in catalog._pair_level(m):
             cands.extend(catalog._augmentations(n, pairs))
-    assert len(cands) == 592
+    assert len(cands) == 2278
     for n, pairs in cands:
         g = catalog._relabel_sorted(pairs)
-        assert catalog._graph_key(n, pairs) == graph_canonical_key(g)
+        size, codes = catalog._graph_key(n, pairs)
+        assert (size, tuple(divmod(c, n) for c in codes)) == graph_canonical_key(g)
 
 
 def test_multigraph_enumeration_has_no_duplicates():
@@ -122,6 +124,53 @@ def brute_rotation_count(g):
 def test_rotation_systems_match_unnormalized_enumeration():
     for g in connected_multigraphs(5):
         assert len(rotation_systems(g)) == brute_rotation_count(g)
+
+
+def _is_increasing_subsequence(seq, members):
+    sub = [e for e in seq if e in members]
+    return sub == sorted(sub)
+
+
+def rotation_product_reference(g: Multigraph):
+    """The catalog's rotation product with an edge dict per vertex order,
+    kept as the oracle of its position-level kernel `catalog._rotation_product`."""
+    from rotorsand.ribbon import dart_numbering
+
+    constraints = {v: [] for v in g.vertices}
+    for (u, w), es in catalog._parallel_classes(g):
+        constraints[u].append(frozenset(es))
+    for center, es in catalog._leaf_twin_classes(g):
+        constraints[center].append(frozenset(es))
+
+    dart, _ = dart_numbering(g)
+    slots = []  # darts in the order their successors are listed below
+    successors = []
+    for v in g.vertices:
+        inc = sorted(g.incident(v))
+        if not inc:
+            raise ValueError("isolated vertex has no rotation")
+        slots += (dart[e, v] for e in inc)
+        head, rest = inc[0], inc[1:]
+        nexts = []
+        for perm in permutations(rest):
+            seq = (head,) + perm
+            if all(_is_increasing_subsequence(seq, cl) for cl in constraints[v]):
+                after = dict(zip(seq, seq[1:] + seq[:1]))
+                nexts.append(tuple(dart[after[e], v] for e in inc))
+        successors.append(nexts)
+
+    scatter = itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
+    for nexts in product(*successors):
+        yield scatter(tuple(chain.from_iterable(nexts)))
+
+
+def test_rotation_product_matches_reference():
+    members = 0
+    for g in connected_multigraphs(6):
+        got = list(catalog._rotation_product(g))
+        assert got == list(rotation_product_reference(g)), g.to_json()
+        members += len(got)
+    assert members == 2125
 
 
 def test_sigma_code_matches_ribbon_labelling():

@@ -20,6 +20,7 @@ from rotorsand.rotor import (
     _unicycle_arrays,
     check_cycle_reversal,
     check_no_repeated_crossing,
+    chip_rows,
     functional_cycles,
     route_chip,
     route_divisor,
@@ -231,6 +232,22 @@ def test_routing_asserts_acyclic_rotors(square_ribbon, monkeypatch):
         route_divisor(square_ribbon, t, chip("c", "s"), "s")
 
 
+def test_chip_rows_asserts_acyclic_rotors(square_ribbon, monkeypatch):
+    # a routing step patched to leave rotors a -> b and b -> a along ab: the
+    # chip still reaches the sink, and the lookup among the trees misses
+    rg = square_ribbon
+    a, b = (rg.graph.vertices.index(v) for v in "ab")
+
+    def cyclic_spin(rg, rotors, *args):
+        x = _spin(rg, rotors, *args)
+        rotors[a], rotors[b] = rg.dart("ab", "a"), rg.dart("ab", "b")
+        return x
+
+    monkeypatch.setattr("rotorsand.rotor._spin", cyclic_spin)
+    with pytest.raises(InvariantViolation, match="cyclic rotor configuration"):
+        chip_rows(rg, rg.graph.spanning_trees(), "s")
+
+
 def test_route_divisor_rejects_bad_input(square_ribbon):
     t = frozenset({"ac", "bc", "cs"})
     with pytest.raises(ValueError):
@@ -291,12 +308,15 @@ def test_orbit_numbers_partition_the_unicycles():
     # 2|E| states, and no other state is numbered
     for rg in ribbon_graphs(4):
         n = len(rg.graph.vertices)
-        orbit = []
-        spun = list(_orbits(rg, orbit))
-        states = {index * n + c for index, _, cycle, _ in spun for c in cycle}
+        orbit, walks = _orbits(rg)
+        arrays = _unicycle_arrays(rg.graph)[0]
+        states = {index * n + c for index, _, cycle in arrays for c in cycle}
         assert {s for s, k in enumerate(orbit) if k} == states
-        orbits = sum(len(walks) for *_, walks in spun)
+        orbits = len(walks)
         assert sorted(orbit.count(k) for k in range(1, orbits + 1)) == [len(rg.sigma)] * orbits
+        # each walk starts on a state of its own orbit and comes back to it
+        assert [orbit[state] for state, _, _ in walks] == list(range(1, orbits + 1))
+        assert all(end == state for state, end, _ in walks)
 
 
 def split_rotation(rg, cycles):

@@ -333,6 +333,17 @@ def test_move_to_sink_requires_degree_zero(triangle):
         sandpile.move_to_sink(triangle, Divisor({"u": 1}), "u")
 
 
+def test_move_to_sink_rejects_a_disconnected_graph_up_front():
+    # two disjoint edges: {a: -1, c: 1} has no debt off the sink and was
+    # once returned unchanged, while {a: 1, c: -1} raised
+    from rotorsand.multigraph import Multigraph
+
+    g = Multigraph(["a", "b", "c", "d"], {"ab": ("a", "b"), "cd": ("c", "d")})
+    for d in (Divisor({"a": -1, "c": 1}), Divisor({"a": 1, "c": -1})):
+        with pytest.raises(ValueError, match="graph must be connected"):
+            sandpile.move_to_sink(g, d, "a")
+
+
 def test_lattice_keys_split_like_burning():
     # every plane graph with at most 6 edges: each class representative, a
     # firing-shifted copy of it, and random divisors of any degree fall into
