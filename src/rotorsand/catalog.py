@@ -206,11 +206,11 @@ def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGra
     return tuple(RibbonGraph.from_sigma(g, found[k]) for k in sorted(found))
 
 
-def ribbon_graphs(max_edges: int, min_edges: int = 1, plane_only: bool = False):
+def ribbon_graphs(max_edges: int, min_edges: int = 1):
     """Every ribbon graph in the size range, up to ribbon isomorphism."""
     out = []
     for g in connected_multigraphs(max_edges, min_edges):
-        out.extend(rotation_systems(g, plane_only=plane_only))
+        out.extend(rotation_systems(g))
     return out
 
 

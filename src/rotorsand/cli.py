@@ -40,6 +40,14 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _open_out(path):
+    """Open path for writing; an unwritable path is an input error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph(path) -> Multigraph:
     try:
         return Multigraph.from_obj(_load_json(path))
@@ -247,7 +255,7 @@ def cmd_telescope(args):
         "g": labels.g,
     }
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             json.dump(obj, fh, sort_keys=True, indent=2)
     else:
         _emit(obj)
@@ -404,16 +412,18 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
     The keys are `instances`, `checked`, `violations`, `findings` and `notes`.
     The pooled suites check one catalog graph per payload, in catalog order;
     only the graphs with violations or notes are then written as JSON text,
-    which keys their violations and orders them, notes included.  The
-    non-plane maps of ``include_nonplanar`` take the same path, and their
-    findings stay in catalog order.
+    which keys their violations and orders them, notes included.
+    ``include_nonplanar`` runs sink-invariance over every ribbon graph in
+    the same pass, and turns the non-plane maps' violations into findings,
+    in catalog order.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     check = partial(_check, suite, variant)
     out = {"instances": 0, "checked": 0, "violations": [], "findings": [], "notes": []}
+    nonplane = include_nonplanar and suite == "sink-invariance"
     if suite in POOLED:
-        if suite == "unicycle":
+        if suite == "unicycle" or nonplane:
             graphs = catalog.ribbon_graphs(max_edges)
         else:
             graphs = catalog.plane_graphs(max_edges, two_connected=suite == "moves")
@@ -421,25 +431,21 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
         for rg, (checked, violations, notes) in zip(graphs, _pool_map(check, graphs, workers)):
             out["instances"] += 1
             out["checked"] += checked
-            if violations or notes:
+            if nonplane and not rg.is_plane():
+                if violations:
+                    out["findings"].append(
+                        {
+                            "graph": rg.to_json(),
+                            "disagreements": len(violations),
+                            "expected": "sink dependence is forced off the plane",
+                        }
+                    )
+            elif violations or notes:
                 reported.append((rg.to_json(), violations, notes))
         for key, violations, notes in sorted(reported, key=itemgetter(0)):
             out["violations"].extend({"graph": key, "detail": v} for v in violations)
             out["notes"].extend(notes)
-    if suite == "sink-invariance" and include_nonplanar:
-        graphs = [rg for rg in catalog.ribbon_graphs(max_edges) if not rg.is_plane()]
-        for rg, (checked, violations, _) in zip(graphs, _pool_map(check, graphs, workers)):
-            out["instances"] += 1
-            out["checked"] += checked
-            if violations:
-                out["findings"].append(
-                    {
-                        "graph": rg.to_json(),
-                        "disagreements": len(violations),
-                        "expected": "sink dependence is forced off the plane",
-                    }
-                )
-    elif suite == "unicycle":
+    if suite == "unicycle":
         from .rotor import verify_reversal_equivalence
 
         for rg, name in reversal_instances():
@@ -481,20 +487,11 @@ def cmd_verify(args):
     if args.max_edges > bound:
         raise InputError(f"--max-edges {args.max_edges} is over the bound of {bound} for {sized}")
     if args.report:
-        try:
-            open(args.report, "w").close()  # an unwritable path fails before the sweep
-        except OSError as exc:
-            raise InputError(f"cannot write {args.report}: {exc}") from exc
+        _open_out(args.report).close()  # an unwritable path fails before the sweep
     seed = args.seed if args.seed is not None else random.randrange(2**32)
     workers = args.workers or 1
-    config = {
-        "suite": args.suite,
-        "max_edges": args.max_edges,
-        "variant": args.variant,
-        "include_nonplanar": args.include_nonplanar,
-        "seed": seed,
-        "workers": workers,
-    }
+    config = {"suite": args.suite, "max_edges": args.max_edges, "seed": seed, "workers": workers}
+    config.update((name, getattr(args, name)) for name in SUITE_OPTIONS)
     verdict = sweep(
         args.suite, args.max_edges, args.variant, args.include_nonplanar, args.max_elements, workers
     )
@@ -502,7 +499,7 @@ def cmd_verify(args):
     report["wall_time_s"] = round(time.time() - t0, 3)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.report:
-        with open(args.report, "w") as fh:
+        with _open_out(args.report) as fh:
             fh.write(text + "\n")
     print(text)
     if report["violations"]:

@@ -69,7 +69,11 @@ def _tree_darts(rg: RibbonGraph, tree, s: str) -> list:
 
 
 def _tree_of(rg: RibbonGraph, rotors: list) -> frozenset:
-    return frozenset(rg.graph.edges[d >> 1] for d in rotors if d is not None)
+    """The routed rotors' edges, asserted acyclic: rotors on a cycle never span."""
+    tree = frozenset(rg.graph.edges[d >> 1] for d in rotors if d is not None)
+    if not rg.graph.is_spanning_tree(tree):
+        raise InvariantViolation("routing finished on a cyclic rotor configuration")
+    return tree
 
 
 def _heads(rg: RibbonGraph, rotors) -> list:
@@ -103,19 +107,12 @@ def _spin(
     return x
 
 
-def _to_sink(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
+def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
     """Move one chip from position x to sink within the routing step bound,
     turning the dart array in place; seen and turned are passed to _spin."""
     bound = 2 * len(rg.graph.edges) * (len(rotors) + 1) + 8
     if _spin(rg, rotors, x, bound, sink, seen, turned) != sink:
         raise InvariantViolation("routing exceeded its step bound")
-
-
-def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
-    """Route one chip (_to_sink); the final rotors are asserted acyclic."""
-    _to_sink(rg, rotors, x, sink, seen, turned)
-    if functional_cycles(_heads(rg, rotors)):
-        raise InvariantViolation("routing finished on a cyclic rotor configuration")
 
 
 def _steps(rg: RibbonGraph, turned) -> list[RouteStep]:
@@ -130,7 +127,8 @@ def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
     """Route one chip from c to sink s starting from the tree's rotors.
 
     Returns (tree', steps) where steps is the recorded trace (empty when
-    trace is false).  The final rotor configuration is asserted acyclic.
+    trace is false).  The final rotor configuration is asserted acyclic
+    where it is read as a tree.
     """
     vs = rg.graph.vertices
     if c not in vs or s not in vs:
@@ -144,8 +142,8 @@ def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
 def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
     """Route a whole divisor of Div^0_s: one chip per positive unit, sorted order.
 
-    The rotors carry over from chip to chip, and are asserted acyclic after
-    each one.
+    The rotors carry over from chip to chip, and are asserted acyclic once,
+    where the last chip's are read as a tree.
     """
     vs = rg.graph.vertices
     if d.degree() != 0:
@@ -175,7 +173,7 @@ def chip_rows(rg: RibbonGraph, trees, s: str) -> list[tuple[int, ...]]:
     index = {tuple(r): i for i, r in enumerate(starts)}
 
     def routed(rotors, v):
-        _to_sink(rg, rotors, v, sink)
+        _route(rg, rotors, v, sink)
         i = index.get(tuple(rotors))
         if i is None:
             raise InvariantViolation("routing finished on a cyclic rotor configuration")
@@ -365,6 +363,7 @@ def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
         cycle.append(dv[rotors[cycle[-1]] ^ 1])
     states, turned = {}, []
     _route(rg, rotors, ci, si, states, turned)
+    _tree_of(rg, rotors)  # asserts the routed rotors acyclic
     violations = list(check_no_repeated_crossing(_steps(rg, turned)))
 
     configs = [cfg for cfg, _ in states] + [tuple(rotors)]

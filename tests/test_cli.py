@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -302,6 +303,49 @@ def test_unwritable_report_fails_before_the_sweep(tmp_path, capsys, monkeypatch)
     assert out.out == "" and "input error" in out.err and "r.json" in out.err
 
 
+def test_unwritable_telescope_out_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.json"
+    rc = main(["telescope", "--n", "1", "--ks", "0,1", "--out", str(path)])
+    out = capsys.readouterr()
+    assert rc == 2 and not path.exists()
+    assert out.out == "" and "input error" in out.err and "t.json" in out.err
+
+
+def test_verify_config_echoes_every_option(capsys, monkeypatch):
+    # every verify option but --report changes what a run does or says, so
+    # the report's config names each one
+    def stub_sweep(*args):
+        return {"instances": 0, "checked": 0, "violations": [], "findings": [], "notes": []}
+
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        a.dest for a in subparsers.choices["verify"]._actions if a.dest not in ("help", "report")
+    }
+    assert {"suite", "max_edges", "max_elements", "variant", "include_nonplanar"} <= options
+    monkeypatch.setattr(cli, "sweep", stub_sweep)
+    for suite in cli.SUITES:
+        rc, out = run(capsys, ["verify", suite, "--max-edges", "2", "--seed", "0"])
+        assert rc == 0
+        assert options <= set(json.loads(out)["config"])
+
+
+def test_verify_matroid_config_echoes_max_elements(capsys):
+    # R10 joins the sweep at --max-elements 10, so the two runs differ and
+    # their reports must say why
+    reports = []
+    for extra in ([], ["--max-elements", "10"]):
+        rc, out = run(capsys, ["verify", "matroid", "--max-edges", "2", "--seed", "1", *extra])
+        assert rc == 0
+        reports.append(json.loads(out))
+    small, large = reports
+    assert (small["instances"], small["checked"]) == (12, 8)
+    assert (large["instances"], large["checked"]) == (13, 9472)
+    assert (small["config"]["max_elements"], large["config"]["max_elements"]) == (6, 10)
+    for rep in reports:
+        del rep["config"]["max_elements"]
+    assert small["config"] == large["config"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -590,63 +634,64 @@ def test_verify_verdicts_pinned(capsys, argv, instances, checked, findings, disa
 
 # sha256 of whole `verify ... --seed 1` reports, wall_time_s removed, as
 # json.dumps(report, sort_keys=True, indent=2); a refactor that claims
-# byte-identical reports keeps every digest.
+# byte-identical reports keeps every digest.  The config echo names every
+# verify option but --report, max_elements included.
 REPORT_SHA256 = [
     (
         ["torsor", "--max-edges", "4", "--variant", "r"],
-        "9c744a5c98351be9e75912d8b976a314fb72e7335710f7eeedd43c65d33e423c",
+        "c4f280403d29b1c345cb71da845b9bc26f728b8377240d7ad5b0e011df91da02",
     ),
     (
         ["torsor", "--max-edges", "4", "--variant", "rbar"],
-        "7001ff8a9d032e3faf799e5fc1c9bddd9026708b89d481969cc42471dd499b1c",
+        "792d89d8b327be2239d8b4279341ecd0d62b15edf967e457f8e68c3d30e99d1c",
     ),
     (
         ["torsor", "--max-edges", "4", "--variant", "rinv"],
-        "c88c6da2772bac0b7cfa481c26f3720440b279b9b8cea4003d5b77ac7faf7d8d",
+        "3f53776883ba18b93ae67affc1c7a08cef81991b20176159adcf142e6c476583",
     ),
     (
         ["torsor", "--max-edges", "4", "--variant", "rbarinv"],
-        "560d1e5fbe8f587e8c242f6721d3febcc7597363904f79f494d3c2cafdbee747",
+        "062445dae639290b3f253a9bd0f1ad9a0904f152a1399d41f494261a3adf0013",
     ),
     (
         ["consistency", "--max-edges", "4", "--variant", "r"],
-        "7961848f830daee7d12a00ccc65e224c55190998c0ed1010c4d78a5711acf0f3",
+        "96ae4f2f49d0619404c9a90ac71df503fe912595f7b10b4be65faf632cc617a2",
     ),
     (
         ["consistency", "--max-edges", "4", "--variant", "rbar"],
-        "40a1675edc9810d32fa0ebd3ad1bd6b464801d3e607d092779b6b8004002bd86",
+        "d5771407480706d16c1fd337576217d99457832d04f837cbb935111ebe4e3415",
     ),
     (
         ["consistency", "--max-edges", "4", "--variant", "rinv"],
-        "a0c480ad12f13ddf3ab736feb4a7f54c70bef28bcf8fd3b4f092dfc4bf693d87",
+        "3cfb3f04452d1f394ed176570684089245a1c4b5708444378b971d62f327cfdc",
     ),
     (
         ["consistency", "--max-edges", "4", "--variant", "rbarinv"],
-        "b78b41446c694a3877902cdc0f22f8d9f405b669d4b307cd3adc42181ad80885",
+        "0ae3e545112184db8d74ba619ef68b331e5fdc2cb1a0c49fe820f7c9b8aba6e5",
     ),
     (
         ["sink-invariance", "--max-edges", "4", "--include-nonplanar"],
-        "b48d6f6203b2a2bff64db44356aaa2eee5be00063b21297a8418529eb59ec296",
+        "b7a23211bbe8259c7169dc7edcc5c4d4624a76e1aa7b25f0fad5b278c5850e32",
     ),
     (
         ["moves", "--max-edges", "5"],
-        "d816e77df7bb4c9420e88ea0effad96a74d9460ec3b53157a61ec287c14f20db",
+        "98da52104348f28b2c7d9681cb6f67b71948a14a08a30650c8d4b9347d2375d8",
     ),
     (
         ["unicycle", "--max-edges", "5"],
-        "c17fd8a77d2dcc2fbee12c9c0791b0420754972e33a18a60bbfd38c5e56e8015",
+        "b237c91a79b8ed68fc59a5c3965c7953b16d8026fcf87fba01fd0cde9b2ec65e",
     ),
     (
         ["telescope"],
-        "a36bba3d5c39a8257ef20e77ee4b50fa53f8e08825383a95e5ecd28436f5a9a4",
+        "0fd48e38be7bc0e2cc5094e0fd1732d0cc121d28c5873ee4c292fe3e2c269ea4",
     ),
     (
         ["matroid", "--max-edges", "3"],
-        "bedeedc8694af80b98c3ab2f967c7b7798ab02684bc739232a803d1554ce6226",
+        "237afd9b8f88b5f52ad8c1c34df74f18d977d769f965d171efc68aac8cbc3b34",
     ),
     (
         ["matroid", "--max-edges", "3", "--max-elements", "10"],
-        "0610b0bb3565649bc872859a776b2cd98a837202ba79ba58d5c1bf0923c1ffb0",
+        "c77db8a12976ed783283166d4721c85beb7cde6a667b2a59b100bd70a8334f76",
     ),
 ]
 
@@ -880,16 +925,19 @@ def test_spawn_pool_matches_serial(monkeypatch, suite, max_edges):
 
 
 def test_nonplane_sink_invariance_maps_go_through_the_pool(monkeypatch):
-    seen = []
+    seen, calls = [], []
     pool_map = cli._pool_map
 
     def recording_map(fn, payloads, workers):
+        calls.append(len(payloads))
         seen.extend(payloads)
         return pool_map(fn, payloads, workers)
 
     monkeypatch.setattr(cli, "_pool_map", recording_map)
     rep = cli.sweep("sink-invariance", 4, include_nonplanar=True)
     assert len(seen) == rep["instances"] and not all(rg.is_plane() for rg in seen)
+    # plane and non-plane maps share one pooled pass
+    assert len(calls) == 1
 
 
 def flagging_check(suite, variant, rg):

@@ -17,6 +17,7 @@ from rotorsand.rotor import (
     _route,
     _spin,
     _tree_darts,
+    _tree_of,
     _unicycle_arrays,
     check_cycle_reversal,
     check_no_repeated_crossing,
@@ -131,8 +132,9 @@ def test_cyclic_rotors_give_none(triangle_ribbon):
     rg = triangle_ribbon
     rotors = [rg.dart("uv", "u"), rg.dart("uv", "v"), None]
     assert functional_cycles(_heads(rg, rotors)) == [[0, 1]]
-    with pytest.raises(InvariantViolation):
-        _route(rg, rotors, 2, 2)
+    _route(rg, rotors, 2, 2)  # routing itself only bounds the chip's steps
+    with pytest.raises(InvariantViolation, match="cyclic rotor configuration"):
+        _tree_of(rg, rotors)
 
 
 def test_rotate_one(square_ribbon):
@@ -230,6 +232,30 @@ def test_routing_asserts_acyclic_rotors(square_ribbon, monkeypatch):
         route_chip(square_ribbon, t, "c", "s")
     with pytest.raises(InvariantViolation):
         route_divisor(square_ribbon, t, chip("c", "s"), "s")
+
+
+def test_route_divisor_checks_acyclicity_once(fig_ribbon, monkeypatch):
+    # the rotors of a many-chip divisor are read as a tree, and so checked,
+    # once at the end; no chip runs a cycle search
+    g = fig_ribbon.graph
+    s, others = g.vertices[0], g.vertices[1:]
+    d = Divisor({v: 2 for v in others}) - Divisor({s: 2 * len(others)})
+    t = g.spanning_trees()[0]
+    expected = route_divisor(fig_ribbon, t, d, s)
+    checks = []
+    is_spanning_tree = Multigraph.is_spanning_tree
+
+    def counted(self, edge_set):
+        checks.append(edge_set)
+        return is_spanning_tree(self, edge_set)
+
+    def no_cycle_search(succ):
+        raise AssertionError("routing ran a cycle search")
+
+    monkeypatch.setattr(Multigraph, "is_spanning_tree", counted)
+    monkeypatch.setattr("rotorsand.rotor.functional_cycles", no_cycle_search)
+    assert route_divisor(fig_ribbon, t, d, s) == expected
+    assert checks == [expected]
 
 
 def test_chip_rows_asserts_acyclic_rotors(square_ribbon, monkeypatch):
