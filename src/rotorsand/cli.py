@@ -378,8 +378,14 @@ def _check_moves(rg):
 
     g = rg.graph
     trees = g.spanning_trees()
+
+    def turn_ends(a, b):
+        """The trees a source-turn path from a to b starts and ends at."""
+        seq = moves.source_turn_path(rg, a, b)
+        return [seq[0].tree, seq[-1].result] if seq else [a]
+
     finders = (
-        ("", "bad path", lambda a, b: [a] + [mv.result for mv in moves.source_turn_path(rg, a, b)]),
+        ("", "bad path", turn_ends),
         ("leaf swap: ", "bad leaf path", lambda a, b: moves.leaf_swap_path(g, a, b)),
     )
     checked = 0
@@ -414,14 +420,17 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
     only the graphs with violations or notes are then written as JSON text,
     which keys their violations and orders them, notes included.
     ``include_nonplanar`` runs sink-invariance over every ribbon graph in
-    the same pass, and turns the non-plane maps' violations into findings,
-    in catalog order.
+    the same pass, and turns the non-plane maps' disagreements into
+    findings, in catalog order; a non-plane map with no sink-dependence
+    witness (``torsor.NO_WITNESS``) stays a violation.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     check = partial(_check, suite, variant)
     out = {"instances": 0, "checked": 0, "violations": [], "findings": [], "notes": []}
     nonplane = include_nonplanar and suite == "sink-invariance"
+    if nonplane:
+        from .torsor import NO_WITNESS
     if suite in POOLED:
         if suite == "unicycle" or nonplane:
             graphs = catalog.ribbon_graphs(max_edges)
@@ -431,7 +440,7 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
         for rg, (checked, violations, notes) in zip(graphs, _pool_map(check, graphs, workers)):
             out["instances"] += 1
             out["checked"] += checked
-            if nonplane and not rg.is_plane():
+            if nonplane and not rg.is_plane() and NO_WITNESS not in violations:
                 if violations:
                     out["findings"].append(
                         {

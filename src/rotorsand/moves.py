@@ -5,7 +5,8 @@ after a single rotor turn, which swaps one tree edge for one non-tree edge.
 When c is additionally a leaf of T the pair is a source-turn pair.  On any
 2-connected ribbon graph, source-turn moves alone connect every pair of
 spanning trees; the breadth-first searches below realize such paths and the
-ribbon-free leaf-swap variant, resuming one search per start tree.
+ribbon-free leaf-swap variant, resuming one search per start tree, and all
+searches on one map share one table of each tree's moves.
 
 Telescope graphs are the parameterized plane family where every single-step
 tree has a spanning-tree complement; they are generated here with their
@@ -150,6 +151,19 @@ def _leaf_swaps(g: Multigraph, t):
 
 
 @lru_cache(maxsize=1)
+def _neighbours(space, step) -> dict:
+    """Each tree a search on space has expanded, with the (move, tree) pairs
+    step gave it.
+
+    Every search on the map, from any start, reads and fills this one table,
+    so each tree's moves are generated once per map and move kind; only the
+    last map and kind are kept.  Every tree in it was reached from a
+    checked start, so it is a spanning tree.
+    """
+    return {}
+
+
+@lru_cache(maxsize=1)
 def _search(space, g: Multigraph, step, start: frozenset) -> tuple:
     """The state (back-pointers, frontier) of one breadth-first search from start.
 
@@ -157,10 +171,11 @@ def _search(space, g: Multigraph, step, start: frozenset) -> tuple:
     the search only until its goal is reached, so a single query stops as
     early as a search of its own, and the moves sweep, which asks for every
     goal of one start before the next, runs one search per start.  The start
-    is checked here, once per search; every tree reached is then a spanning
-    tree of g, so _tree_path checks only goals the search has not reached.
+    is checked here, once per search, unless the neighbour table holds it;
+    every tree reached is then a spanning tree of g, so _tree_path checks
+    only goals that neither the search nor the table holds.
     """
-    if not g.is_spanning_tree(start):
+    if start not in _neighbours(space, step) and not g.is_spanning_tree(start):
         raise ValueError("inputs must be spanning trees")
     return {start: None}, deque([start])
 
@@ -170,18 +185,23 @@ def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
 
     step(space, t) yields (move, tree) pairs in a fixed order, so the search
     sets each back-pointer once, and the path does not depend on what earlier
-    queries from the same start have searched.
+    queries from the same start have searched.  Each tree's pairs are read
+    from the map's neighbour table, generated on first expansion.
     """
     if not g.is_two_connected():
         raise ValueError(f"{kind} reachability needs a 2-connected graph")
     back, frontier = _search(space, g, step, frozenset(start))
+    table = _neighbours(space, step)
     goal = frozenset(goal)
-    if goal not in back and not g.is_spanning_tree(goal):
+    if goal not in back and goal not in table and not g.is_spanning_tree(goal):
         raise ValueError("inputs must be spanning trees")
     try:
         while frontier and goal not in back:
             t = frontier.popleft()
-            for mv, t2 in step(space, t):
+            pairs = table.get(t)
+            if pairs is None:
+                pairs = table[t] = tuple(step(space, t))
+            for mv, t2 in pairs:
                 if t2 not in back:
                     back[t2] = (mv, t)
                     frontier.append(t2)

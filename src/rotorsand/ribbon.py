@@ -197,8 +197,7 @@ class RibbonGraph:
 
     def delete(self, e: str) -> "RibbonGraph":
         """Delete e: its two darts leave their rotations."""
-        a = self.dart(e, self.graph.ends(e)[0])
-        return self._minor(self.graph.delete(e), self.sigma, {a, a ^ 1}, {})
+        return self._minor(self.graph.delete(e), *self.minor_darts(e, False), {})
 
     def contract(self, e: str) -> "RibbonGraph":
         """Contract e; parallels of e leave the structure as deleted loops.
@@ -208,30 +207,47 @@ class RibbonGraph:
         ee_1..ee_l) at the merged vertex, which keeps the smaller id x.
         """
         x, y = self.graph.ends(e)
-        a = self.dart(e, x)
-        turn = list(self.sigma)
-        turn[a], turn[a ^ 1] = self.sigma[a ^ 1], self.sigma[a]
-        skip = {self._dart[f, v] for f in self.graph.parallel_class(e) for v in (x, y)}
-        return self._minor(self.graph.contract(e), turn, skip, {y: x})
+        return self._minor(self.graph.contract(e), *self.minor_darts(e, True), {y: x})
 
-    def _minor(self, g2: Multigraph, turn, skip, merged) -> "RibbonGraph":
-        """The map on g2 sending each kept dart to the next kept one along turn.
+    def minor_darts(self, e: str, contract: bool) -> tuple[list[int], tuple[int, ...]]:
+        """The darts kept in the minor by e, and the minor's rotation on them.
 
-        A kept dart keeps its (edge, vertex) pair, with vertex ids renamed
-        through merged.
+        Each kept dart goes to the next kept one along sigma, with e's two
+        darts swapped first when contracting (``contract``); e leaves, and
+        so do its parallels when contracting.  The rotation numbers each
+        kept dart by its place among them; whole edges leave, so ``d ^ 1``
+        stays the edge involution, and ``canonical_labelling`` reads the
+        minor off it without building the minor.
         """
-        dart2, _ = dart_numbering(g2)
-        edges, names = self.graph.edges, [merged.get(v, v) for v in self.graph.vertices]
-        rename = {
-            d: dart2[edges[d >> 1], names[v]] for d, v in enumerate(self.dart_vertex) if d not in skip
-        }
-        sigma = [0] * len(rename)
-        for d, d2 in rename.items():
+        x, y = self.graph.ends(e)
+        a = self.dart(e, x)
+        turn = self.sigma
+        if contract:
+            turn = list(turn)
+            turn[a], turn[a ^ 1] = self.sigma[a ^ 1], self.sigma[a]
+            skip = {self._dart[f, v] for f in self.graph.parallel_class(e) for v in (x, y)}
+        else:
+            skip = {a, a ^ 1}
+        kept = [d for d in range(len(turn)) if d not in skip]
+        place = dict(zip(kept, range(len(kept))))
+        sigma = []
+        for d in kept:
             nxt = turn[d]
             while nxt in skip:
                 nxt = turn[nxt]
-            sigma[d2] = rename[nxt]
-        return RibbonGraph.from_sigma(g2, tuple(sigma))
+            sigma.append(place[nxt])
+        return kept, tuple(sigma)
+
+    def _minor(self, g2: Multigraph, kept, sigma, merged) -> "RibbonGraph":
+        """The map on g2 with minor_darts' rotation; each kept dart keeps its
+        (edge, vertex) pair, with vertex ids renamed through merged."""
+        dart2, _ = dart_numbering(g2)
+        edges, names = self.graph.edges, [merged.get(v, v) for v in self.graph.vertices]
+        rename = [dart2[edges[d >> 1], names[self.dart_vertex[d]]] for d in kept]
+        out = [0] * len(kept)
+        for d2, nxt in zip(rename, sigma):
+            out[d2] = rename[nxt]
+        return RibbonGraph.from_sigma(g2, tuple(out))
 
     # -- isomorphism ---------------------------------------------------------
 

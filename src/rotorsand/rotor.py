@@ -38,34 +38,42 @@ class RouteStep(NamedTuple):
     crossed_to: str
 
 
-def tree_to_rotors(g: Multigraph, tree, s: str) -> dict:
-    """Orient every tree edge toward s: {vertex: edge along its path}."""
+@lru_cache(maxsize=256)
+def _around(g: Multigraph) -> tuple:
+    """Each vertex position's (edge id, dart at the far end, far end's
+    position) for each dart at it: the adjacency tree orientation walks."""
+    dv = dart_numbering(g)[1]
+    around = [[] for _ in g.vertices]
+    for d, v in enumerate(dv):
+        around[v].append((g.edges[d >> 1], d ^ 1, dv[d ^ 1]))
+    return tuple(map(tuple, around))
+
+
+def _tree_darts(g: Multigraph, tree, s: str) -> list:
+    """Orient the tree toward s: each vertex's rotor as the dart along its
+    path, indexed by vertex position; None at s."""
+    around = _around(g)
     tree = frozenset(tree)
-    rotors = {}
-    seen = {s}
-    stack = [s]
+    rotors = [None] * len(around)
+    seen = [False] * len(around)
+    stack = [g.vertices.index(s)]
+    seen[stack[0]] = True
     while stack:
-        x = stack.pop()
-        for e in g.incident(x):
-            if e in tree:
-                y = g.other(e, x)
-                if y not in seen:
-                    seen.add(y)
-                    rotors[y] = e
-                    stack.append(y)
+        for e, d, y in around[stack.pop()]:
+            if not seen[y] and e in tree:
+                seen[y] = True
+                rotors[y] = d
+                stack.append(y)
     # n - 1 edges whose walk from s reaches all n vertices are a spanning tree
-    if len(tree) != len(g.vertices) - 1 or len(seen) != len(g.vertices):
+    if len(tree) != len(around) - 1 or not all(seen):
         raise ValueError("not a spanning tree")
     return rotors
 
 
-def _tree_darts(rg: RibbonGraph, tree, s: str) -> list:
-    """The tree's rotors as darts of rg, indexed by vertex position; None at s."""
-    rotors = [None] * len(rg.graph.vertices)
-    for v, e in tree_to_rotors(rg.graph, tree, s).items():
-        d = rg.dart(e, v)
-        rotors[rg.dart_vertex[d]] = d
-    return rotors
+def tree_to_rotors(g: Multigraph, tree, s: str) -> dict:
+    """Orient every tree edge toward s: {vertex: edge along its path}."""
+    vs, edges = g.vertices, g.edges
+    return {vs[v]: edges[d >> 1] for v, d in enumerate(_tree_darts(g, tree, s)) if d is not None}
 
 
 def _tree_of(rg: RibbonGraph, rotors: list) -> frozenset:
@@ -133,7 +141,7 @@ def route_chip(rg: RibbonGraph, tree, c: str, s: str, trace: bool = False):
     vs = rg.graph.vertices
     if c not in vs or s not in vs:
         raise KeyError("unknown chip or sink vertex")
-    rotors = _tree_darts(rg, tree, s)
+    rotors = _tree_darts(rg.graph, tree, s)
     turned = [] if trace else None
     _route(rg, rotors, vs.index(c), vs.index(s), turned=turned)
     return _tree_of(rg, rotors), _steps(rg, turned) if trace else []
@@ -150,7 +158,7 @@ def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
         raise ValueError("route_divisor expects a degree-0 divisor")
     if any(d[v] < 0 for v in vs if v != s):
         raise ValueError("divisor must be nonnegative away from the sink")
-    rotors = _tree_darts(rg, tree, s)
+    rotors = _tree_darts(rg.graph, tree, s)
     sink = vs.index(s)
     for i, v in enumerate(vs):
         if i != sink:
@@ -169,7 +177,7 @@ def chip_rows(rg: RibbonGraph, trees, s: str) -> list[tuple[int, ...]]:
     looking the routed rotors up among them asserts them acyclic.
     """
     sink = rg.graph.vertices.index(s)
-    starts = [_tree_darts(rg, t, s) for t in trees]
+    starts = [_tree_darts(rg.graph, t, s) for t in trees]
     index = {tuple(r): i for i, r in enumerate(starts)}
 
     def routed(rotors, v):
@@ -179,7 +187,9 @@ def chip_rows(rg: RibbonGraph, trees, s: str) -> list[tuple[int, ...]]:
             raise InvariantViolation("routing finished on a cyclic rotor configuration")
         return i
 
-    return [tuple([routed(list(r), v) for r in starts]) for v in range(len(rg.graph.vertices))]
+    ident = tuple(range(len(starts)))  # a chip at the sink does not move
+    rows = range(len(rg.graph.vertices))
+    return [ident if v == sink else tuple([routed(list(r), v) for r in starts]) for v in rows]
 
 
 def _reversed(rg: RibbonGraph, rotors, cycle) -> tuple:
@@ -356,7 +366,7 @@ def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
         raise ValueError("c and s must be adjacent")
     tree = frozenset(tree)
     ci, si = vs.index(c), vs.index(s)
-    rotors = _tree_darts(rg, tree, s)
+    rotors = _tree_darts(rg.graph, tree, s)
     unicycle = list(rotors)  # closed at s below, once per non-tree c-s edge
     cycle = [ci]  # the rotor path from c to s
     while cycle[-1] != si:

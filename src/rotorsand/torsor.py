@@ -14,8 +14,11 @@ words).  Every composed row a verifier uses is checked once against
 routing the class's burning-reduced representative.  The verifiers check
 the torsor axioms, independence of the sink choice, and compatibility with
 contraction, deletion and cut vertices, exhaustively over whatever
-instances they are handed; the consistency check reads each minor's rows
-through a sweep-wide cache keyed by canonical code.
+instances they are handed.  The sink check composes class rows only at a
+sink whose generator rows differ from the first vertex's, and the
+consistency check reads each minor's rows through a sweep-wide cache keyed
+by the canonical code of the minor's darts, building a minor only when its
+code is new.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from . import sandpile
 from .errors import InvariantViolation
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph, labelling_isomorphism
+from .ribbon import RibbonGraph, RibbonIsomorphism, canonical_labelling, labelling_isomorphism
 from .rotor import chip_rows, route_divisor
 from .sandpile import Divisor, chip
 
@@ -39,6 +42,10 @@ PAIR_LIMIT = 200_000
 # starts over.
 MINOR_CACHE_LIMIT = 4096
 _minor_actions: dict = {}
+
+# verify_sink_invariance's violation for a non-plane map whose generator rows
+# agree at every sink
+NO_WITNESS = {"witness": None, "expected": "a sink whose generator rows differ off the plane"}
 
 
 def _inverse(row) -> tuple:
@@ -230,10 +237,14 @@ def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Repor
 def verify_sink_invariance(rg: RibbonGraph) -> Report:
     """Compare routing outcomes across every sink, class and tree.
 
-    For each sink the class rows are composed from verified single-chip
-    routings at that sink; they must agree entrywise with the rows at
-    vertices[0].  Plane inputs must come out clean; the two-vertex triple
-    edge with equal rotations must not.
+    Every sink composes its class rows from its own verified single-chip
+    generator rows along the same words, so a sink whose generator rows
+    equal those at vertices[0] agrees on every class and tree; only at a
+    sink where they differ are the class rows composed and compared
+    entrywise.  Plane inputs must come out clean, and the two-vertex triple
+    edge with equal rotations must not.  Off the plane some sink's
+    generator rows must differ (Chan, Church and Grochow): a non-plane
+    input without such a witness gets the violation NO_WITNESS.
     """
     g = rg.graph
     action = TorsorAction(rg, require_plane=False)
@@ -242,7 +253,13 @@ def verify_sink_invariance(rg: RibbonGraph) -> Report:
     rep = Report()
     base = g.vertices[0]
     expected = action.table()
+    gens = action._generators(base)
+    witnessed = False
     for s in g.vertices[1:]:
+        if action._generators(s) == gens:
+            rep.checked += len(classes) * len(trees)
+            continue
+        witnessed = True
         for d, r0, r in zip(classes, expected, action.table(s)):
             rep.checked += len(trees)
             if r0 == r:
@@ -252,6 +269,8 @@ def verify_sink_invariance(rg: RibbonGraph) -> Report:
                     outputs = [sorted(trees[x]), sorted(trees[y])]
                     bad = {"sinks": [base, s], "class": d.to_dict(), "tree": sorted(t)}
                     rep.violations.append({**bad, "outputs": outputs})
+    if not witnessed and not rg.is_plane():
+        rep.violations.append(dict(NO_WITNESS))
     return rep
 
 
@@ -259,13 +278,13 @@ def _representative(minor: RibbonGraph, variant_tag: str):
     """(action, isomorphism, tree index) for minor's sweep-wide representative.
 
     The cache holds one TorsorAction per (canonical code, variant), on the
-    first minor met with that code, and the index of its trees; the
-    isomorphism from minor onto it pairs the two canonical labellings.  Its
-    rows answer for minor only because minors of plane graphs are plane and,
-    on plane graphs, the action does not depend on the sink: an isomorphism
-    may move vertices[0], where the rows act, to any vertex of the
-    representative.  verify_sink_invariance re-proves that independence on
-    the catalog.
+    first minor met with that code, with its first canonical order and the
+    index of its trees; the isomorphism from minor onto it pairs the two
+    canonical labellings.  Its rows answer for minor only because minors of
+    plane graphs are plane and, on plane graphs, the action does not depend
+    on the sink: an isomorphism may move vertices[0], where the rows act, to
+    any vertex of the representative.  verify_sink_invariance re-proves that
+    independence on the catalog.
     """
     code, orders = minor.canonical_labelling()
     key = (code, variant_tag)
@@ -276,6 +295,35 @@ def _representative(minor: RibbonGraph, variant_tag: str):
         _minor_actions[key] = (orders[0], TorsorAction(minor, variant_tag), index)
     rep_order, action, index = _minor_actions[key]
     return action, labelling_isomorphism(minor, orders[0], action.rg, rep_order), index
+
+
+def _minor_representative(rg: RibbonGraph, e: str, contract: bool, variant_tag: str):
+    """``_representative`` of rg's minor by e, keyed on darts.
+
+    The minor's code is read off ``RibbonGraph.minor_darts``, and the minor
+    is built, through ``_representative``, only when the cache misses.  The
+    isomorphism pairs that labelling with the representative's, each kept
+    dart standing for its (edge, vertex) pair in the minor, where a
+    contraction's merged vertex keeps the smaller id.
+    """
+    g = rg.graph
+    kept, sigma = rg.minor_darts(e, contract)
+    code, orders = canonical_labelling(sigma, len(g.vertices) - contract)
+    if (code, variant_tag) not in _minor_actions:
+        _representative(rg.contract(e) if contract else rg.delete(e), variant_tag)
+    rep_order, action, index = _minor_actions[code, variant_tag]
+    names, edges, dv = list(g.vertices), g.edges, rg.dart_vertex
+    if contract:
+        x, y = g.ends(e)
+        names[names.index(y)] = x
+    rvs, redges, rdv = action.graph.vertices, action.graph.edges, action.rg.dart_vertex
+    vmap = {names[0]: rvs[0]}  # the edgeless minor's one vertex; overwritten otherwise
+    emap = {}
+    for k, r in zip(orders[0], rep_order):
+        d = kept[k]
+        vmap[names[dv[d]]] = rvs[rdv[r]]
+        emap[edges[d >> 1]] = redges[r >> 1]
+    return action, RibbonIsomorphism(vmap, emap), index
 
 
 def verify_consistency(
@@ -293,7 +341,7 @@ def verify_consistency(
     3. any edge separated from f by a cut vertex keeps its membership.
 
     The acted tree comes from rg's own rows; the minors answer through the
-    rows of their cached representatives (``_representative``), each minor
+    rows of their cached representatives (``_minor_representative``), each minor
     mapping rg's trees onto the representative's once, so every check
     compares two independent computations.  ``relax_adjacency``
     additionally acts by [c - s] for non-adjacent pairs, the deliberately
@@ -319,8 +367,7 @@ def verify_consistency(
         """[c - s]'s row on the representative of rg's minor by e, and the map
         of rg's tree indices onto the representative's (None off the minor)."""
         if (contract, e) not in minors:
-            m = rg.contract(e) if contract else rg.delete(e)
-            sub, iso, index = _representative(m, variant_tag)
+            sub, iso, index = _minor_representative(rg, e, contract, variant_tag)
             vmap, emap = iso.vertex_map, iso.edge_map
             if contract:  # both ends of e go where the merged vertex goes
                 vmap = {v: vmap[w] for v, w in g.contraction_vertex_map(e).items()}

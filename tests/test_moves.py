@@ -344,6 +344,81 @@ def test_single_path_queries_stop_at_their_goal():
     assert len(back) < 1000
 
 
+def test_one_shot_paths_stay_lazy(monkeypatch):
+    # a telescope with 6,019,904 spanning trees: paths two moves long are
+    # found without listing the trees, and the neighbour table holds only
+    # the trees the search expanded
+    rg, _ = telescope(6, [1, 2, 1, 2, 1, 2, 1])
+    g = rg.graph
+    t = first_spanning_tree(g)
+
+    def two_apart(step):
+        near = [t2 for _, t2 in step(t)]
+        return next(t3 for _, t3 in step(near[0]) if t3 != t and t3 not in near)
+
+    far_turn = two_apart(lambda x: moves._source_turns(rg, x))
+    far_swap = two_apart(lambda x: moves._leaf_swaps(g, x))
+
+    def refuse(self):
+        raise AssertionError("a one-shot path listed every spanning tree")
+
+    monkeypatch.setattr(Multigraph, "spanning_trees", refuse)
+    path = source_turn_path(rg, t, far_turn)
+    assert len(path) == 2 and path[0].tree == t and path[-1].result == far_turn
+    assert len(moves._neighbours(rg, moves._source_turns)) < 100
+    trees = leaf_swap_path(g, t, far_swap)
+    assert len(trees) == 3 and trees[0] == t and trees[-1] == far_swap
+    assert len(moves._neighbours(g, moves._leaf_swaps)) < 100
+
+
+def test_moves_check_generates_each_trees_moves_once(monkeypatch):
+    # the moves sweep asks for every ordered tree pair of a map; each tree's
+    # source-turn and leaf-swap neighbours are still generated only once
+    from collections import Counter
+
+    from rotorsand import cli
+
+    turns, swaps = Counter(), Counter()
+    source_turns, leaf_swaps = moves.source_turn_neighbors, moves._leaf_swaps
+
+    def counted_turns(rg, t):
+        turns[t] += 1
+        return source_turns(rg, t)
+
+    def counted_swaps(g, t):
+        swaps[t] += 1
+        return leaf_swaps(g, t)
+
+    monkeypatch.setattr(moves, "source_turn_neighbors", counted_turns)
+    monkeypatch.setattr(moves, "_leaf_swaps", counted_swaps)
+    maps = plane_graphs(6, two_connected=True)
+    moves._neighbours.cache_clear()  # a table left by an earlier query
+    for rg in maps:
+        turns.clear()
+        swaps.clear()
+        trees = rg.graph.spanning_trees()
+        assert cli._check_moves(rg) == (2 * len(trees) ** 2, [], [])
+        # a map with a single tree asks only for the empty path
+        expected = Counter(trees) if len(trees) > 1 else Counter()
+        assert turns == expected and swaps == expected
+    assert len(maps) == 29
+
+
+def test_moves_check_reads_where_a_path_starts(monkeypatch):
+    # paths patched to start at the first tree whatever the start asked for:
+    # every pair from another start is a bad path, an empty one included
+    from rotorsand import cli
+
+    rg = next(rg for rg in plane_graphs(4, two_connected=True) if len(rg.graph.edges) == 4)
+    trees = rg.graph.spanning_trees()
+    path = moves.source_turn_path
+    monkeypatch.setattr(moves, "source_turn_path", lambda rg, a, b: path(rg, trees[0], b))
+    checked, violations, _ = cli._check_moves(rg)
+    assert checked == 2 * len(trees) ** 2 and len(trees) > 2
+    bad = [(t1, t2) for t1 in trees[1:] for t2 in trees]
+    assert violations == [{"pair": [sorted(t1), sorted(t2)], "error": "bad path"} for t1, t2 in bad]
+
+
 def test_interleaved_queries_match_per_pair_search():
     # queries from changing starts, in both move kinds, in a seeded order:
     # a resumed search gives the path a fresh one would

@@ -139,7 +139,7 @@ def test_cyclic_rotors_give_none(triangle_ribbon):
 
 def test_rotate_one(square_ribbon):
     g = square_ribbon.graph
-    rotors = _tree_darts(square_ribbon, {"ac", "bc", "cs"}, "s")
+    rotors = _tree_darts(g, {"ac", "bc", "cs"}, "s")
     a, b, s = (g.vertices.index(v) for v in ("a", "b", "s"))
     # degree-2 vertex: two turns come back
     turned = []
@@ -225,8 +225,11 @@ def test_route_divisor_matches_chip_by_chip_fold():
 def test_routing_asserts_acyclic_rotors(square_ribbon, monkeypatch):
     # rotors a -> b and b -> a along ab, c -> b along bc: the chip at c turns
     # onto cs and reaches the sink at once, leaving the a-b cycle in place
-    cyclic = {"a": "ab", "b": "ab", "c": "bc"}
-    monkeypatch.setattr("rotorsand.rotor.tree_to_rotors", lambda g, tree, s: cyclic)
+    rg = square_ribbon
+    cyclic = [None] * len(rg.graph.vertices)
+    for v, e in {"a": "ab", "b": "ab", "c": "bc"}.items():
+        cyclic[rg.graph.vertices.index(v)] = rg.dart(e, v)
+    monkeypatch.setattr("rotorsand.rotor._tree_darts", lambda g, tree, s: list(cyclic))
     t = frozenset({"ac", "bc", "cs"})
     with pytest.raises(InvariantViolation):
         route_chip(square_ribbon, t, "c", "s")
@@ -504,7 +507,7 @@ def test_leftright_sweep_flags_swapped_sides(square_ribbon, tree, cycle, expecte
     rg = square_ribbon
     vs = rg.graph.vertices
     sink, f = cycle[-1]
-    rotors = _tree_darts(rg, tree, sink)
+    rotors = _tree_darts(rg.graph, tree, sink)
     rotors[vs.index(sink)] = rg.dart(f, sink)
     positions = [vs.index(v) for v, _ in cycle]
     sides = classify_sides(rg, cycle)

@@ -12,7 +12,7 @@ from rotorsand.errors import InvariantViolation
 from rotorsand.catalog import plane_graphs
 from rotorsand.moves import telescope
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
-from rotorsand.ribbon import RibbonGraph
+from rotorsand.ribbon import RibbonGraph, canonical_labelling, is_ribbon_isomorphism
 from rotorsand.rotor import route_chip
 from rotorsand.sandpile import Divisor, chip
 from rotorsand import torsor
@@ -298,6 +298,51 @@ def test_sink_dependence_of_twisted_triple_edge():
     assert len(rep.violations) > 0
 
 
+def test_sink_invariance_composes_rows_only_where_generators_differ(monkeypatch):
+    # on plane maps every sink's generator rows equal the first vertex's, so
+    # no class row is composed away from it; checked still counts every
+    # (sink, class, tree)
+    tables = []
+    table = TorsorAction.table
+
+    def recorded(self, s=None):
+        tables.append(s)
+        return table(self, s)
+
+    monkeypatch.setattr(TorsorAction, "table", recorded)
+    for rg in plane_graphs(4):
+        tables.clear()
+        rep = verify_sink_invariance(rg)
+        g = rg.graph
+        trees = len(g.spanning_trees())
+        assert rep.ok and rep.checked == (len(g.vertices) - 1) * trees * trees
+        assert tables == [None]
+    tables.clear()
+    assert not verify_sink_invariance(e3_twisted()).ok
+    assert tables == [None, "y"]
+
+
+def test_nonplane_map_without_a_witness_is_a_violation(monkeypatch, capsys):
+    # generator rows patched to the first vertex's at every sink: a non-plane
+    # map then shows no sink dependence, which Chan, Church and Grochow rule
+    # out, so both the verifier and the sweep report it
+    generators = TorsorAction._generators
+    monkeypatch.setattr(
+        TorsorAction, "_generators", lambda self, s: generators(self, self.graph.vertices[0])
+    )
+    assert verify_sink_invariance(e3_twisted()).violations == [torsor.NO_WITNESS]
+    assert verify_sink_invariance(e3_plane()).ok
+    rep = cli.sweep("sink-invariance", 3, include_nonplanar=True)
+    assert rep["findings"] == []
+    # the twisted triple edge is the one non-plane map with at most 3 edges
+    (bad,) = rep["violations"]
+    assert bad["detail"] == torsor.NO_WITNESS
+    assert RibbonGraph.from_json(bad["graph"]).euler_genus() == 1
+    argv = ["verify", "sink-invariance", "--max-edges", "3", "--include-nonplanar", "--seed", "1"]
+    assert cli.main(argv) == 3
+    capsys.readouterr()
+
+
 def test_consistency_small_planes(square_ribbon):
     for rg in (c3_ribbon(), e3_plane(), square_ribbon):
         rep = verify_consistency(rg)
@@ -410,6 +455,38 @@ def test_cached_minor_actions_match_direct_actions():
     assert len(minors) > 100 and transported > 100
     # the cache keeps one representative per (code, variant)
     assert len(torsor._minor_actions) == len({m.canonical_form() for m in minors}) * 4
+
+
+def test_minor_keys_on_darts_match_built_minors(monkeypatch):
+    # every contraction and connected deletion of every plane map with at
+    # most 5 edges: the code read off the minor's darts is the built minor's
+    # canonical form, the maps read off the labellings are an isomorphism
+    # onto the representative, and a minor is built only on a cache miss
+    torsor._minor_actions.clear()
+    built = []
+    for name in ("contract", "delete"):
+        method = getattr(RibbonGraph, name)
+        monkeypatch.setattr(
+            RibbonGraph, name, lambda rg, e, method=method: built.append(e) or method(rg, e)
+        )
+    minors = 0
+    for rg in plane_graphs(5):
+        g = rg.graph
+        for e in g.edges:
+            for contract in (True, False):
+                if not contract and not g.delete(e).is_connected():
+                    continue
+                minor = rg.contract(e) if contract else rg.delete(e)
+                built.clear()
+                _, sigma = rg.minor_darts(e, contract)
+                code, _ = canonical_labelling(sigma, len(g.vertices) - contract)
+                assert code == minor.canonical_form()
+                known = (code, "r") in torsor._minor_actions
+                sub, iso, _ = torsor._minor_representative(rg, e, contract, "r")
+                assert is_ribbon_isomorphism(minor, sub.rg, iso)
+                assert len(built) == (not known)
+                minors += 1
+    assert minors > 500
 
 
 CONDITION_3_RUN = """
