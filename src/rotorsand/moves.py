@@ -164,20 +164,23 @@ def _neighbours(space, step) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _search(space, g: Multigraph, step, start: frozenset) -> tuple:
-    """The state (back-pointers, frontier) of one breadth-first search from start.
+def _search(space, g: Multigraph, kind: str, step, start: frozenset) -> tuple:
+    """One breadth-first search from start: (back-pointers, frontier, neighbour table).
 
     back maps each tree reached to (move, previous tree).  _tree_path resumes
     the search only until its goal is reached, so a single query stops as
     early as a search of its own, and the moves sweep, which asks for every
-    goal of one start before the next, runs one search per start.  The start
-    is checked here, once per search, unless the neighbour table holds it;
-    every tree reached is then a spanning tree of g, so _tree_path checks
-    only goals that neither the search nor the table holds.
+    goal of one start before the next, runs one search per start.  g is
+    checked for 2-connectivity here, once per search, and the start unless
+    the table holds it; every tree reached is then a spanning tree of g, so
+    _tree_path checks only goals that neither the search nor the table holds.
     """
-    if start not in _neighbours(space, step) and not g.is_spanning_tree(start):
+    if not g.is_two_connected():
+        raise ValueError(f"{kind} reachability needs a 2-connected graph")
+    table = _neighbours(space, step)
+    if start not in table and not g.is_spanning_tree(start):
         raise ValueError("inputs must be spanning trees")
-    return {start: None}, deque([start])
+    return {start: None}, deque([start]), table
 
 
 def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
@@ -188,10 +191,7 @@ def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
     queries from the same start have searched.  Each tree's pairs are read
     from the map's neighbour table, generated on first expansion.
     """
-    if not g.is_two_connected():
-        raise ValueError(f"{kind} reachability needs a 2-connected graph")
-    back, frontier = _search(space, g, step, frozenset(start))
-    table = _neighbours(space, step)
+    back, frontier, table = _search(space, g, kind, step, frozenset(start))
     goal = frozenset(goal)
     if goal not in back and goal not in table and not g.is_spanning_tree(goal):
         raise ValueError("inputs must be spanning trees")

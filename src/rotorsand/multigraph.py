@@ -207,36 +207,36 @@ class Multigraph:
         return list(self._trees)
 
     def _enumerate_trees(self) -> list[frozenset[str]]:
-        """Plain backtracking over edges in id order; exhaustive and
-        duplicate-free at the small scales this package targets."""
+        """Backtracking over edges in id order, taking each edge before
+        leaving it out; exhaustive and duplicate-free.  The branches left for
+        later wait on an explicit stack, so the edge count is not bounded by
+        the recursion limit."""
         if not self.is_connected():
             raise ValueError("graph must be connected")
         n = len(self._vertices)
-        if n == 1:
-            return [frozenset()]
-        m = len(self._edge_ids)
         need = n - 1
-        ix = self._index
-        epairs = [(ix[self._ends[e][0]], ix[self._ends[e][1]]) for e in self._edge_ids]
+        slack = len(self._edge_ids) - need  # edges each tree leaves out
+        ix, ids = self._index, self._edge_ids
+        epairs = [(ix[self._ends[e][0]], ix[self._ends[e][1]]) for e in ids]
         out = []
-
-        def rec(idx, chosen, parent):
-            if len(chosen) == need:
-                out.append(frozenset(self._edge_ids[i] for i in chosen))
-                return
-            if m - idx < need - len(chosen):
-                return
-            u, v = epairs[idx]
-            ru, rv = find_root(parent, u), find_root(parent, v)
-            if ru != rv:
-                p2 = list(parent)
-                p2[ru] = rv
-                chosen.append(idx)
-                rec(idx + 1, chosen, p2)
-                chosen.pop()
-            rec(idx + 1, chosen, parent)
-
-        rec(0, [], list(range(n)))
+        chosen = []
+        stack = [(0, 0, list(range(n)))]  # (next edge, edges taken, union-find parent)
+        while stack:
+            idx, k, parent = stack.pop()
+            del chosen[k:]
+            while k < need and idx - k <= slack:
+                u, v = epairs[idx]
+                ru, rv = find_root(parent, u), find_root(parent, v)
+                if ru != rv:
+                    if idx - k < slack:  # the edge can still be left out
+                        stack.append((idx + 1, k, parent))
+                    parent = parent.copy()
+                    parent[ru] = rv
+                    chosen.append(ids[idx])
+                    k += 1
+                idx += 1
+            if k == need:
+                out.append(frozenset(chosen))
         return out
 
     def is_spanning_tree(self, edge_set) -> bool:

@@ -15,10 +15,11 @@ routing the class's burning-reduced representative.  The verifiers check
 the torsor axioms, independence of the sink choice, and compatibility with
 contraction, deletion and cut vertices, exhaustively over whatever
 instances they are handed.  The sink check composes class rows only at a
-sink whose generator rows differ from the first vertex's, and the
-consistency check reads each minor's rows through a sweep-wide cache keyed
-by the canonical code of the minor's darts, building a minor only when its
-code is new.
+sink whose generator rows differ from the first vertex's.  The consistency
+check reads each minor in one lookup (``_minor_action``): the canonical code
+of the minor's darts keys a sweep-wide cache of representatives, a minor is
+built only when its code is new, and the minor's vertices and trees are
+mapped onto its representative by pairing dart names in canonical order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from . import sandpile
 from .errors import InvariantViolation
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph, RibbonIsomorphism, canonical_labelling, labelling_isomorphism
+from .ribbon import RibbonGraph, canonical_labelling
 from .rotor import chip_rows, route_divisor
 from .sandpile import Divisor, chip
 
@@ -144,14 +145,15 @@ class TorsorAction:
 
     def pair_row(self, c: str, s: str) -> tuple:
         """Tree-index row of the class [c - s] at vertices[0], checked once."""
-        if (c, s) not in self._pairs:
+        row = self._pairs.get((c, s))
+        if row is None:
             vs = self.graph.vertices
             gens = self._generators(vs[0])
             gc = gens[vs.index(c)]
             row = tuple([gc[x] for x in _inverse(gens[vs.index(s)])])
             self._check(chip(c, s), row, self.graph.spanning_trees())
             self._pairs[c, s] = row
-        return self._pairs[c, s]
+        return row
 
 
 class Report:
@@ -274,56 +276,52 @@ def verify_sink_invariance(rg: RibbonGraph) -> Report:
     return rep
 
 
-def _representative(minor: RibbonGraph, variant_tag: str):
-    """(action, isomorphism, tree index) for minor's sweep-wide representative.
+def _minor_action(rg: RibbonGraph, e: str, contract: bool, variant_tag: str):
+    """(action, vertex map, tree map) for the representative of rg's minor by e.
 
-    The cache holds one TorsorAction per (canonical code, variant), on the
-    first minor met with that code, with its first canonical order and the
-    index of its trees; the isomorphism from minor onto it pairs the two
-    canonical labellings.  Its rows answer for minor only because minors of
-    plane graphs are plane and, on plane graphs, the action does not depend
-    on the sink: an isomorphism may move vertices[0], where the rows act, to
-    any vertex of the representative.  verify_sink_invariance re-proves that
-    independence on the catalog.
-    """
-    code, orders = minor.canonical_labelling()
-    key = (code, variant_tag)
-    if key not in _minor_actions:
-        if len(_minor_actions) >= MINOR_CACHE_LIMIT:
-            _minor_actions.clear()
-        index = {t: i for i, t in enumerate(minor.graph.spanning_trees())}
-        _minor_actions[key] = (orders[0], TorsorAction(minor, variant_tag), index)
-    rep_order, action, index = _minor_actions[key]
-    return action, labelling_isomorphism(minor, orders[0], action.rg, rep_order), index
-
-
-def _minor_representative(rg: RibbonGraph, e: str, contract: bool, variant_tag: str):
-    """``_representative`` of rg's minor by e, keyed on darts.
-
-    The minor's code is read off ``RibbonGraph.minor_darts``, and the minor
-    is built, through ``_representative``, only when the cache misses.  The
-    isomorphism pairs that labelling with the representative's, each kept
-    dart standing for its (edge, vertex) pair in the minor, where a
-    contraction's merged vertex keeps the smaller id.
+    The minor is keyed by the canonical code of ``RibbonGraph.minor_darts``'
+    rotation.  The sweep-wide cache holds one TorsorAction per (code,
+    variant), on the first minor met with that code, with the (vertex, edge)
+    names of its darts in canonical order; a later minor with the same code
+    pairs its own names with them position by position, and is built only on
+    a miss.  The vertex map takes each of rg's vertices, both ends of a
+    contracted e included, to the representative's (its one vertex when no
+    edge is left); the tree map takes the index of each of rg's trees that
+    is a tree of the minor (with e when contracting, without it when
+    deleting) to the representative's index of its image, and the others to
+    None.  The representative's rows answer for the minor only because
+    minors of plane graphs are plane and, on plane graphs, the action does
+    not depend on the sink: the pairing may move vertices[0], where the rows
+    act, to any vertex of the representative.  verify_sink_invariance
+    re-proves that independence on the catalog.
     """
     g = rg.graph
     kept, sigma = rg.minor_darts(e, contract)
     code, orders = canonical_labelling(sigma, len(g.vertices) - contract)
-    if (code, variant_tag) not in _minor_actions:
-        _representative(rg.contract(e) if contract else rg.delete(e), variant_tag)
-    rep_order, action, index = _minor_actions[code, variant_tag]
-    names, edges, dv = list(g.vertices), g.edges, rg.dart_vertex
-    if contract:
-        x, y = g.ends(e)
-        names[names.index(y)] = x
-    rvs, redges, rdv = action.graph.vertices, action.graph.edges, action.rg.dart_vertex
-    vmap = {names[0]: rvs[0]}  # the edgeless minor's one vertex; overwritten otherwise
+    x, y = g.ends(e)
+    names = [x if contract and v == y else v for v in g.vertices]
+    dv, edges = rg.dart_vertex, g.edges
+    ours = [(names[dv[kept[k]]], edges[kept[k] >> 1]) for k in orders[0]]
+    key = (code, variant_tag)
+    if key not in _minor_actions:
+        if len(_minor_actions) >= MINOR_CACHE_LIMIT:
+            _minor_actions.clear()
+        minor = rg.contract(e) if contract else rg.delete(e)
+        index = {t: i for i, t in enumerate(minor.graph.spanning_trees())}
+        _minor_actions[key] = (ours, TorsorAction(minor, variant_tag), index)
+    theirs, action, index = _minor_actions[key]
+    vmap = dict.fromkeys(g.vertices, action.graph.vertices[0])
     emap = {}
-    for k, r in zip(orders[0], rep_order):
-        d = kept[k]
-        vmap[names[dv[d]]] = rvs[rdv[r]]
-        emap[edges[d >> 1]] = redges[r >> 1]
-    return action, RibbonIsomorphism(vmap, emap), index
+    for (v, f), (rv, rf) in zip(ours, theirs):
+        vmap[v] = rv
+        emap[f] = rf
+    if contract:
+        vmap[y] = vmap[x]
+    tmap = [
+        index[frozenset([emap[f] for f in t if f != e])] if (e in t) == contract else None
+        for t in g.spanning_trees()
+    ]
+    return action, vmap, tmap
 
 
 def verify_consistency(
@@ -340,9 +338,9 @@ def verify_consistency(
     2. deleting any shared non-edge e commutes;
     3. any edge separated from f by a cut vertex keeps its membership.
 
-    The acted tree comes from rg's own rows; the minors answer through the
-    rows of their cached representatives (``_minor_representative``), each minor
-    mapping rg's trees onto the representative's once, so every check
+    The acted tree comes from rg's own rows; each minor answers through the
+    rows of its cached representative, read with the vertex and tree maps
+    that ``_minor_action`` gives once per (edge, operation), so every check
     compares two independent computations.  ``relax_adjacency``
     additionally acts by [c - s] for non-adjacent pairs, the deliberately
     broken extension used to exhibit a condition-1 failure.
@@ -361,23 +359,7 @@ def verify_consistency(
             pairs.append((w, u))
         pairs = sorted(set(pairs))
 
-    minors = {}  # (contract?, e) -> (representative's action, vertex map, tree-index map)
-
-    def minor_row(contract, e, c, s):
-        """[c - s]'s row on the representative of rg's minor by e, and the map
-        of rg's tree indices onto the representative's (None off the minor)."""
-        if (contract, e) not in minors:
-            sub, iso, index = _minor_representative(rg, e, contract, variant_tag)
-            vmap, emap = iso.vertex_map, iso.edge_map
-            if contract:  # both ends of e go where the merged vertex goes
-                vmap = {v: vmap[w] for v, w in g.contraction_vertex_map(e).items()}
-            tmap = [
-                index[frozenset([emap[x] for x in t if x != e])] if (e in t) == contract else None
-                for t in trees
-            ]
-            minors[contract, e] = (sub, vmap, tmap)
-        sub, vmap, tmap = minors[contract, e]
-        return sub.pair_row(vmap[c], vmap[s]), tmap
+    minors = {}  # (contract?, e) -> _minor_action(rg, e, contract?, variant_tag)
 
     cuts = g.cut_vertices()
     separated = {}  # anchor edge -> edges cut off from it, in edge order
@@ -390,19 +372,21 @@ def verify_consistency(
         row = action.pair_row(c, s)
         fs = [f for f in g.edges if set(g.ends(f)) == {c, s}]
         off_f = [e for e in g.edges if e not in fs]
-        subs = {}  # (contract?, e) -> minor_row for this pair
         for i, t in enumerate(trees):
             j = row[i]
             t2 = trees[j]
             # condition 1 on every shared tree edge off f, then condition 2
-            for contract, edges in ((True, off_f), (False, g.edges)):
+            # on every edge that neither tree holds
+            both, either = t & t2, t | t2
+            contracted = [e for e in off_f if e in both]
+            deleted = [e for e in g.edges if e not in either]
+            for contract, edges in ((True, contracted), (False, deleted)):
                 for e in edges:
-                    if (e in t) != contract or (e in t2) != contract:
-                        continue
-                    if (contract, e) not in subs:
-                        subs[contract, e] = minor_row(contract, e, c, s)
-                    sub, tmap = subs[contract, e]
-                    got = sub[tmap[i]]
+                    minor = minors.get((contract, e))
+                    if minor is None:
+                        minor = minors[contract, e] = _minor_action(rg, e, contract, variant_tag)
+                    sub, vmap, tmap = minor
+                    got = sub.pair_row(vmap[c], vmap[s])[tmap[i]]
                     rep.checked += 1
                     if got != tmap[j]:
                         cut = {e} if contract else set()

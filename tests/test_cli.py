@@ -242,6 +242,23 @@ def test_exit_code_on_bad_input(tmp_path, capsys):
     assert rc == 0  # single vertex: one empty tree
 
 
+def test_trees_command_on_graphs_longer_than_the_recursion_limit(tmp_path, capsys):
+    # a 1,200-edge path has one tree, a 1,100-edge banana 1,100 one-edge
+    # trees, in edge-id order; both are more edges than Python's default
+    # recursion depth
+    vs = [f"v{i:04d}" for i in range(1201)]
+    path = {"vertices": vs, "edges": [{"id": f"e{i:04d}", "ends": vs[i : i + 2]} for i in range(1200)]}
+    edges = [{"id": f"e{i:04d}", "ends": ["x", "y"]} for i in range(1100)]
+    for name, obj, expected in [
+        ("path", path, [[e["id"] for e in path["edges"]]]),
+        ("banana", {"vertices": ["x", "y"], "edges": edges}, [[e["id"]] for e in edges]),
+    ]:
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(obj))
+        rc, out = run(capsys, ["trees", str(p)])
+        assert rc == 0 and json.loads(out) == expected
+
+
 def test_exit_code_unknown_vertex(files):
     assert (
         main(["route", "--graph", files["graph"], "--tree", files["tree"], "--chip", "zz", "--sink", "s"])

@@ -238,6 +238,13 @@ def test_source_turn_requires_two_connected():
     rg = RibbonGraph(g, {"a": ("ab", "ab2"), "b": ("ab", "ab2", "bc"), "c": ("bc",)})
     with pytest.raises(ValueError):
         source_turn_path(rg, frozenset({"ab", "bc"}), frozenset({"ab2", "bc"}))
+    # every query is refused, a repeated one and one from a non-tree too,
+    # before its start is checked
+    for start in (frozenset({"ab", "bc"}), frozenset({"ab", "bc"}), frozenset({"ab"})):
+        with pytest.raises(ValueError, match="^source-turn reachability needs a 2-connected graph$"):
+            source_turn_path(rg, start, frozenset({"ab2", "bc"}))
+        with pytest.raises(ValueError, match="^leaf-swap reachability needs a 2-connected graph$"):
+            leaf_swap_path(g, start, frozenset({"ab2", "bc"}))
 
 
 def test_paths_reject_non_spanning_start_or_goal(square_ribbon):
@@ -340,7 +347,7 @@ def test_single_path_queries_stop_at_their_goal():
     far = source_turn_neighbors(rg, mv.result)[-1].result
     path = source_turn_path(rg, t, far)
     assert len(path) == 2 and path[0].tree == t and path[-1].result == far
-    back, _ = moves._search(rg, g, moves._source_turns, t)
+    back, _, _ = moves._search(rg, g, "source-turn", moves._source_turns, t)
     assert len(back) < 1000
 
 

@@ -12,7 +12,12 @@ from rotorsand.errors import InvariantViolation
 from rotorsand.catalog import plane_graphs
 from rotorsand.moves import telescope
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
-from rotorsand.ribbon import RibbonGraph, canonical_labelling, is_ribbon_isomorphism
+from rotorsand.ribbon import (
+    RibbonGraph,
+    RibbonIsomorphism,
+    canonical_labelling,
+    is_ribbon_isomorphism,
+)
 from rotorsand.rotor import route_chip
 from rotorsand.sandpile import Divisor, chip
 from rotorsand import torsor
@@ -424,34 +429,59 @@ def test_consistency_sweep_tiny():
         assert verify_consistency(rg).ok
 
 
+def minor_edge_map(rg, e, contract, vmap, tmap, rep):
+    """The edge map onto rep's graph that vmap and tmap imply for rg's minor by e.
+
+    An edge goes to the one edge of rep whose ends are its ends' images and
+    whose trees are the images of its own; a parallel class is told apart
+    by the trees, and no two edges of one class lie in the same trees.
+    """
+    g = rg.graph
+    rep_trees = rep.graph.spanning_trees()
+    mine = [(t, rep_trees[k]) for t, k in zip(g.spanning_trees(), tmap) if k is not None]
+    emap = {}
+    for f in g.edges:
+        if f == e or (contract and f in g.parallel_class(e)):
+            continue
+        ends = {vmap[v] for v in g.ends(f)}
+        (emap[f],) = [
+            h
+            for h in rep.graph.edges
+            if set(rep.graph.ends(h)) == ends and all((f in t) == (h in r) for t, r in mine)
+        ]
+    return emap
+
+
 def test_cached_minor_actions_match_direct_actions():
     # every contraction and connected deletion minor of every plane graph
     # with at most 5 edges, all four variants, every chip [c - s] (a superset
     # of those verify_consistency asks for, relaxed or not) and every tree:
     # the row read on the cached representative, with chips and trees moved
-    # along the isomorphism, equals a fresh direct action
+    # along the vertex and tree maps, equals a fresh direct action
     torsor._minor_actions.clear()
-    minors = set()
+    minors = {}  # minor -> the first (graph, edge, contract?) that gives it
     for rg in plane_graphs(5):
         for e in rg.graph.edges:
-            minors.add(rg.contract(e))
+            minors.setdefault(rg.contract(e), (rg, e, True))
             if rg.graph.delete(e).is_connected():
-                minors.add(rg.delete(e))
+                minors.setdefault(rg.delete(e), (rg, e, False))
     transported = 0
     for tag in VARIANTS:
         for minor in sorted(minors, key=RibbonGraph.to_json):
-            sub, iso, index = torsor._representative(minor, tag)
+            rg, e, contract = minors[minor]
+            sub, vmap, tmap = torsor._minor_action(rg, e, contract, tag)
             direct = TorsorAction(minor, tag)
             transported += sub.rg != minor
-            rep_trees = sub.graph.spanning_trees()
-            vmap, emap = iso.vertex_map, iso.edge_map
-            back = {f: e for e, f in emap.items()}
+            trees = rg.graph.spanning_trees()
+            # each tree of the minor, as its tree of rg, with its index there
+            cut = {e} if contract else set()
+            at = {t - cut: i for i, t in enumerate(trees) if tmap[i] is not None}
+            assert sorted(at, key=sorted) == sorted(minor.graph.spanning_trees(), key=sorted)
             vs = minor.graph.vertices
             for c, s in [(c, s) for c in vs for s in vs if c != s]:
                 row = sub.pair_row(vmap[c], vmap[s])
-                for t in minor.graph.spanning_trees():
-                    got = rep_trees[row[index[frozenset(emap[e] for e in t)]]]
-                    assert frozenset(back[f] for f in got) == direct.act(chip(c, s), t)
+                for t, i in at.items():
+                    assert row[tmap[i]] == tmap[at[direct.act(chip(c, s), t)]]
     assert len(minors) > 100 and transported > 100
     # the cache keeps one representative per (code, variant)
     assert len(torsor._minor_actions) == len({m.canonical_form() for m in minors}) * 4
@@ -460,8 +490,8 @@ def test_cached_minor_actions_match_direct_actions():
 def test_minor_keys_on_darts_match_built_minors(monkeypatch):
     # every contraction and connected deletion of every plane map with at
     # most 5 edges: the code read off the minor's darts is the built minor's
-    # canonical form, the maps read off the labellings are an isomorphism
-    # onto the representative, and a minor is built only on a cache miss
+    # canonical form, the vertex and tree maps come from an isomorphism onto
+    # the representative, and a minor is built only on a cache miss
     torsor._minor_actions.clear()
     built = []
     for name in ("contract", "delete"):
@@ -482,11 +512,50 @@ def test_minor_keys_on_darts_match_built_minors(monkeypatch):
                 code, _ = canonical_labelling(sigma, len(g.vertices) - contract)
                 assert code == minor.canonical_form()
                 known = (code, "r") in torsor._minor_actions
-                sub, iso, _ = torsor._minor_representative(rg, e, contract, "r")
-                assert is_ribbon_isomorphism(minor, sub.rg, iso)
+                sub, vmap, tmap = torsor._minor_action(rg, e, contract, "r")
                 assert len(built) == (not known)
+                emap = minor_edge_map(rg, e, contract, vmap, tmap, sub.rg)
+                iso = RibbonIsomorphism({v: vmap[v] for v in minor.graph.vertices}, emap)
+                assert is_ribbon_isomorphism(minor, sub.rg, iso)
                 minors += 1
     assert minors > 500
+
+
+def pendant_triangle():
+    """A triangle b, c, d with pendant edges from a to b and from d to z."""
+    g = Multigraph(
+        ["a", "b", "c", "d", "z"],
+        {"ab": ("a", "b"), "bc": ("b", "c"), "bd": ("b", "d"), "cd": ("c", "d"), "dz": ("d", "z")},
+    )
+    rot = {"a": ("ab",), "b": ("ab", "bd", "bc"), "c": ("bc", "cd"), "d": ("bd", "dz", "cd"), "z": ("dz",)}
+    return RibbonGraph(g, rot)
+
+
+def test_minor_vertex_map_covers_a_contracted_pendant_edge():
+    # contracting a pendant edge removes the leaf's only dart: the leaf is
+    # the merged vertex's lower end a in ab and its higher end z in dz, and
+    # in both cases the two ends land on one vertex of the representative
+    rg = pendant_triangle()
+    assert rg.is_plane() and verify_consistency(rg).ok
+    for e in ("ab", "dz"):
+        torsor._minor_actions.clear()
+        sub, vmap, tmap = torsor._minor_action(rg, e, True, "r")
+        x, y = rg.graph.ends(e)
+        assert set(vmap) == set(rg.graph.vertices)
+        assert vmap[x] == vmap[y]
+        assert set(vmap.values()) == set(sub.graph.vertices)
+        # every tree holds a pendant edge, so each maps to the minor
+        assert sorted(tmap) == list(range(len(sub.graph.spanning_trees())))
+
+
+def test_minor_vertex_map_covers_a_banana_contracted_to_one_vertex():
+    # contracting one edge of the triple edge takes its parallels with it:
+    # no dart is left, and both ends go to the representative's one vertex
+    torsor._minor_actions.clear()
+    sub, vmap, tmap = torsor._minor_action(e3_plane(), "e1", True, "r")
+    assert sub.graph.edges == () and len(sub.graph.vertices) == 1
+    assert vmap == dict.fromkeys(("x", "y"), sub.graph.vertices[0])
+    assert tmap == [None, 0, None]
 
 
 CONDITION_3_RUN = """
