@@ -360,7 +360,9 @@ def _check(suite, variant, rg):
         rep = verify_full_spin(rg)
         return rep["orbits"], list(rep["violations"]), []
     if suite == "moves":
-        return _check_moves(rg)
+        from .moves import verify_paths
+
+        return verify_paths(rg)
     from . import torsor
 
     if suite == "torsor":
@@ -370,37 +372,6 @@ def _check(suite, variant, rg):
     else:
         rep = torsor.verify_sink_invariance(rg)
     return rep.checked, rep.violations, rep.notes
-
-
-def _check_moves(rg):
-    """Source-turn paths, then leaf-swap paths, between every ordered tree pair."""
-    from . import moves
-
-    g = rg.graph
-    trees = g.spanning_trees()
-
-    def turn_ends(a, b):
-        """The trees a source-turn path from a to b starts and ends at."""
-        seq = moves.source_turn_path(rg, a, b)
-        return [seq[0].tree, seq[-1].result] if seq else [a]
-
-    finders = (
-        ("", "bad path", turn_ends),
-        ("leaf swap: ", "bad leaf path", lambda a, b: moves.leaf_swap_path(g, a, b)),
-    )
-    checked = 0
-    violations = []
-    for prefix, bad, find in finders:
-        for t1, t2 in iproduct(trees, repeat=2):
-            checked += 1
-            try:
-                path = find(t1, t2)
-            except InvariantViolation as exc:
-                violations.append({"pair": [sorted(t1), sorted(t2)], "error": f"{prefix}{exc}"})
-                continue
-            if path[0] != t1 or path[-1] != t2:
-                violations.append({"pair": [sorted(t1), sorted(t2)], "error": bad})
-    return checked, violations, []
 
 
 def _pool_map(fn, payloads, workers):
@@ -486,6 +457,8 @@ def cmd_verify(args):
     t0 = time.time()
     if args.suite != "telescope" and args.max_edges < 1:
         raise InputError(f"--max-edges must be at least 1, not {args.max_edges}")
+    if args.max_elements < 1:
+        raise InputError(f"--max-elements must be at least 1, not {args.max_elements}")
     if args.workers is not None and args.workers < 0:
         raise InputError(f"--workers must be nonnegative, not {args.workers}")
     for name, (default, suites) in SUITE_OPTIONS.items():
@@ -609,7 +582,8 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=SUITES)
     sp.add_argument("--max-edges", type=int, default=5)
-    sp.add_argument("--max-elements", type=int, default=SUITE_OPTIONS["max_elements"][0])
+    r10 = "matroid only: R10 joins at 10 or more; --max-edges alone bounds the graphic matroids"
+    sp.add_argument("--max-elements", type=int, default=SUITE_OPTIONS["max_elements"][0], help=r10)
     sp.add_argument("--variant", default=SUITE_OPTIONS["variant"][0], choices=list(VARIANTS))
     sp.add_argument("--include-nonplanar", action="store_true")
     sp.add_argument("--report", default=None)

@@ -5,8 +5,9 @@ after a single rotor turn, which swaps one tree edge for one non-tree edge.
 When c is additionally a leaf of T the pair is a source-turn pair.  On any
 2-connected ribbon graph, source-turn moves alone connect every pair of
 spanning trees; the breadth-first searches below realize such paths and the
-ribbon-free leaf-swap variant, resuming one search per start tree, and all
-searches on one map share one table of each tree's moves.
+ribbon-free leaf-swap variant.  A one-shot path searches until its goal; the
+moves sweep (verify_paths) runs one full search per start tree, reading one
+table of each tree's moves per kind, and keeps nothing once it returns.
 
 Telescope graphs are the parameterized plane family where every single-step
 tree has a spanning-tree complement; they are generated here with their
@@ -16,7 +17,6 @@ standard labels (c, z0..zn, w{i}_{j}, g, f, e{i}/he{i}, h{i}_{j}/hh{i}_{j}).
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -150,64 +150,36 @@ def _leaf_swaps(g: Multigraph, t):
                 yield t2, t2
 
 
-@lru_cache(maxsize=1)
-def _neighbours(space, step) -> dict:
-    """Each tree a search on space has expanded, with the (move, tree) pairs
-    step gave it.
+def _search(space, step, start: frozenset, table: dict, goal=None) -> dict:
+    """The back-pointers of a breadth-first search from start, stopped at goal.
 
-    Every search on the map, from any start, reads and fills this one table,
-    so each tree's moves are generated once per map and move kind; only the
-    last map and kind are kept.  Every tree in it was reached from a
-    checked start, so it is a spanning tree.
+    Each tree reached maps to (move, previous tree), start to None, in the
+    order reached.  step(space, t) yields (move, tree) pairs in a fixed order,
+    so a stopped search agrees with a full one on every tree it reached.
+    table holds the pairs of each tree expanded, read before step is asked.
     """
-    return {}
-
-
-@lru_cache(maxsize=1)
-def _search(space, g: Multigraph, kind: str, step, start: frozenset) -> tuple:
-    """One breadth-first search from start: (back-pointers, frontier, neighbour table).
-
-    back maps each tree reached to (move, previous tree).  _tree_path resumes
-    the search only until its goal is reached, so a single query stops as
-    early as a search of its own, and the moves sweep, which asks for every
-    goal of one start before the next, runs one search per start.  g is
-    checked for 2-connectivity here, once per search, and the start unless
-    the table holds it; every tree reached is then a spanning tree of g, so
-    _tree_path checks only goals that neither the search nor the table holds.
-    """
-    if not g.is_two_connected():
-        raise ValueError(f"{kind} reachability needs a 2-connected graph")
-    table = _neighbours(space, step)
-    if start not in table and not g.is_spanning_tree(start):
-        raise ValueError("inputs must be spanning trees")
-    return {start: None}, deque([start]), table
+    back = {start: None}
+    frontier = deque([start])
+    while frontier and goal not in back:
+        t = frontier.popleft()
+        pairs = table.get(t)
+        if pairs is None:
+            pairs = table[t] = tuple(step(space, t))
+        for mv, t2 in pairs:
+            if t2 not in back:
+                back[t2] = (mv, t)
+                frontier.append(t2)
+    return back
 
 
 def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
-    """The moves of a shortest path from tree start to tree goal of g.
-
-    step(space, t) yields (move, tree) pairs in a fixed order, so the search
-    sets each back-pointer once, and the path does not depend on what earlier
-    queries from the same start have searched.  Each tree's pairs are read
-    from the map's neighbour table, generated on first expansion.
-    """
-    back, frontier, table = _search(space, g, kind, step, frozenset(start))
-    goal = frozenset(goal)
-    if goal not in back and goal not in table and not g.is_spanning_tree(goal):
+    """The moves of a shortest path from tree start to tree goal of g."""
+    if not g.is_two_connected():
+        raise ValueError(f"{kind} reachability needs a 2-connected graph")
+    start, goal = frozenset(start), frozenset(goal)
+    if not (g.is_spanning_tree(start) and g.is_spanning_tree(goal)):
         raise ValueError("inputs must be spanning trees")
-    try:
-        while frontier and goal not in back:
-            t = frontier.popleft()
-            pairs = table.get(t)
-            if pairs is None:
-                pairs = table[t] = tuple(step(space, t))
-            for mv, t2 in pairs:
-                if t2 not in back:
-                    back[t2] = (mv, t)
-                    frontier.append(t2)
-    except BaseException:
-        _search.cache_clear()  # a half-expanded tree must not be resumed
-        raise
+    back = _search(space, step, start, {}, goal)
     if goal not in back:
         raise InvariantViolation(f"no {kind} path found on a 2-connected graph")
     moves = []
@@ -357,3 +329,47 @@ def _compositions(total, parts):
 def verify_telescope_equivalence(rg: RibbonGraph, labels: TelescopeLabels) -> bool:
     """Check both directions: telescope shape iff complements stay trees."""
     return matches_telescope(rg, labels) == complements_are_trees(rg, labels)
+
+
+def verify_paths(rg: RibbonGraph) -> tuple:
+    """Source-turn paths, then leaf-swap paths, between every ordered tree pair.
+
+    One full search per start tree and move kind; the searches of one kind
+    share a table, so each tree's moves are generated once.  Back-pointers
+    are judged in discovery order: a tree counts as reached when its move
+    leaves a tree already reached from the start and lands on it, so every
+    step of every path is checked.  Returns (checked, violations, notes).
+    """
+    g = rg.graph
+    if not g.is_two_connected():
+        raise ValueError("source-turn reachability needs a 2-connected graph")
+    trees = g.spanning_trees()
+
+    def turns(mv, t, t2):  # a source turn names the tree it leaves
+        return mv.tree == t and mv.result == t2
+
+    def swaps(mv, t, t2):  # a leaf swap's move is the tree it makes
+        return mv == t2
+
+    kinds = (
+        ("source-turn", "", "bad path", rg, _source_turns, turns),
+        ("leaf-swap", "leaf swap: ", "bad leaf path", g, _leaf_swaps, swaps),
+    )
+    checked = 0
+    violations = []
+    for kind, prefix, bad, space, step, leads in kinds:
+        table = {}
+        for t1 in trees:
+            back = _search(space, step, t1, table)
+            reached = {t1}
+            for t2, link in back.items():
+                if link is not None and link[1] in reached and leads(link[0], link[1], t2):
+                    reached.add(t2)
+            for t2 in trees:
+                checked += 1
+                if t2 in reached:
+                    continue
+                missing = f"{prefix}no {kind} path found on a 2-connected graph"
+                error = bad if t2 in back else missing
+                violations.append({"pair": [sorted(t1), sorted(t2)], "error": error})
+    return checked, violations, []

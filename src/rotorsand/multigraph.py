@@ -26,18 +26,19 @@ class Multigraph:
 
     def __init__(self, vertices, edges):
         vs = tuple(sorted(vertices))
-        if len(set(vs)) != len(vs):
+        index = {v: i for i, v in enumerate(vs)}
+        if len(index) != len(vs):
             raise ValueError("duplicate vertex ids")
         ends = {}
         for eid, pair in dict(edges).items():
             u, v = pair
             if u == v:
                 raise ValueError(f"loop edge {eid!r} at {u!r} not allowed")
-            if u not in vs or v not in vs:
+            if u not in index or v not in index:
                 raise ValueError(f"edge {eid!r} has unknown endpoint")
             ends[eid] = (u, v) if u <= v else (v, u)
         self._vertices = vs
-        self._index = {v: i for i, v in enumerate(vs)}
+        self._index = index
         self._edge_ids = tuple(sorted(ends))
         self._ends = ends
         incident = {v: [] for v in vs}

@@ -782,8 +782,17 @@ def test_user_errors_are_input_errors(files, tmp_path, capsys, argv, message):
         (["torsor", "--max-edges", "-3"], "--max-edges"),
         (["moves", "--max-edges", "0"], "--max-edges"),
         (["consistency", "--max-edges", "3", "--workers", "-2"], "--workers"),
+        # below 1 names no size; every value from 1 to 9 sweeps the same matroids
+        (["matroid", "--max-edges", "3", "--max-elements", "0"], "--max-elements"),
+        (["matroid", "--max-edges", "3", "--max-elements", "-5"], "--max-elements"),
     ],
-    ids=["max-edges-negative", "max-edges-zero", "workers-negative"],
+    ids=[
+        "max-edges-negative",
+        "max-edges-zero",
+        "workers-negative",
+        "max-elements-zero",
+        "max-elements-negative",
+    ],
 )
 def test_verify_rejects_empty_sizes_and_negative_workers(capsys, argv, message):
     assert main(["verify", *argv, "--seed", "0"]) == 2

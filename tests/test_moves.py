@@ -347,14 +347,13 @@ def test_single_path_queries_stop_at_their_goal():
     far = source_turn_neighbors(rg, mv.result)[-1].result
     path = source_turn_path(rg, t, far)
     assert len(path) == 2 and path[0].tree == t and path[-1].result == far
-    back, _, _ = moves._search(rg, g, "source-turn", moves._source_turns, t)
+    back = moves._search(rg, moves._source_turns, t, {}, far)
     assert len(back) < 1000
 
 
 def test_one_shot_paths_stay_lazy(monkeypatch):
     # a telescope with 6,019,904 spanning trees: paths two moves long are
-    # found without listing the trees, and the neighbour table holds only
-    # the trees the search expanded
+    # found without listing the trees, and expand only a few of them
     rg, _ = telescope(6, [1, 2, 1, 2, 1, 2, 1])
     g = rg.graph
     t = first_spanning_tree(g)
@@ -370,20 +369,26 @@ def test_one_shot_paths_stay_lazy(monkeypatch):
         raise AssertionError("a one-shot path listed every spanning tree")
 
     monkeypatch.setattr(Multigraph, "spanning_trees", refuse)
+    steps = []
+
+    def counted(step):
+        return lambda space, x: steps.append(x) or step(space, x)
+
+    monkeypatch.setattr(moves, "_source_turns", counted(moves._source_turns))
+    monkeypatch.setattr(moves, "_leaf_swaps", counted(moves._leaf_swaps))
     path = source_turn_path(rg, t, far_turn)
     assert len(path) == 2 and path[0].tree == t and path[-1].result == far_turn
-    assert len(moves._neighbours(rg, moves._source_turns)) < 100
+    assert 0 < len(steps) < 100
+    steps.clear()
     trees = leaf_swap_path(g, t, far_swap)
     assert len(trees) == 3 and trees[0] == t and trees[-1] == far_swap
-    assert len(moves._neighbours(g, moves._leaf_swaps)) < 100
+    assert 0 < len(steps) < 100
 
 
 def test_moves_check_generates_each_trees_moves_once(monkeypatch):
     # the moves sweep asks for every ordered tree pair of a map; each tree's
     # source-turn and leaf-swap neighbours are still generated only once
     from collections import Counter
-
-    from rotorsand import cli
 
     turns, swaps = Counter(), Counter()
     source_turns, leaf_swaps = moves.source_turn_neighbors, moves._leaf_swaps
@@ -399,30 +404,71 @@ def test_moves_check_generates_each_trees_moves_once(monkeypatch):
     monkeypatch.setattr(moves, "source_turn_neighbors", counted_turns)
     monkeypatch.setattr(moves, "_leaf_swaps", counted_swaps)
     maps = plane_graphs(6, two_connected=True)
-    moves._neighbours.cache_clear()  # a table left by an earlier query
     for rg in maps:
         turns.clear()
         swaps.clear()
         trees = rg.graph.spanning_trees()
-        assert cli._check_moves(rg) == (2 * len(trees) ** 2, [], [])
-        # a map with a single tree asks only for the empty path
-        expected = Counter(trees) if len(trees) > 1 else Counter()
-        assert turns == expected and swaps == expected
+        assert moves.verify_paths(rg) == (2 * len(trees) ** 2, [], [])
+        assert turns == Counter(trees) and swaps == Counter(trees)
     assert len(maps) == 29
 
 
-def test_moves_check_reads_where_a_path_starts(monkeypatch):
-    # paths patched to start at the first tree whatever the start asked for:
-    # every pair from another start is a bad path, an empty one included
-    from rotorsand import cli
+def four_edge_map():
+    return next(rg for rg in plane_graphs(4, two_connected=True) if len(rg.graph.edges) == 4)
 
-    rg = next(rg for rg in plane_graphs(4, two_connected=True) if len(rg.graph.edges) == 4)
+
+def test_moves_check_reads_where_a_path_starts(monkeypatch):
+    # moves patched to name the tree they make as the tree they leave: every
+    # path of one move or more is a bad path, and only the empty ones pass
+    rg = four_edge_map()
     trees = rg.graph.spanning_trees()
-    path = moves.source_turn_path
-    monkeypatch.setattr(moves, "source_turn_path", lambda rg, a, b: path(rg, trees[0], b))
-    checked, violations, _ = cli._check_moves(rg)
+    step = moves._source_turns
+    monkeypatch.setattr(
+        moves, "_source_turns", lambda rg, t: ((mv._replace(tree=t2), t2) for mv, t2 in step(rg, t))
+    )
+    checked, violations, _ = moves.verify_paths(rg)
     assert checked == 2 * len(trees) ** 2 and len(trees) > 2
-    bad = [(t1, t2) for t1 in trees[1:] for t2 in trees]
+    bad = [(t1, t2) for t1 in trees for t2 in trees if t1 != t2]
+    assert violations == [{"pair": [sorted(t1), sorted(t2)], "error": "bad path"} for t1, t2 in bad]
+
+
+def test_moves_check_reads_where_a_leaf_path_goes(monkeypatch):
+    # leaf swaps patched to make the tree they leave: every leaf path of one
+    # swap or more is a bad leaf path, and only the empty ones pass
+    rg = four_edge_map()
+    trees = rg.graph.spanning_trees()
+    step = moves._leaf_swaps
+    monkeypatch.setattr(moves, "_leaf_swaps", lambda g, t: ((t, t2) for _, t2 in step(g, t)))
+    checked, violations, _ = moves.verify_paths(rg)
+    assert checked == 2 * len(trees) ** 2 and len(trees) > 2
+    bad = [(t1, t2) for t1 in trees for t2 in trees if t1 != t2]
+    assert violations == [
+        {"pair": [sorted(t1), sorted(t2)], "error": "bad leaf path"} for t1, t2 in bad
+    ]
+
+
+def test_moves_check_reads_every_step(monkeypatch):
+    # the source turns out of one tree patched to name no tree: the pairs
+    # whose path takes a step from it are bad paths, wherever on the path
+    # that step falls, and no other pair is
+    from collections import Counter
+
+    rg = max(plane_graphs(6, two_connected=True), key=lambda rg: len(rg.graph.spanning_trees()))
+    trees = rg.graph.spanning_trees()
+    paths = {(t1, t2): source_turn_path(rg, t1, t2) for t1, t2 in product(trees, repeat=2)}
+    # the tree most often left mid-path, where checking a path's ends misses it
+    mid = Counter(mv.tree for path in paths.values() for mv in path[1:-1]).most_common(1)[0][0]
+    bad = [pair for pair, path in paths.items() if any(mv.tree == mid for mv in path)]
+    assert len(bad) < len(trees) ** 2
+    step = moves._source_turns
+
+    def misnamed(rg, t):
+        for mv, t2 in step(rg, t):
+            yield (mv._replace(tree=frozenset()) if t == mid else mv), t2
+
+    monkeypatch.setattr(moves, "_source_turns", misnamed)
+    checked, violations, _ = moves.verify_paths(rg)
+    assert checked == 2 * len(trees) ** 2
     assert violations == [{"pair": [sorted(t1), sorted(t2)], "error": "bad path"} for t1, t2 in bad]
 
 

@@ -26,6 +26,33 @@ def test_unknown_endpoint_rejected():
         Multigraph(["a", "b"], {"e": ("a", "z")})
 
 
+class CountedId(str):
+    """A vertex id that counts the equality tests made on it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        CountedId.compared += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_building_and_contracting_a_long_path_is_linear():
+    # endpoints are looked up, not scanned for: a scan of the vertex tuple
+    # makes about n * n / 2 comparisons on an n-vertex path
+    n = 2000
+    vs = [CountedId(f"v{i:05d}") for i in range(n)]
+    edges = {f"e{i:05d}": (vs[i], vs[i + 1]) for i in range(n - 1)}
+    CountedId.compared = 0
+    g = Multigraph(vs, edges)
+    assert CountedId.compared < 4 * n
+    CountedId.compared = 0
+    h = g.contract("e00000")
+    assert CountedId.compared < 8 * n
+    assert len(h.vertices) == n - 1 and len(h.edges) == n - 2
+
+
 def test_contract_triangle_gives_double_edge(triangle):
     got = triangle.contract("uv")
     assert len(got.vertices) == 2
