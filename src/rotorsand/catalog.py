@@ -2,7 +2,9 @@
 
 Graphs are produced up to graph isomorphism by edge augmentation on integer
 endpoint pairs: each candidate is keyed by its canonical encoding, and only
-the first candidate of each key becomes a ``Multigraph``.  Ribbon structures
+the first candidate of each key becomes a ``Multigraph``.  The 2-connected
+catalog tests its candidates with the integer cut-vertex kernel
+``multigraph.cut_points`` before it keys them.  Ribbon structures
 are produced up to ribbon isomorphism on the dart rotation sigma alone: each
 member of the rotation product is filtered by its face count and keyed by
 its canonical code, and only the first member of each code becomes a
@@ -18,7 +20,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from operator import itemgetter
 
-from .multigraph import Multigraph
+from .multigraph import Multigraph, cut_points
 
 
 def _relabel_sorted(pairs):
@@ -91,8 +93,13 @@ def _multigraph_level(m: int) -> tuple[Multigraph, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pair_level(m: int) -> tuple[tuple[int, tuple], ...]:
-    """The m-edge classes as (n, sorted pairs), the first candidate of each, by key."""
+def _pair_level(m: int, *, two_connected: bool = False) -> tuple[tuple[int, tuple], ...]:
+    """The m-edge classes as (n, sorted pairs), the first candidate of each, by key.
+
+    With two_connected, only the 2-connected classes, with the same
+    representatives in the same order: each candidate is tested before it
+    is keyed, and the test is an isomorphism invariant that keeps their order.
+    """
     if m < 1:
         return ()
     if m == 1:
@@ -100,8 +107,14 @@ def _pair_level(m: int) -> tuple[tuple[int, tuple], ...]:
     nxt = {}
     # distinct parents can offer the same candidate: key each one once
     for cand in dict.fromkeys(c for n, ps in _pair_level(m - 1) for c in _augmentations(n, ps)):
-        nxt.setdefault(_graph_key(*cand), cand)
+        if not two_connected or _two_connected(*cand):
+            nxt.setdefault(_graph_key(*cand), cand)
     return tuple(nxt[k] for k in sorted(nxt))
+
+
+def _two_connected(n: int, pairs) -> bool:
+    """The candidate test: no cut vertex (Multigraph.is_two_connected's kernel)."""
+    return next(cut_points(n, pairs), None) is None
 
 
 def _parallel_classes(g: Multigraph):
@@ -215,10 +228,20 @@ def ribbon_graphs(max_edges: int, min_edges: int = 1):
 
 
 def plane_graphs(max_edges: int, min_edges: int = 1, two_connected: bool = False):
-    """Every plane ribbon graph in the size range, up to ribbon isomorphism."""
+    """Every plane ribbon graph in the size range, up to ribbon isomorphism.
+
+    With two_connected, only those whose graph is 2-connected, in the same
+    order; the lower levels, complete as the top one's parents, are tested
+    before any Multigraph is built, and the top level before it is keyed.
+    """
+    if not two_connected:
+        graphs = connected_multigraphs(max_edges, min_edges)
+    else:
+        levels = [_pair_level(m) for m in range(min_edges, max_edges)]
+        if min_edges <= max_edges:
+            levels.append(_pair_level(max_edges, two_connected=True))
+        graphs = [_relabel_sorted(ps) for level in levels for n, ps in level if _two_connected(n, ps)]
     out = []
-    for g in connected_multigraphs(max_edges, min_edges):
-        if two_connected and not g.is_two_connected():
-            continue
+    for g in graphs:
         out.extend(rotation_systems(g, plane_only=True))
     return out

@@ -144,10 +144,9 @@ class Multigraph:
         if self._cuts is None:
             if not self.is_connected():
                 raise ValueError("graph must be connected")
-            splits = self._vertex_splits()
-            self._cuts = frozenset(
-                v for v in self._vertices if len(self._vertices) > 2 and len(splits[v]) > 1
-            )
+            ix, vs = self._index, self._vertices
+            pairs = [(ix[u], ix[v]) for u, v in self._ends.values()]
+            self._cuts = frozenset(vs[i] for i in cut_points(len(vs), pairs))
         return self._cuts
 
     def is_two_connected(self) -> bool:
@@ -312,6 +311,23 @@ def find_root(parent: list[int], i: int) -> int:
         parent[i] = parent[parent[i]]
         i = parent[i]
     return i
+
+
+def cut_points(n: int, pairs):
+    """The cut vertices, in increasing order, of the connected graph on
+    0..n-1 with one (a, b) pair per edge: those whose removal leaves the
+    other vertices in more than one union-find class."""
+    for v in range(n):
+        parent = list(range(n))
+        parts = n - 1
+        for a, b in pairs:
+            if a != v and b != v:
+                ra, rb = find_root(parent, a), find_root(parent, b)
+                if ra != rb:
+                    parent[ra] = rb
+                    parts -= 1
+        if parts > 1:
+            yield v
 
 
 def complete_graph(n: int) -> Multigraph:

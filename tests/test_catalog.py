@@ -207,6 +207,13 @@ def test_ribbon_counts_small():
 def test_two_connected_filter():
     for rg in plane_graphs(5, two_connected=True):
         assert rg.graph.is_two_connected()
+    # complete: every 2-connected map, in catalog order, with its labels
+    for m in range(1, 8):
+        expected = [rg for rg in plane_graphs(m) if rg.graph.is_two_connected()]
+        assert plane_graphs(m, two_connected=True) == expected
+    gs = plane_graphs(8, two_connected=True)
+    assert len(gs) == 222
+    assert ribbon_digest(gs) == PLANE_2C_8_SHA256
 
 
 # sha256 of ribbon_graphs(6) as a JSON pair: the to_json list, then the
@@ -224,6 +231,7 @@ RIBBON_7_SHA256 = "7aa9b1ca214c5a8b2638374db259b83c919a2381d1e3b7b33324e3a67dac0
 PLANE_7_SHA256 = "cf7a59b943e6406d58184d06da089a7f8446d8fa8b781f2435c05cb0c3685275"
 MULTIGRAPHS_8_SHA256 = "381bf8de170b8b2eab04e95d9c66fda4b1c5c843047a205b0cc2fc1a544f5446"
 RIBBON_8_SHA256 = "20b1f9e3634e18932df25528160f8f7cf2619d7d62dda7798c4ff34386cf3e2d"
+PLANE_2C_8_SHA256 = "bf7fc8a2d2d57d5751ffac9e6044a00a99d9c473488011937f59161a40af72ec"
 
 
 def ribbon_digest(gs):

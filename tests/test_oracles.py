@@ -1,4 +1,8 @@
-"""networkx as an independent oracle for tree counts and planarity."""
+"""networkx as an independent oracle for tree counts, planarity and
+2-connectivity, and Tutte's census of rooted planar maps for the catalog."""
+
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -44,3 +48,38 @@ def test_planarity_matches_networkx(g, plane):
     found = bool(catalog.rotation_systems(g, plane_only=True))
     is_planar, _ = nx.check_planarity(to_networkx(g))
     assert found == is_planar == plane
+
+
+def test_two_connectivity_matches_networkx():
+    graphs = catalog.connected_multigraphs(7)
+    assert len(graphs) == 489
+    mismatches = []
+    for g in graphs:
+        simple = nx.Graph(to_networkx(g))
+        expected = len(g.vertices) <= 2 or nx.is_biconnected(simple)
+        ix = {v: i for i, v in enumerate(g.vertices)}
+        pairs = [(ix[a], ix[b]) for a, b in map(g.ends, g.edges)]
+        candidate = catalog._two_connected(len(g.vertices), pairs)
+        cuts = set(nx.articulation_points(simple))
+        if not (g.is_two_connected() == candidate == expected and g.cut_vertices() == cuts):
+            mismatches.append(g.to_json())
+    assert mismatches == []
+    assert sum(g.is_two_connected() for g in graphs) == 59
+
+
+def rooted_count(maps, m: int) -> Fraction:
+    """Rooted maps: each m-edge map has 2m rootings, one per dart, and its
+    automorphisms, one per dart order canonical_labelling returns, identify
+    them exactly."""
+    return sum(Fraction(2 * m, len(rg.canonical_labelling()[1])) for rg in maps)
+
+
+def test_plane_catalog_matches_tutte_census():
+    # rooted loopless planar maps with m edges (Tutte 1963; OEIS A000260)
+    census = [2 * factorial(4 * m + 1) // (factorial(m + 1) * factorial(3 * m + 2)) for m in range(1, 9)]
+    assert census == [1, 3, 13, 68, 399, 2530, 16965, 118668]
+    for m, expected in enumerate(census, start=1):
+        maps = catalog.plane_graphs(m, min_edges=m)
+        assert rooted_count(maps, m) == expected
+        # negative control: a catalog missing any one map falls short
+        assert rooted_count(maps[:-1], m) < expected
