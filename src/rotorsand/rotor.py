@@ -7,11 +7,18 @@ The spin step is the heart of the package: turn the rotor at the chip to the
 next dart counterclockwise (``sigma``) and move the chip across it (``d ^ 1``).
 Routing stops the chip at the sink, and folding that over a chip
 decomposition of a divisor gives the rotor-routing action on spanning trees.
-The unicycle checks spin integer states instead: the sink-free arrays with a
-single cycle are enumerated once per multigraph, each numbered by its place
-in the product of the darts around each vertex, and a unicycle is that
-number times the vertex count plus its chip, so a flat list marks each
-state's orbit.
+The verifiers route from one start table per graph and sink (``_starts``):
+every spanning tree's dart array toward that sink, in ``spanning_trees()``
+order, with a map from array back to tree index.  The arrays read only the
+graph's dart numbering, so every rotation system on the graph, its reverse
+and every action variant share one table.  Only the table at
+``vertices[0]`` orients trees from scratch; another sink's table re-roots
+it, reversing the darts on each tree's path from the new sink to
+``vertices[0]`` (``_reroot``).  The unicycle checks spin integer states
+instead: the sink-free arrays with a single cycle are enumerated once per
+multigraph, each numbered by its place in the product of the darts around
+each vertex, and a unicycle is that number times the vertex count plus its
+chip, so a flat list marks each state's orbit.
 """
 
 from __future__ import annotations
@@ -123,6 +130,15 @@ def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=N
         raise InvariantViolation("routing exceeded its step bound")
 
 
+def _route_chips(rg: RibbonGraph, rotors: list, chips: list, sink: int) -> None:
+    """Route chips (by vertex position, nonnegative off sink) to sink one at
+    a time in vertex order, the rotors carrying over from chip to chip."""
+    for x, n in enumerate(chips):
+        if x != sink:
+            for _ in range(n):
+                _route(rg, rotors, x, sink)
+
+
 def _steps(rg: RibbonGraph, turned) -> list[RouteStep]:
     vs, edges, dv = rg.graph.vertices, rg.graph.edges, rg.dart_vertex
     return [
@@ -159,37 +175,77 @@ def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
     if any(d[v] < 0 for v in vs if v != s):
         raise ValueError("divisor must be nonnegative away from the sink")
     rotors = _tree_darts(rg.graph, tree, s)
-    sink = vs.index(s)
-    for i, v in enumerate(vs):
-        if i != sink:
-            for _ in range(d[v]):
-                _route(rg, rotors, i, sink)
+    _route_chips(rg, rotors, [d[v] for v in vs], vs.index(s))
     return _tree_of(rg, rotors)
+
+
+def _reroot(rotors, x: int, dv) -> tuple:
+    """The tree's dart array re-rooted at position x: the darts on x's path
+    to the old sink are reversed, and x holds None."""
+    out = list(rotors)
+    out[x] = None
+    d = rotors[x]
+    while d is not None:
+        y = dv[d ^ 1]
+        out[y] = d ^ 1
+        d = rotors[y]
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _starts(g: Multigraph, s: str) -> tuple:
+    """(arrays, index): every spanning tree's dart array toward s, in
+    spanning_trees() order, and the tree index of each array.
+
+    The table at vertices[0] orients each tree (_tree_darts); any other
+    sink's re-roots it.  The trees' arrays are exactly the acyclic ones, so
+    a routed array that misses the index closes a cycle.
+    """
+    q = g.vertices[0]
+    if s == q:
+        arrays = tuple(tuple(_tree_darts(g, t, q)) for t in g.spanning_trees())
+    else:
+        x, dv = g.vertices.index(s), dart_numbering(g)[1]
+        arrays = tuple(_reroot(r, x, dv) for r in _starts(g, q)[0])
+    return arrays, {r: i for i, r in enumerate(arrays)}
+
+
+def _lookup(index: dict, rotors: list) -> int:
+    """The tree index of routed rotors, asserted acyclic by the lookup."""
+    i = index.get(tuple(rotors))
+    if i is None:
+        raise InvariantViolation("routing finished on a cyclic rotor configuration")
+    return i
 
 
 def chip_rows(rg: RibbonGraph, trees, s: str) -> list[tuple[int, ...]]:
     """Tree-index rows of the single chips [v - s], by vertex position.
 
-    Row v sends i to the index of the tree that one chip routed from v to s
-    leaves of trees[i], every spanning tree; the row at s is the identity.
-    Each tree's rotors are set up once, and each chip routes a copy of them
-    on the dart array.  The trees' arrays are exactly the acyclic ones, so
-    looking the routed rotors up among them asserts them acyclic.
+    trees is rg.graph.spanning_trees(), the start table's order.  Row v
+    sends i to the index of the tree that one chip routed from v to s
+    leaves of trees[i]; the row at s is the identity.  Each chip routes a
+    copy of each tree's start array and looks the result up.
     """
     sink = rg.graph.vertices.index(s)
-    starts = [_tree_darts(rg.graph, t, s) for t in trees]
-    index = {tuple(r): i for i, r in enumerate(starts)}
+    arrays, index = _starts(rg.graph, s)
 
     def routed(rotors, v):
         _route(rg, rotors, v, sink)
-        i = index.get(tuple(rotors))
-        if i is None:
-            raise InvariantViolation("routing finished on a cyclic rotor configuration")
-        return i
+        return _lookup(index, rotors)
 
-    ident = tuple(range(len(starts)))  # a chip at the sink does not move
+    ident = tuple(range(len(trees)))  # a chip at the sink does not move
     rows = range(len(rg.graph.vertices))
-    return [ident if v == sink else tuple([routed(list(r), v) for r in starts]) for v in rows]
+    return [ident if v == sink else tuple([routed(list(r), v) for r in arrays]) for v in rows]
+
+
+def route_first_tree(rg: RibbonGraph, chips: list) -> int:
+    """Route chips (by vertex position, nonnegative off vertices[0]) into
+    vertices[0] from a copy of the first spanning tree's start array, as
+    route_divisor does; returns the tree index of the result."""
+    arrays, index = _starts(rg.graph, rg.graph.vertices[0])
+    rotors = list(arrays[0])
+    _route_chips(rg, rotors, chips, 0)
+    return _lookup(index, rotors)
 
 
 def _reversed(rg: RibbonGraph, rotors, cycle) -> tuple:

@@ -12,8 +12,10 @@ Chip-firing runs on integer vertex positions: ``_neighbours`` lists each
 position's (neighbour, edge multiplicity) pairs once per graph.  ``_lift``
 moves a divisor's debt onto a sink by firing balls around it, one layer of
 graph distance at a time (``_shells``); ``move_to_sink`` is that lift.
-``_burn`` is one pass of Dhar's fire over a chip list, and ``reduce`` fires
-the unburnt set as many times as it legally can before burning again.
+``_burn`` is one pass of Dhar's fire over a chip list, and ``reduce_chips``
+fires the unburnt set as many times as it legally can before burning
+again, on a chip list in vertex order; ``reduce`` wraps it for a
+``Divisor``, and the verifiers' honest checks call it directly.
 
 On a large divisor the lift drives many times the answer's debt onto the
 sink, and burning spends its rounds handing it back.  So ``reduce`` first
@@ -292,18 +294,28 @@ def _burn(nbrs, chips, qi):
 def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
     """The unique q-reduced divisor equivalent to d (any degree).
 
+    A Divisor wrapper around reduce_chips; raises ValueError on a
+    disconnected graph.
+    """
+    chips = [d[v] for v in g.vertices]
+    reduce_chips(g, chips, q)
+    return Divisor(dict(zip(g.vertices, chips)))
+
+
+def reduce_chips(g: Multigraph, chips: list, q: str) -> None:
+    """Burn chips (in vertex order) to their q-reduced form, in place.
+
     Large divisors first fire to a nearby equivalent one (``_seed``).  Then
     move the debt onto q (``_lift``), and repeatedly burn outward from q and
     fire whatever survives, as many times as it legally can in one step;
     once the fire consumes the whole graph, no nonempty set off q can fire
-    without going negative.  The seed only picks the start within d's
+    without going negative.  The seed only picks the start within the
     class, and the q-reduced divisor of a class is unique, so the answer
     does not depend on it.  Raises ValueError on a disconnected graph.
     """
     _shells(g, q)  # an unknown sink or a disconnected graph raises here, for every d
     vs, nbrs = g.vertices, _neighbours(g)
     qi = vs.index(q)
-    chips = [d[v] for v in vs]
     _seed(g, chips, qi)
     _lift(g, chips, q)
     spread = sum(abs(n) for n in chips) + 1
@@ -313,7 +325,7 @@ def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
         burnt, heat = _burn(nbrs, chips, qi)
         unburnt = [v for v, b in enumerate(burnt) if not b]
         if not unburnt:
-            return Divisor(dict(zip(vs, chips)))
+            return
         # each unburnt v holds at least heat[v] chips, so this is at least 1;
         # the graph is connected, so some unburnt v has heat
         times = min(chips[v] // heat[v] for v in unburnt if heat[v])

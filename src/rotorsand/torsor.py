@@ -10,8 +10,10 @@ class, composed from the generator rows along the words of the class
 closure (``sandpile.enumerate_classes``, the lattice's ``cosets`` closure,
 cached per graph, so ``TorsorAction.table`` and the verifiers each read it
 without handing it on; ``sandpile.along_words`` is the one walk along those
-words).  Every composed row a verifier uses is checked once against
-routing the class's burning-reduced representative.  The verifiers check
+words).  Single chips route from ``rotor``'s start table for the graph and
+sink, one dart array per tree, shared by all four variants.  Every composed
+row a verifier uses is checked once against routing the class's
+burning-reduced chips from the first tree's start array.  The verifiers check
 the torsor axioms, independence of the sink choice, and compatibility with
 contraction, deletion and cut vertices, exhaustively over whatever
 instances they are handed.  The sink check composes class rows only at a
@@ -28,7 +30,7 @@ from . import sandpile
 from .errors import InvariantViolation
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph, canonical_labelling
-from .rotor import chip_rows, route_divisor
+from .rotor import chip_rows, route_divisor, route_first_tree
 from .sandpile import Divisor, chip
 
 VARIANTS = ("r", "rbar", "rinv", "rbarinv")
@@ -119,9 +121,18 @@ class TorsorAction:
             self._gens[s] = [_inverse(r) for r in rows] if self.variant in INVERSES else rows
         return self._gens[s]
 
-    def _check(self, d: Divisor, row, trees) -> None:
-        """``act`` must send the first tree where row does."""
-        if self.act(d, trees[0]) != trees[row[0]]:
+    def _check(self, d: Divisor, row) -> None:
+        """Routing must send the first tree where row does.
+
+        The same answer as ``act``, on integers: d (negated for the inverse
+        variants) is burnt to its reduced chips at vertices[0], and routed
+        from the first tree's start array.
+        """
+        g = self.graph
+        sign = -1 if self.variant in INVERSES else 1
+        chips = [sign * d[v] for v in g.vertices]
+        sandpile.reduce_chips(g, chips, g.vertices[0])
+        if route_first_tree(self._routing_rg, chips) != row[0]:
             raise InvariantViolation(f"composed row of {d.to_dict()} disagrees with routing")
 
     def table(self, s=None) -> list:
@@ -138,9 +149,8 @@ class TorsorAction:
         ident = tuple(range(len(gens[0])))
         rows = sandpile.along_words(succ, ident, lambda r, k: tuple([gens[k + 1][x] for x in r]))
         if s in (None, q):
-            trees = g.spanning_trees()
             for d, row in zip(classes, rows):
-                self._check(d, row, trees)
+                self._check(d, row)
         return rows
 
     def pair_row(self, c: str, s: str) -> tuple:
@@ -151,7 +161,7 @@ class TorsorAction:
             gens = self._generators(vs[0])
             gc = gens[vs.index(c)]
             row = tuple([gc[x] for x in _inverse(gens[vs.index(s)])])
-            self._check(chip(c, s), row, self.graph.spanning_trees())
+            self._check(chip(c, s), row)
             self._pairs[c, s] = row
         return row
 

@@ -827,14 +827,16 @@ def test_verify_start_up_loads_only_what_it_runs():
     # a torsor sweep never loads the move or matroid code, dataclasses (and
     # the inspect chain behind it) or fractions; a matroid sweep loads none of
     # the plane code, ribbon maps or the LP; unicycle and move sweeps, which
-    # only route rotors, load no torsor, sandpile or lattice code
+    # only route rotors, load no torsor, sandpile or lattice code; no sweep
+    # loads the one-shot commands
     plane = ("rotorsand.torsor", "rotorsand.rotor", "rotorsand.sandpile", "rotorsand.ribbon")
     rotors_only = ("rotorsand.torsor", "rotorsand.sandpile", "rotorsand.intlinalg")
+    one_shot = "rotorsand.commands"
     cases = [
-        ("torsor", "rotorsand.torsor", ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions")),
-        ("matroid", "rotorsand.matroid", (*plane, "rotorsand.lp", "fractions")),
-        ("unicycle", "rotorsand.rotor", rotors_only),
-        ("moves", "rotorsand.moves", rotors_only),
+        ("torsor", "rotorsand.torsor", ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions", one_shot)),
+        ("matroid", "rotorsand.matroid", (*plane, "rotorsand.lp", "fractions", one_shot)),
+        ("unicycle", "rotorsand.rotor", (*rotors_only, one_shot)),
+        ("moves", "rotorsand.moves", (*rotors_only, one_shot)),
     ]
     for suite, needed, absent in cases:
         code = (

@@ -1,8 +1,9 @@
 """networkx as an independent oracle for tree counts, planarity and
-2-connectivity, and Tutte's census of rooted planar maps for the catalog."""
+2-connectivity; Tutte's census of rooted planar maps and an orbit count of
+rotation systems for the catalog."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -83,3 +84,38 @@ def test_plane_catalog_matches_tutte_census():
         assert rooted_count(maps, m) == expected
         # negative control: a catalog missing any one map falls short
         assert rooted_count(maps[:-1], m) < expected
+
+
+def automorphism_count(g: Multigraph) -> int:
+    """|Aut(g)| acting on darts: the simple graph's automorphisms that keep
+    edge multiplicities (networkx), times each parallel class's permutations."""
+    simple = nx.Graph()
+    simple.add_nodes_from(g.vertices)
+    for a, b in map(g.ends, g.edges):
+        m = simple.get_edge_data(a, b, {"m": 0})["m"]
+        simple.add_edge(a, b, m=m + 1)
+    same = nx.algorithms.isomorphism.numerical_edge_match("m", 0)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(simple, simple, edge_match=same)
+    perms = sum(1 for _ in matcher.isomorphisms_iter())
+    return perms * prod(factorial(m) for *_, m in simple.edges(data="m"))
+
+
+def map_orbits(maps) -> Fraction:
+    """Each map counted once per labelled rotation system it stands for,
+    over |Aut(g)|: 1/|Aut| with |Aut| its dart orders from canonical_labelling."""
+    return sum(Fraction(1, len(rg.canonical_labelling()[1])) for rg in maps)
+
+
+def test_rotation_systems_match_orbit_count():
+    # orbit-stabilizer over the labelled rotation systems of g, which number
+    # prod_v (deg v - 1)!: the catalog's maps on g, each weighted 1/|Aut|,
+    # sum to that product over |Aut(g)|
+    graphs = catalog.connected_multigraphs(7)
+    assert len(graphs) == 489
+    for g in graphs:
+        maps = catalog.rotation_systems(g)
+        labelled = prod(factorial(g.degree(v) - 1) for v in g.vertices)
+        expected = Fraction(labelled, automorphism_count(g))
+        assert map_orbits(maps) == expected, g.to_json()
+        # negative control: dropping any one rotation system falls short
+        assert map_orbits(maps[1:]) < expected

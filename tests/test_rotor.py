@@ -16,6 +16,7 @@ from rotorsand.rotor import (
     _reversed,
     _route,
     _spin,
+    _starts,
     _tree_darts,
     _tree_of,
     _unicycle_arrays,
@@ -275,6 +276,20 @@ def test_chip_rows_asserts_acyclic_rotors(square_ribbon, monkeypatch):
     monkeypatch.setattr("rotorsand.rotor._spin", cyclic_spin)
     with pytest.raises(InvariantViolation, match="cyclic rotor configuration"):
         chip_rows(rg, rg.graph.spanning_trees(), "s")
+
+
+def test_rerooted_start_tables_match_tree_orientation():
+    # every map with at most 5 edges, plane or not: at every sink, the start
+    # table re-rooted from vertices[0] holds each tree's own orientation, in
+    # spanning_trees() order, and its index numbers the arrays as the trees
+    for rg in ribbon_graphs(5):
+        g = rg.graph
+        trees = g.spanning_trees()
+        for s in g.vertices:
+            arrays, index = _starts(g, s)
+            assert [list(r) for r in arrays] == [_tree_darts(g, t, s) for t in trees]
+            assert sorted(index.values()) == list(range(len(trees)))
+            assert [index[r] for r in arrays] == list(range(len(trees)))
 
 
 def test_route_divisor_rejects_bad_input(square_ribbon):

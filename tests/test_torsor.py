@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from rotorsand.ribbon import (
 )
 from rotorsand.rotor import route_chip
 from rotorsand.sandpile import Divisor, chip
-from rotorsand import torsor
+from rotorsand import rotor, torsor
 from rotorsand.torsor import (
     VARIANTS,
     TorsorAction,
@@ -168,6 +169,30 @@ def test_composed_rows_are_checked_against_routing(square_ribbon, monkeypatch):
     monkeypatch.setattr(torsor, "chip_rows", skewed)
     with pytest.raises(InvariantViolation):
         action.table()
+
+
+def test_plane_sweeps_burn_once_per_composed_row(monkeypatch):
+    # each composed row a sweep uses is checked once, by burning its class
+    # to reduced chips at vertices[0] and routing them: over the plane maps
+    # with at most 5 edges, 216 rows in the torsor sweep, 622 in the
+    # consistency sweep (minors included, from an empty minor cache) and
+    # 216 in the sink sweep, all at the first vertex
+    monkeypatch.setattr(torsor, "_minor_actions", {})
+    sinks = []
+    reduce_chips = sandpile.reduce_chips
+
+    def counted(g, chips, q):
+        sinks.append(g.vertices.index(q))
+        return reduce_chips(g, chips, q)
+
+    monkeypatch.setattr(sandpile, "reduce_chips", counted)
+    counts = []
+    for suite in ("torsor", "consistency", "sink-invariance"):
+        sinks.clear()
+        assert cli.sweep(suite, 5)["violations"] == []
+        assert set(sinks) == {0}
+        counts.append(len(sinks))
+    assert counts == [216, 622, 216]
 
 
 def test_inverse_variant_inverts(square_ribbon):
@@ -325,6 +350,39 @@ def test_sink_invariance_composes_rows_only_where_generators_differ(monkeypatch)
     tables.clear()
     assert not verify_sink_invariance(e3_twisted()).ok
     assert tables == [None, "y"]
+
+
+def test_sink_invariance_catches_a_reroot_that_skips_a_reversal(monkeypatch):
+    # a re-root that leaves the dart past the new sink unreversed, on paths
+    # of two or more darts, closes a 2-cycle into every such start array;
+    # sink invariance must then fail on every plane map the skip changes
+    good = rotor._reroot
+
+    def skipping(rotors, x, dv):
+        out = list(good(rotors, x, dv))
+        y = dv[rotors[x] ^ 1]
+        if rotors[y] is not None:
+            out[y] = rotors[y]
+        return tuple(out)
+
+    monkeypatch.setattr(rotor, "_reroot", skipping)
+    rotor._starts.cache_clear()
+    outcomes = []
+    try:
+        for rg in plane_graphs(4):
+            g, dv = rg.graph, rg.dart_vertex
+            starts = rotor._starts(g, g.vertices[0])[0]  # oriented, not re-rooted
+            sinks = range(1, len(g.vertices))
+            skipped = any(skipping(r, x, dv) != good(r, x, dv) for r in starts for x in sinks)
+            try:
+                rep = verify_sink_invariance(rg)
+                outcome = "violations" if rep.violations else "clean"
+            except InvariantViolation:
+                outcome = "raised"
+            outcomes.append((skipped, outcome))
+    finally:
+        rotor._starts.cache_clear()
+    assert Counter(outcomes) == {(True, "raised"): 10, (False, "clean"): 12}
 
 
 def test_nonplane_map_without_a_witness_is_a_violation(monkeypatch, capsys):
