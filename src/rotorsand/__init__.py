@@ -12,7 +12,7 @@ _EXPORTS = {
     "RibbonIsomorphism": "ribbon",
     "banana_graph": "multigraph",
     "chip": "sandpile",
-    "classify_sides": "ribbon",
+    "classify_sides": "lemmas",
     "complete_graph": "multigraph",
     "cycle_graph": "multigraph",
     "group_structure": "sandpile",

@@ -147,14 +147,15 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
             if not verify_reversal_equivalence(rg)["equivalence_holds"]:
                 out["violations"].append({"graph": name, "detail": "reversal equivalence failed"})
     elif suite == "telescope":
-        from . import moves
+        from .moves import telescope
+        from .telescopes import verify_telescope_equivalence
 
         for n in range(3):
             for ks in iproduct(range(3), repeat=n + 1):
-                rg, labels = moves.telescope(n, list(ks))
+                rg, labels = telescope(n, list(ks))
                 out["instances"] += 1
                 out["checked"] += 1
-                if not moves.verify_telescope_equivalence(rg, labels):
+                if not verify_telescope_equivalence(rg, labels):
                     out["violations"].append({"telescope": [n, list(ks)]})
     elif suite == "matroid":
         from .matroid import conjecture_search

@@ -342,20 +342,6 @@ def check_acyclic_pair(pair: SignaturePair) -> bool:
 # -- the BBY action ---------------------------------------------------------
 
 
-def fundamental_circuit(m: RegularMatroid, basis: frozenset, e) -> tuple[int, ...]:
-    """The circuit inside basis + e, as the signature-free signed vector."""
-    if e in basis:
-        raise ValueError(f"{e!r} is in the basis")
-    return m.fundamental_vectors(basis)[m._index[e]]
-
-
-def fundamental_cocircuit(m: RegularMatroid, basis: frozenset, e) -> tuple[int, ...]:
-    """The cocircuit inside the complement of basis plus e."""
-    if e not in basis:
-        raise ValueError(f"{e!r} is not in the basis")
-    return m.fundamental_vectors(basis)[m._index[e]]
-
-
 def _oriented(pair_vectors, base_vector):
     """The signature's choice between base_vector and its negation."""
     if base_vector in pair_vectors:

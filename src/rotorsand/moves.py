@@ -1,9 +1,9 @@
-"""Single-step and source-turn moves, tree-to-tree paths, telescope graphs.
+"""Source-turn moves, tree-to-tree paths, telescope graphs.
 
-A pair (c - s, T) is single-step when routing one chip from c to s finishes
-after a single rotor turn, which swaps one tree edge for one non-tree edge.
-When c is additionally a leaf of T the pair is a source-turn pair.  On any
-2-connected ribbon graph, source-turn moves alone connect every pair of
+A source-turn move takes a leaf c of a spanning tree T: one turn of c's
+rotor swaps its only tree edge for the next edge counterclockwise, and a
+chip routed from c stops at that edge's far end after the single turn.  On
+any 2-connected ribbon graph, source-turn moves alone connect every pair of
 spanning trees; the breadth-first searches below realize such paths and the
 ribbon-free leaf-swap variant.  A one-shot path searches until its goal; the
 moves sweep (verify_paths) runs one full search per start tree, reading one
@@ -11,7 +11,8 @@ table of each tree's moves per kind, and keeps nothing once it returns.
 
 Telescope graphs are the parameterized plane family where every single-step
 tree has a spanning-tree complement; they are generated here with their
-standard labels (c, z0..zn, w{i}_{j}, g, f, e{i}/he{i}, h{i}_{j}/hh{i}_{j}).
+standard labels (c, z0..zn, w{i}_{j}, g, f, e{i}/he{i}, h{i}_{j}/hh{i}_{j}),
+and ``rotorsand.telescopes`` checks that characterization.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import NamedTuple
 from .errors import InvariantViolation
 from .multigraph import Multigraph
 from .ribbon import RibbonGraph
-from .rotor import tree_to_rotors
 
 
 class MovePair(NamedTuple):
@@ -36,67 +36,6 @@ class MovePair(NamedTuple):
     @property
     def result(self) -> frozenset:
         return self.tree - {self.removed} | {self.added}
-
-
-def classify_pair(rg: RibbonGraph, tree, c: str, s: str):
-    """Classify (c - s, T) as a single-step, source-turn or reverse pair.
-
-    Single-step detection follows the rotor criterion: with g the rotor of c
-    toward s and f the next edge counterclockwise, the routing stops after
-    one turn exactly when f joins c to s.  Reverse pairs are recognized from
-    the tree edge joining c and s, whose predecessor in the order at s must
-    step back in.  A pair that is simultaneously single-step and reverse
-    reports as single-step.  Returns None when the pair is none of the three.
-    """
-    g = rg.graph
-    tree = frozenset(tree)
-    if c == s:
-        return None
-    out_edge = tree_to_rotors(g, tree, s)[c]
-    nxt = rg.next_edge(c, out_edge)
-    if set(g.ends(nxt)) == {c, s}:
-        # one rotor turn and the chip lands on the sink; a degree-1 source
-        # turns its only edge full circle, a degenerate but valid pair
-        leaf = sum(1 for e in tree if c in g.ends(e)) == 1
-        kind = "source-turn" if leaf else "single-step"
-        return MovePair(kind, c, s, tree, out_edge, nxt)
-    # reverse single-step: some tree edge f joins s and c, and removing it
-    # while adding the edge before it at s gives a single-step pair back
-    tf = [e for e in tree if set(g.ends(e)) == {c, s}]
-    if tf:
-        f = tf[0]
-        gg = rg.prev_edge(s, f)
-        if gg != f and gg not in tree:
-            swapped = tree - {f} | {gg}
-            if g.is_spanning_tree(swapped):
-                back = classify_pair(rg, swapped, s, c)
-                if (
-                    back is not None
-                    and back.kind in ("single-step", "source-turn")
-                    and back.removed == gg
-                    and back.added == f
-                ):
-                    return MovePair("reverse-single-step", c, s, tree, f, gg)
-    return None
-
-
-def is_rotatable(rg: RibbonGraph, tree, root: str, c: str):
-    """Whether one rotor turn at c keeps the configuration acyclic.
-
-    Returns (flag, removed, added); source rotatability additionally needs
-    c to be a leaf, which callers check via the returned edges.  Only a
-    cycle through c can appear, so the turn is acyclic exactly when the
-    rotors lead from the new rotor's far end to the root without passing c.
-    """
-    g = rg.graph
-    if c == root:
-        raise ValueError("the root carries no rotor")
-    rotors = tree_to_rotors(g, tree, root)
-    added = rg.next_edge(c, rotors[c])
-    x = g.other(added, c)
-    while x not in (root, c):
-        x = g.other(rotors[x], x)
-    return x == root, rotors[c], added
 
 
 def source_turn_neighbors(rg: RibbonGraph, tree):
@@ -190,6 +129,50 @@ def _tree_path(space, g: Multigraph, start, goal, kind: str, step) -> list:
     return moves
 
 
+def verify_paths(rg: RibbonGraph) -> tuple:
+    """Source-turn paths, then leaf-swap paths, between every ordered tree pair.
+
+    One full search per start tree and move kind; the searches of one kind
+    share a table, so each tree's moves are generated once.  Back-pointers
+    are judged in discovery order: a tree counts as reached when its move
+    leaves a tree already reached from the start and lands on it, so every
+    step of every path is checked.  Returns (checked, violations, notes).
+    """
+    g = rg.graph
+    if not g.is_two_connected():
+        raise ValueError("source-turn reachability needs a 2-connected graph")
+    trees = g.spanning_trees()
+
+    def turns(mv, t, t2):  # a source turn names the tree it leaves
+        return mv.tree == t and mv.result == t2
+
+    def swaps(mv, t, t2):  # a leaf swap's move is the tree it makes
+        return mv == t2
+
+    kinds = (
+        ("source-turn", "", "bad path", rg, _source_turns, turns),
+        ("leaf-swap", "leaf swap: ", "bad leaf path", g, _leaf_swaps, swaps),
+    )
+    checked = 0
+    violations = []
+    for kind, prefix, bad, space, step, leads in kinds:
+        table = {}
+        for t1 in trees:
+            back = _search(space, step, t1, table)
+            reached = {t1}
+            for t2, link in back.items():
+                if link is not None and link[1] in reached and leads(link[0], link[1], t2):
+                    reached.add(t2)
+            for t2 in trees:
+                checked += 1
+                if t2 in reached:
+                    continue
+                missing = f"{prefix}no {kind} path found on a 2-connected graph"
+                error = bad if t2 in back else missing
+                violations.append({"pair": [sorted(t1), sorted(t2)], "error": error})
+    return checked, violations, []
+
+
 # -- telescope graphs ----------------------------------------------------------
 
 
@@ -253,123 +236,3 @@ def telescope(n: int, ks) -> tuple[RibbonGraph, TelescopeLabels]:
     if rg.next_edge("c", "g") != "f":
         raise InvariantViolation("telescope rotation at c must run g then f")
     return rg, TelescopeLabels("c", zs[n], zs[0], "f", "g")
-
-
-def is_single_step_tree(rg: RibbonGraph, tree, labels: TelescopeLabels) -> bool:
-    """One of f, g on the tree plus an x-to-s path avoiding c.
-
-    Equivalent to (c - s, T) being single-step from g to f or (s - c, T) a
-    reverse pair from f to g; the cross-check against classify_pair is in
-    the tests.  The tree holds one x-to-s path, the walk from x along the
-    rotors toward s.
-    """
-    g = rg.graph
-    tree = frozenset(tree)
-    if (labels.f in tree) == (labels.g in tree):
-        return False
-    rotors = tree_to_rotors(g, tree, labels.s)
-    v = labels.x
-    while v != labels.s:
-        if v == labels.c:
-            return False
-        v = g.other(rotors[v], v)
-    return True
-
-
-def single_step_trees(rg: RibbonGraph, labels: TelescopeLabels) -> list[frozenset]:
-    return [t for t in rg.graph.spanning_trees() if is_single_step_tree(rg, t, labels)]
-
-
-def complements_are_trees(rg: RibbonGraph, labels: TelescopeLabels) -> bool:
-    """Does every single-step tree have a spanning-tree complement?"""
-    g = rg.graph
-    all_edges = set(g.edges)
-    return all(
-        g.is_spanning_tree(all_edges - t) for t in single_step_trees(rg, labels)
-    )
-
-
-def matches_telescope(rg: RibbonGraph, labels: TelescopeLabels) -> bool:
-    """Is (rg, labels) one of the generated telescope graphs?
-
-    Candidates are pinned by the edge count; an isomorphism must respect all
-    five labels to count.
-    """
-    g = rg.graph
-    m = len(g.edges)
-    if m < 2 or m % 2 or m != 2 * len(g.vertices) - 2:
-        return False
-    for n in range(0, (m - 2) // 2 + 1):
-        rest = (m - 2 - 2 * n) // 2
-        if 2 + 2 * n + 2 * rest != m:
-            continue
-        for ks in _compositions(rest, n + 1):
-            cand, clab = telescope(n, ks)
-            for iso in cand.isomorphisms(rg):
-                if (
-                    iso.vertex_map[clab.c] == labels.c
-                    and iso.vertex_map[clab.s] == labels.s
-                    and iso.vertex_map[clab.x] == labels.x
-                    and iso.edge_map[clab.f] == labels.f
-                    and iso.edge_map[clab.g] == labels.g
-                ):
-                    return True
-    return False
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def verify_telescope_equivalence(rg: RibbonGraph, labels: TelescopeLabels) -> bool:
-    """Check both directions: telescope shape iff complements stay trees."""
-    return matches_telescope(rg, labels) == complements_are_trees(rg, labels)
-
-
-def verify_paths(rg: RibbonGraph) -> tuple:
-    """Source-turn paths, then leaf-swap paths, between every ordered tree pair.
-
-    One full search per start tree and move kind; the searches of one kind
-    share a table, so each tree's moves are generated once.  Back-pointers
-    are judged in discovery order: a tree counts as reached when its move
-    leaves a tree already reached from the start and lands on it, so every
-    step of every path is checked.  Returns (checked, violations, notes).
-    """
-    g = rg.graph
-    if not g.is_two_connected():
-        raise ValueError("source-turn reachability needs a 2-connected graph")
-    trees = g.spanning_trees()
-
-    def turns(mv, t, t2):  # a source turn names the tree it leaves
-        return mv.tree == t and mv.result == t2
-
-    def swaps(mv, t, t2):  # a leaf swap's move is the tree it makes
-        return mv == t2
-
-    kinds = (
-        ("source-turn", "", "bad path", rg, _source_turns, turns),
-        ("leaf-swap", "leaf swap: ", "bad leaf path", g, _leaf_swaps, swaps),
-    )
-    checked = 0
-    violations = []
-    for kind, prefix, bad, space, step, leads in kinds:
-        table = {}
-        for t1 in trees:
-            back = _search(space, step, t1, table)
-            reached = {t1}
-            for t2, link in back.items():
-                if link is not None and link[1] in reached and leads(link[0], link[1], t2):
-                    reached.add(t2)
-            for t2 in trees:
-                checked += 1
-                if t2 in reached:
-                    continue
-                missing = f"{prefix}no {kind} path found on a 2-connected graph"
-                error = bad if t2 in back else missing
-                violations.append({"pair": [sorted(t1), sorted(t2)], "error": error})
-    return checked, violations, []

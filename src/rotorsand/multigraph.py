@@ -191,10 +191,6 @@ class Multigraph:
             new_edges[f] = (u2, v2)
         return Multigraph((v for v in self._vertices if v != y), new_edges)
 
-    def contraction_vertex_map(self, e: str) -> dict[str, str]:
-        x, y = self.ends(e)
-        return {v: (x if v == y else v) for v in self._vertices}
-
     # -- spanning trees ------------------------------------------------------
 
     def spanning_trees(self) -> list[frozenset[str]]:
@@ -283,10 +279,6 @@ class Multigraph:
             return cls(string_list(obj["vertices"], "vertices"), edges)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph object: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "Multigraph":
-        return cls.from_obj(json.loads(text))
 
 
 def string_list(obj, what: str, length=None) -> list:

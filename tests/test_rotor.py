@@ -7,21 +7,25 @@ from rotorsand.catalog import plane_graphs, ribbon_graphs
 from rotorsand.cli import reversal_instances
 from rotorsand.errors import InvariantViolation
 from rotorsand.multigraph import Multigraph, banana_graph
-from rotorsand.ribbon import RibbonGraph, SideClassification, classify_sides
-from rotorsand.rotor import (
-    RouteStep,
+from rotorsand.lemmas import (
+    SideClassification,
     _check_unicycle_leftright,
     _heads,
-    _orbits,
     _reversed,
+    check_cycle_reversal,
+    check_no_repeated_crossing,
+    classify_sides,
+)
+from rotorsand.ribbon import RibbonGraph
+from rotorsand.rotor import (
+    RouteStep,
+    _orbits,
     _route,
     _spin,
     _starts,
     _tree_darts,
     _tree_of,
     _unicycle_arrays,
-    check_cycle_reversal,
-    check_no_repeated_crossing,
     chip_rows,
     functional_cycles,
     route_chip,
