@@ -133,9 +133,12 @@ class ColumnLattice:
             out *= self.basis[k][r]
         return out
 
-    def _eliminate(self, vector):
+    def _eliminate(self, vector, first: int = 0):
+        """Clear the vector against the pivots from index ``first`` on; the
+        caller vouches that it is already reduced on the rows before."""
         v = list(vector)
-        for k, r in enumerate(self.pivot_rows):
+        for k in range(first, len(self.pivot_rows)):
+            r = self.pivot_rows[k]
             q = v[r] // self.basis[k][r]
             if q != 0:
                 v = [a - q * b for a, b in zip(v, self.basis[k])]
@@ -162,13 +165,17 @@ class ColumnLattice:
         and succ[i][j] is the number of key i plus the j-th unit vector.  The
         unit vectors generate Z^n, so the closure reaches every coset; that
         it finds exactly ``index_in_ambient()`` of them is asserted.
+
+        A step eliminates only from pivot j on: at full rank pivot k sits on
+        row k, and a reduced key plus e_j is still reduced on the rows above
+        j, so the earlier pivots would each subtract nothing.
         """
         zero = self.reduce([0] * self.dim)
         keys, index, succ = [zero], {zero: 0}, []
         for key in keys:  # keys grows as new cosets turn up
             row = []
             for j in range(self.dim):
-                nxt = self.reduce(key[:j] + (key[j] + 1,) + key[j + 1 :])
+                nxt = tuple(self._eliminate(key[:j] + (key[j] + 1,) + key[j + 1 :], j))
                 if nxt not in index:
                     index[nxt] = len(keys)
                     keys.append(nxt)

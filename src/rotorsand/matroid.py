@@ -15,10 +15,12 @@ and fundamental-cocircuit signs picked by a pair of acyclic signatures, and
 acts by translation on the classes of those vectors.  Its three companions
 negate every circuit, every cocircuit or both, which flips the tag bits
 outside the basis, inside it or both (``BBY_VARIANTS``), so all four share
-one pair and, in the consistency harness, one induced pair per minor.  Each
-matroid numbers its classes once, with the class of each representative
-plus each unit vector (``ColumnLattice.cosets``, the closure the sandpile
-classes also use), so the harness reads every act off that table.
+one pair, one ``bby_vector`` pass per basis and, in the consistency
+harness, one induced pair per minor.  Each matroid numbers its classes
+once, with the class of each representative plus each unit vector
+(``ColumnLattice.cosets``, the closure the sandpile classes also use).  A
+basis's class number is a walk on that table from class 0 along its tag's
+1-bits, and the harness compares class numbers, so it runs no reduction.
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ class RegularMatroid:
         self._fundamental = None
         self._lattice = None
         self._classes = None
+        self._tagged = None  # (pair, walks) of the last pair _tag_walks read
         self._minors = {}
         self._index = {e: i for i, e in enumerate(self.labels)}
 
@@ -370,25 +373,49 @@ BBY_VARIANTS = {
 }
 
 
+def _tag_walks(m: RegularMatroid, pair: SignaturePair) -> dict:
+    """Variant flips -> per basis of m, the coordinates where the variant's
+    tag has a 1.
+
+    One ``bby_vector`` pass per basis serves all four variants: a variant's
+    tag is the pair's with the bits outside the basis (negated circuits),
+    inside it (negated cocircuits) or both flipped, each bit being the sign
+    of one fundamental vector's own entry.  The walks of the last pair are
+    kept on m, so the four variants' tables share one pass.
+    """
+    if m._tagged is None or m._tagged[0] != pair:
+        lookup = SignaturePair(frozenset(pair.circuits), frozenset(pair.cocircuits))  # O(1) _oriented
+        walks = {flips: [] for flips in BBY_VARIANTS.values()}
+        for b in m.bases():
+            by_bit = ([[], []], [[], []])  # [in the basis][tag bit] -> coordinates
+            for j, (e, x) in enumerate(zip(m.labels, bby_vector(m, lookup, b))):
+                by_bit[e in b][x].append(j)
+            for (flip_out, flip_in), out in walks.items():
+                out.append(by_bit[0][not flip_out] + by_bit[1][not flip_in])
+        m._tagged = (pair, walks)
+    return m._tagged[1]
+
+
 def bby_table(m: RegularMatroid, pair: SignaturePair, variant: str = "bby") -> dict:
     """class representative -> basis; a bijection by the torsor theorem.
 
-    The variant's tags are the pair's with the bits outside the basis
-    (negated circuits), inside it (negated cocircuits) or both flipped: each
-    bit is the sign of one fundamental vector's own entry.
+    Each basis's class is numbered by walking the matroid's class table
+    from class 0 along the 1-bits of its variant tag (``_tag_walks``), with
+    no reduction; the items come in class-number order, the i-th holding
+    class i of ``class_table``.
     """
-    flips = BBY_VARIANTS[variant]  # indexed by membership in the basis
-    table = {}
-    lookup = SignaturePair(frozenset(pair.circuits), frozenset(pair.cocircuits))  # O(1) _oriented
-    for b in m.bases():
-        tag = bby_vector(m, lookup, b)
-        key = m.class_of([x ^ flips[e in b] for e, x in zip(m.labels, tag)])
-        if key in table:
+    index, succ = m.class_table()
+    basis_at = [None] * len(succ)
+    for b, walk in zip(m.bases(), _tag_walks(m, pair)[BBY_VARIANTS[variant]]):
+        c = 0
+        for j in walk:
+            c = succ[c][j]
+        if basis_at[c] is not None:
             raise InvariantViolation("two bases share a class")
-        table[key] = b
-    if len(table) != m.group_order():
+        basis_at[c] = b
+    if len(m.bases()) != len(succ):  # the closure found group_order() classes
         raise InvariantViolation("basis tags do not exhaust the group")
-    return table
+    return dict(zip(index, basis_at))
 
 
 def bby_action(m: RegularMatroid, pair: SignaturePair, variant: str = "bby"):
@@ -398,11 +425,9 @@ def bby_action(m: RegularMatroid, pair: SignaturePair, variant: str = "bby"):
     One bby_table, with its checks, per call; each act is then a lookup in
     the matroid's class table, with no reduction.
     """
-    index, succ = m.class_table()
-    at, basis_at = {}, [None] * len(succ)
-    for key, b in bby_table(m, pair, variant).items():
-        at[b] = i = index[key]
-        basis_at[i] = b
+    _, succ = m.class_table()
+    basis_at = list(bby_table(m, pair, variant).values())
+    at = {b: i for i, b in enumerate(basis_at)}
 
     def act(j, b):
         return basis_at[succ[at[b]][j]]
@@ -491,42 +516,58 @@ def _consistency_reports(m: RegularMatroid, pair: SignaturePair, tags) -> list[d
     Each (e, op) minor and its induced pair are built from the base pair
     once, on first use, and serve every variant: the induced pair of a
     negated family is the negated induced pair, so a variant's minor table
-    is the base induced pair's under the same flips.
+    is the base induced pair's under the same flips.  Bases are compared by
+    class number: per (minor, variant), one map sends each basis B of m to
+    the minor's class of B - e or B, so a check is two lookups in the
+    minor's class table.
     """
     reports = [{"checked": 0, "violations": [], "variant": tag} for tag in tags]
-    tops = [bby_action(m, pair, tag) for tag in tags]
-    minors, acts = {}, {}
+    _, succ = m.class_table()
+    tops = []  # per variant: (class -> basis, basis -> class)
+    for tag in tags:
+        basis_at = list(bby_table(m, pair, tag).values())
+        tops.append((basis_at, {b: c for c, b in enumerate(basis_at)}))
+    minors, subs = {}, {}
 
-    def minor_action(e, op, tag):
+    def minor_classes(e, op, tag):
+        """(basis of m -> the minor's class of its image, the minor's succ,
+        its class -> basis)."""
         if (e, op) not in minors:
             minors[e, op] = minor(m, pair, e, op)
-        if (e, op, tag) not in acts:
-            acts[e, op, tag] = bby_action(*minors[e, op], tag)
-        return minors[e, op][0], acts[e, op, tag]
+        sub, sub_pair = minors[e, op]
+        basis_at = list(bby_table(sub, sub_pair, tag).values())
+        number = {b: c for c, b in enumerate(basis_at)}
+        if op == "contract":
+            classes = {b: number[b - {e}] for b in m.bases() if e in b}
+        else:
+            classes = {b: number[b] for b in m.bases() if e not in b}
+        subs[e, op, tag] = entry = (classes, sub.class_table()[1], basis_at)
+        return entry
 
     for j, f in enumerate(m.labels):
         for b in m.bases():
-            for report, act_top in zip(reports, tops):
-                b2 = act_top(j, b)
-                for e in m.labels:
-                    if e != f and e in b and e in b2:
-                        condition, op, start, expected = 1, "contract", b - {e}, b2 - {e}
-                    elif e != f and e not in b and e not in b2:
-                        condition, op, start, expected = 2, "delete", b, b2
+            for report, (basis_at, cls) in zip(reports, tops):
+                b2 = basis_at[succ[cls[b]][j]]
+                for k, e in enumerate(m.labels):
+                    if k != j and e in b and e in b2:
+                        condition, op = 1, "contract"
+                    elif k != j and e not in b and e not in b2:
+                        condition, op = 2, "delete"
                     else:
                         continue
-                    sub, act_sub = minor_action(e, op, report["variant"])
-                    got = act_sub(sub._index[f], start)
+                    key = (e, op, report["variant"])
+                    classes, sub_succ, sub_at = subs.get(key) or minor_classes(*key)
+                    got = sub_succ[classes[b]][j - (j > k)]  # the minor drops e's coordinate
                     report["checked"] += 1
-                    if got != expected:
+                    if got != classes[b2]:
                         report["violations"].append(
                             {
                                 "condition": condition,
                                 "f": f,
                                 "basis": sorted(b),
                                 "element": e,
-                                "expected": sorted(expected),
-                                "actual": sorted(got),
+                                "expected": sorted(b2 - {e}),
+                                "actual": sorted(sub_at[got]),
                             }
                         )
     return reports

@@ -21,7 +21,7 @@ class Multigraph:
 
     __slots__ = (
         "_vertices", "_index", "_ends", "_edge_ids", "_incident",
-        "_hash", "_splits", "_cuts", "_connected", "_trees",
+        "_hash", "_cuts", "_connected", "_trees",
     )
 
     def __init__(self, vertices, edges):
@@ -48,7 +48,6 @@ class Multigraph:
             incident[v].append(eid)
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._hash = hash((self._vertices, tuple((e, ends[e]) for e in self._edge_ids)))
-        self._splits = None
         self._cuts = None
         self._connected = None
         self._trees = None
@@ -133,12 +132,6 @@ class Multigraph:
             self._connected = len(self._components()) == 1
         return self._connected
 
-    def _vertex_splits(self) -> dict:
-        """Vertex -> the components of the graph with it removed (cached)."""
-        if self._splits is None:
-            self._splits = {v: self._components(skip_vertex=v) for v in self._vertices}
-        return self._splits
-
     def cut_vertices(self) -> frozenset[str]:
         """Vertices whose removal disconnects the remaining graph (cached)."""
         if self._cuts is None:
@@ -153,20 +146,22 @@ class Multigraph:
         """Connected with no cut vertices (so E_k and the single edge count)."""
         return self.is_connected() and not self.cut_vertices()
 
-    def separates(self, x: str, a: str, b: str) -> bool:
-        """Does every path between edges a and b pass through vertex x?
+    def block_labels(self) -> dict[str, tuple[int, ...]]:
+        """Edge -> a label shared by exactly the edges of its block.
 
-        Decided on components of the graph with x removed: true iff no
-        component touches a non-x endpoint of both a and b.
+        Two edges share a block iff no cut vertex separates them, i.e. iff
+        for every cut vertex x some component of the graph minus x touches
+        an end of both other than x.  One component pass per cut vertex:
+        the label's entry for x numbers the component holding the edge's
+        ends other than x (one or two ends, one component, since the graph
+        is loopless).
         """
-        if x not in self._vertices:
-            raise KeyError(f"unknown vertex id {x!r}")
-        ea = set(self.ends(a)) - {x}
-        eb = set(self.ends(b)) - {x}
-        for comp in self._vertex_splits()[x]:
-            if comp & ea and comp & eb:
-                return False
-        return True
+        labels = {e: [] for e in self._edge_ids}
+        for x in sorted(self.cut_vertices()):
+            side = {v: k for k, comp in enumerate(self._components(skip_vertex=x)) for v in comp}
+            for e, (u, w) in self._ends.items():
+                labels[e].append(side[w if u == x else u])
+        return {e: tuple(label) for e, label in labels.items()}
 
     # -- minors ------------------------------------------------------------
 

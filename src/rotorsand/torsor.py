@@ -371,12 +371,10 @@ def verify_consistency(
 
     minors = {}  # (contract?, e) -> _minor_action(rg, e, contract?, variant_tag)
 
-    cuts = g.cut_vertices()
+    blocks = g.block_labels()
     separated = {}  # anchor edge -> edges cut off from it, in edge order
     for f0 in g.edges:
-        separated[f0] = [
-            e for e in g.edges if e != f0 and any(g.separates(x, e, f0) for x in cuts)
-        ]
+        separated[f0] = [e for e in g.edges if blocks[e] != blocks[f0]]
 
     for c, s in pairs:
         row = action.pair_row(c, s)

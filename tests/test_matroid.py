@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from rotorsand import matroid, sandpile
-from rotorsand.catalog import connected_multigraphs
+from rotorsand.catalog import connected_multigraphs, plane_graphs
 from rotorsand.errors import InvariantViolation
 from rotorsand.intlinalg import ColumnLattice, rank
 from rotorsand.lp import separating_functional
@@ -467,11 +467,16 @@ def test_bby_acts_pinned():
 
 def test_class_table_steps_are_reductions(worked_matroid, fig_graph):
     # the matroid's class table, and the same closure on a graph's
-    # reduced-Laplacian lattice
+    # reduced-Laplacian lattice; then on the lattices of every plane graph
+    # with at most 5 edges and every graphic matroid with at most 4
     m = worked_matroid
     assert m.group_order() == 8
     lap = sandpile._class_lattice(fig_graph)
-    for lattice, (index, succ) in ((m.lattice(), m.class_table()), (lap, lap.cosets())):
+    matroids = [m] + [from_graph(g) for g in connected_multigraphs(4)]
+    laps = [lap] + [sandpile._class_lattice(rg.graph) for rg in plane_graphs(5)]
+    closures = [(mm.lattice(), mm.class_table()) for mm in matroids]
+    closures += [(lattice, lattice.cosets()) for lattice in laps]
+    for lattice, (index, succ) in closures:
         reps = sorted(index, key=index.get)
         assert len(reps) == len(succ) == lattice.index_in_ambient()
         assert reps[0] == lattice.reduce([0] * lattice.dim)
@@ -480,6 +485,32 @@ def test_class_table_steps_are_reductions(worked_matroid, fig_graph):
                 step = [x + (k == j) for k, x in enumerate(rep)]
                 assert succ[i][j] == index[lattice.reduce(step)]
     assert len(lap.cosets()[0]) == sandpile.tree_count(fig_graph)
+
+
+def class_of_table(m, pair, variant):
+    """bby_table as it was before it walked the class table: each basis's
+    variant tag keyed by a Hermite reduction, ``m.class_of``."""
+    flips = BBY_VARIANTS[variant]  # indexed by membership in the basis
+    table = {}
+    for b in m.bases():
+        tag = bby_vector(m, pair, b)
+        key = m.class_of([x ^ flips[e in b] for e, x in zip(m.labels, tag)])
+        assert key not in table
+        table[key] = b
+    assert len(table) == m.group_order()
+    return table
+
+
+def test_bby_tables_match_class_of_oracle():
+    # the closure-walk tables equal the reduction-keyed ones, and come in
+    # the class table's numbering order, which bby_action and the harness
+    # read them in
+    for m in [from_graph(g) for g in connected_multigraphs(5)] + [r10()]:
+        pair = default_signatures(m)
+        for tag in BBY_VARIANTS:
+            table = bby_table(m, pair, tag)
+            assert table == class_of_table(m, pair, tag)
+            assert list(table) == list(m.class_table()[0])
 
 
 def test_class_closure_count_is_checked(worked_matroid, fig_graph, monkeypatch):

@@ -4,12 +4,34 @@ from itertools import combinations
 import pytest
 
 from rotorsand import sandpile
-from rotorsand.catalog import connected_multigraphs
+from rotorsand.catalog import connected_multigraphs, plane_graphs
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
 
 
 def graph_from_json(text: str) -> Multigraph:
     return Multigraph.from_obj(json.loads(text))
+
+
+def vertex_splits(g) -> dict:
+    """Vertex -> the components of the graph with it removed."""
+    return {v: g._components(skip_vertex=v) for v in g.vertices}
+
+
+def separates(g, x: str, a: str, b: str) -> bool:
+    """Does every path between edges a and b pass through vertex x?
+
+    Decided on components of the graph with x removed: true iff no
+    component touches a non-x endpoint of both a and b.  The oracle for
+    ``Multigraph.block_labels``.
+    """
+    if x not in g.vertices:
+        raise KeyError(f"unknown vertex id {x!r}")
+    ea = set(g.ends(a)) - {x}
+    eb = set(g.ends(b)) - {x}
+    for comp in vertex_splits(g)[x]:
+        if comp & ea and comp & eb:
+            return False
+    return True
 
 
 def brute_spanning_trees(g):
@@ -151,10 +173,26 @@ def test_two_connected_and_cut_vertices(fig_graph):
     )
     assert bowtie.cut_vertices() == frozenset({"x"})
     assert not bowtie.is_two_connected()
-    assert bowtie.separates("x", "a", "f")
-    assert bowtie.separates("x", "b", "d")
-    assert not bowtie.separates("x", "a", "b")
-    assert not bowtie.separates("l1", "c", "f")
+    assert separates(bowtie, "x", "a", "f")
+    assert separates(bowtie, "x", "b", "d")
+    assert not separates(bowtie, "x", "a", "b")
+    assert not separates(bowtie, "l1", "c", "f")
+    blocks = bowtie.block_labels()
+    assert len({blocks[e] for e in "abc"}) == len({blocks[e] for e in "def"}) == 1
+    assert blocks["a"] != blocks["f"]
+
+
+def test_block_labels_match_separates_oracle():
+    # condition 3 of the consistency check reads the edges cut off from an
+    # anchor edge off the block labels; on every plane map they list what
+    # the per-vertex separates oracle lists
+    for rg in plane_graphs(6):
+        g = rg.graph
+        cuts = g.cut_vertices()
+        blocks = g.block_labels()
+        for f0 in g.edges:
+            want = [e for e in g.edges if e != f0 and any(separates(g, x, e, f0) for x in cuts)]
+            assert [e for e in g.edges if blocks[e] != blocks[f0]] == want
 
 
 def test_json_round_trip(fig_graph):
