@@ -58,7 +58,7 @@ SUITE_OPTIONS = {
 MAX_EDGES = {
     "torsor": 9,
     "sink-invariance": 8,
-    "sink-invariance --include-nonplanar": 7,
+    "sink-invariance --include-nonplanar": 8,
     "consistency": 8,
     "moves": 9,
     "unicycle": 9,
@@ -105,9 +105,9 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
     only the graphs with violations or notes are then written as JSON text,
     which keys their violations and orders them, notes included.
     ``include_nonplanar`` runs sink-invariance over every ribbon graph in
-    the same pass, and turns the non-plane maps' disagreements into
-    findings, in catalog order; a non-plane map with no sink-dependence
-    witness (``torsor.NO_WITNESS``) stays a violation.
+    the same pass, and makes each non-plane map's first sink-dependence
+    witness a finding, in catalog order; a non-plane map with no witness
+    (``torsor.NO_WITNESS``) stays a violation.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -126,14 +126,9 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
             out["instances"] += 1
             out["checked"] += checked
             if nonplane and not rg.is_plane() and NO_WITNESS not in violations:
-                if violations:
-                    out["findings"].append(
-                        {
-                            "graph": rg.to_json(),
-                            "disagreements": len(violations),
-                            "expected": "sink dependence is forced off the plane",
-                        }
-                    )
+                expected = "sink dependence is forced off the plane"
+                found = {"graph": rg.to_json(), "witness": violations[0], "expected": expected}
+                out["findings"].append(found)
             elif violations or notes:
                 reported.append((rg.to_json(), violations, notes))
         for key, violations, notes in sorted(reported, key=itemgetter(0)):

@@ -8,10 +8,12 @@ vertex modulo the reduced-Laplacian lattice.  Dhar's burning loop
 the ``reduce`` command use it, and it cross-checks the lattice keys.  Every
 answer is exact; the one float computation picks where ``reduce`` starts.
 
-Chip-firing runs on integer vertex positions: ``_neighbours`` lists each
-position's (neighbour, edge multiplicity) pairs once per graph.  ``_lift``
-moves a divisor's debt onto a sink by firing balls around it, one layer of
-graph distance at a time (``_shells``); ``move_to_sink`` is that lift.
+Chip-firing runs on integer vertex positions, read off a divisor by
+``vertex_chips``, which refuses a vertex the graph lacks; ``_neighbours``
+lists each position's (neighbour, edge multiplicity) pairs once per graph.
+``_lift`` moves a divisor's debt onto a sink by firing balls around it, one
+layer of graph distance at a time (``_shells``); ``move_to_sink`` is that
+lift.
 ``_burn`` is one pass of Dhar's fire over a chip list, and ``reduce_chips``
 fires the unburnt set as many times as it legally can before burning
 again, on a chip list in vertex order; ``reduce`` wraps it for a
@@ -87,6 +89,15 @@ class Divisor:
     def __repr__(self):
         body = ", ".join(f"{v}: {n}" for v, n in self.items())
         return "Divisor({" + body + "})"
+
+
+def vertex_chips(g: Multigraph, d: Divisor) -> list:
+    """d's chips in vertex order; a ValueError names the vertices g lacks."""
+    chips = [d[v] for v in g.vertices]
+    if len(d._map) != len(chips) - chips.count(0):
+        unknown = ", ".join(sorted(repr(v) for v in d._map if v not in g.vertices))
+        raise ValueError(f"divisor names vertices not in the graph: {unknown}")
+    return chips
 
 
 def chip(c, s=None) -> Divisor:
@@ -202,10 +213,10 @@ def _lift(g: Multigraph, chips: list, q: str) -> bool:
 
 def move_to_sink(g: Multigraph, d: Divisor, s: str) -> Divisor:
     """An equivalent divisor with all debt on s (nonnegative elsewhere)."""
-    if d.degree() != 0:
+    chips = vertex_chips(g, d)
+    if sum(chips) != 0:
         raise ValueError("move_to_sink expects a degree-0 divisor")
     _shells(g, s)  # an unknown sink or a disconnected graph raises here, for every d
-    chips = [d[v] for v in g.vertices]
     if not _lift(g, chips, s):
         return d
     out = Divisor(dict(zip(g.vertices, chips)))
@@ -295,9 +306,9 @@ def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
     """The unique q-reduced divisor equivalent to d (any degree).
 
     A Divisor wrapper around reduce_chips; raises ValueError on a
-    disconnected graph.
+    disconnected graph or on chips at a vertex g lacks.
     """
-    chips = [d[v] for v in g.vertices]
+    chips = vertex_chips(g, d)
     reduce_chips(g, chips, q)
     return Divisor(dict(zip(g.vertices, chips)))
 
@@ -340,10 +351,10 @@ def reduce_chips(g: Multigraph, chips: list, q: str) -> None:
 
 
 def is_reduced(g: Multigraph, d: Divisor, q: str) -> bool:
-    vs = g.vertices
-    if any(d[v] < 0 for v in vs if v != q):
+    vs, chips = g.vertices, vertex_chips(g, d)
+    if any(n < 0 for v, n in zip(vs, chips) if v != q):
         return False
-    return all(_burn(_neighbours(g), [d[v] for v in vs], vs.index(q))[0])
+    return all(_burn(_neighbours(g), chips, vs.index(q))[0])
 
 
 @lru_cache(maxsize=4096)
@@ -358,7 +369,7 @@ def _class_lattice(g: Multigraph) -> ColumnLattice:
 
 def canonical_class(g: Multigraph, d: Divisor) -> tuple:
     """Class key: the degree, and the canonical coset vector off vertices[0]."""
-    return d.degree(), _class_lattice(g).reduce([d[v] for v in g.vertices[1:]])
+    return d.degree(), _class_lattice(g).reduce(vertex_chips(g, d)[1:])
 
 
 def same_class(g: Multigraph, d1: Divisor, d2: Divisor) -> bool:
@@ -376,7 +387,7 @@ def laplacian_image_contains(g: Multigraph, d: Divisor) -> bool:
 
     Independent of the class keys and of burning; a cross-check for both.
     """
-    return _laplacian_lattice(g).contains([d[v] for v in g.vertices])
+    return _laplacian_lattice(g).contains(vertex_chips(g, d))
 
 
 def group_structure(g: Multigraph) -> GroupStructure:

@@ -16,12 +16,12 @@ row a verifier uses is checked once against routing the class's
 burning-reduced chips from the first tree's start array.  The verifiers check
 the torsor axioms, independence of the sink choice, and compatibility with
 contraction, deletion and cut vertices, exhaustively over whatever
-instances they are handed.  The sink check composes class rows only at a
-sink whose generator rows differ from the first vertex's.  The consistency
-check reads each minor in one lookup (``_minor_action``): the canonical code
-of the minor's darts keys a sweep-wide cache of representatives, a minor is
-built only when its code is new, and the minor's vertices and trees are
-mapped onto its representative by pairing dart names in canonical order.
+instances they are handed.  The sink check compares generator rows only,
+and composes no class row at any sink.  The consistency check reads each
+minor in one lookup (``_minor_action``): the canonical code of the minor's
+darts keys a sweep-wide cache of representatives, a minor is built only
+when its code is new, and the minor's vertices and trees are mapped onto
+its representative by pairing dart names in canonical order.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class TorsorAction:
         result does not depend on it (which verify_sink_invariance shows).
         """
         g = self.graph
-        if d.degree() != 0:
+        if sum(sandpile.vertex_chips(g, d)) != 0:  # a vertex g lacks raises here
             raise ValueError("torsor actions act by degree-0 classes")
         s = g.vertices[0]
         rd = sandpile.reduce(g, -d if self.variant in INVERSES else d, s)
@@ -135,22 +135,20 @@ class TorsorAction:
         if route_first_tree(self._routing_rg, chips) != row[0]:
             raise InvariantViolation(f"composed row of {d.to_dict()} disagrees with routing")
 
-    def table(self, s=None) -> list:
-        """Each class's tree-index row at sink s, in the order of
-        ``sandpile.enumerate_classes``; s defaults to vertices[0].
+    def table(self) -> list:
+        """Each class's tree-index row at vertices[0], in the order of
+        ``sandpile.enumerate_classes``.
 
-        Rows compose the generator rows at s along the closure's words.  At
-        vertices[0] each row is checked once against routing.
+        Rows compose the generator rows along the closure's words, and each
+        is checked once against routing.
         """
         g = self.graph
         classes, succ = sandpile.enumerate_classes(g)
-        q = g.vertices[0]
-        gens = self._generators(q if s is None else s)
+        gens = self._generators(g.vertices[0])
         ident = tuple(range(len(gens[0])))
         rows = sandpile.along_words(succ, ident, lambda r, k: tuple([gens[k + 1][x] for x in r]))
-        if s in (None, q):
-            for d, row in zip(classes, rows):
-                self._check(d, row)
+        for d, row in zip(classes, rows):
+            self._check(d, row)
         return rows
 
     def pair_row(self, c: str, s: str) -> tuple:
@@ -249,39 +247,31 @@ def verify_torsor_axioms(rg: RibbonGraph, act=None, variant: str = "r") -> Repor
 def verify_sink_invariance(rg: RibbonGraph) -> Report:
     """Compare routing outcomes across every sink, class and tree.
 
-    Every sink composes its class rows from its own verified single-chip
-    generator rows along the same words, so a sink whose generator rows
-    equal those at vertices[0] agrees on every class and tree; only at a
-    sink where they differ are the class rows composed and compared
-    entrywise.  Plane inputs must come out clean, and the two-vertex triple
-    edge with equal rotations must not.  Off the plane some sink's
-    generator rows must differ (Chan, Church and Grochow): a non-plane
-    input without such a witness gets the violation NO_WITNESS.
+    A sink's class rows compose its generator rows along the same words, so
+    a sink whose generator rows equal those at q = vertices[0] agrees on
+    every (class, tree), all counted as checked.  A sink where they differ
+    gives one violation: the first generator [v - q] and first tree that
+    differ, itself a class disagreement, since routing at a fixed sink is a
+    group action.  Plane inputs must come out clean.  Off the plane some
+    sink's generator rows must differ (Chan, Church and Grochow): a
+    non-plane input without such a witness gets the violation NO_WITNESS.
     """
     g = rg.graph
     action = TorsorAction(rg, require_plane=False)
-    classes, _ = sandpile.enumerate_classes(g)
     trees = g.spanning_trees()
     rep = Report()
-    base = g.vertices[0]
-    expected = action.table()
-    gens = action._generators(base)
-    witnessed = False
+    q = g.vertices[0]
+    gens = action._generators(q)
     for s in g.vertices[1:]:
-        if action._generators(s) == gens:
-            rep.checked += len(classes) * len(trees)
+        rep.checked += len(trees) ** 2
+        rows = action._generators(s)
+        if rows == gens:
             continue
-        witnessed = True
-        for d, r0, r in zip(classes, expected, action.table(s)):
-            rep.checked += len(trees)
-            if r0 == r:
-                continue
-            for t, x, y in zip(trees, r0, r):
-                if x != y:
-                    outputs = [sorted(trees[x]), sorted(trees[y])]
-                    bad = {"sinks": [base, s], "class": d.to_dict(), "tree": sorted(t)}
-                    rep.violations.append({**bad, "outputs": outputs})
-    if not witnessed and not rg.is_plane():
+        v, r0, r = next((v, r0, r) for v, r0, r in zip(g.vertices, gens, rows) if r0 != r)
+        i = next(i for i, (x, y) in enumerate(zip(r0, r)) if x != y)
+        bad = {"sinks": [q, s], "class": chip(v, q).to_dict(), "tree": sorted(trees[i])}
+        rep.violations.append({**bad, "outputs": [sorted(trees[r0[i]]), sorted(trees[r[i]])]})
+    if not rep.violations and not rg.is_plane():
         rep.violations.append(dict(NO_WITNESS))
     return rep
 

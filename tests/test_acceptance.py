@@ -82,7 +82,7 @@ def test_03_sink_invariance():
     bad = len(v["violations"])
     forced = len(verify_sink_invariance(named_structure("triple edge, genus 1")).violations)
     ok = bad == 0 and forced > 0
-    report(3, "sink-invariance", ok, f"{v['instances']} plane graphs clean, twisted triple edge forced {forced} disagreements, {time.time()-t0:.0f}s")
+    report(3, "sink-invariance", ok, f"{v['instances']} plane graphs clean, twisted triple edge gave {forced} sink-dependence witness, {time.time()-t0:.0f}s")
 
 
 def test_04_consistency(square_ribbon):

@@ -626,27 +626,28 @@ VERIFY_VERDICTS = [
     (["unicycle", "--max-edges", "6"], 703, 4041, 0, 0),
     (["telescope"], 39, 39, 0, 0),
     (["matroid", "--max-edges", "3"], 32, 136, 0, 0),
-    # off the plane, sink dependence is expected and reported as findings
-    (["sink-invariance", "--max-edges", "4", "--include-nonplanar"], 28, 452, 6, 76),
+    # off the plane, sink dependence is expected and reported as findings,
+    # each with one witness
+    (["sink-invariance", "--max-edges", "4", "--include-nonplanar"], 28, 452, 6, 6),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,instances,checked,findings,disagreements",
+    "argv,instances,checked,findings,witnesses",
     VERIFY_VERDICTS,
     ids=[
         v[0][0] + "-nonplanar" * ("--include-nonplanar" in v[0]) + "-6" * ("6" in v[0])
         for v in VERIFY_VERDICTS
     ],
 )
-def test_verify_verdicts_pinned(capsys, argv, instances, checked, findings, disagreements):
+def test_verify_verdicts_pinned(capsys, argv, instances, checked, findings, witnesses):
     rc, out = run(capsys, ["verify", *argv, "--seed", "0"])
     rep = json.loads(out)
     assert rc == 0
     assert (rep["instances"], rep["checked"]) == (instances, checked)
     assert rep["violations"] == []
     assert len(rep["findings"]) == findings
-    assert sum(f["disagreements"] for f in rep["findings"]) == disagreements
+    assert sum(bool(f.get("witness")) for f in rep["findings"]) == witnesses
 
 
 # sha256 of whole `verify ... --seed 1` reports, wall_time_s removed, as
@@ -688,7 +689,7 @@ REPORT_SHA256 = [
     ),
     (
         ["sink-invariance", "--max-edges", "4", "--include-nonplanar"],
-        "b7a23211bbe8259c7169dc7edcc5c4d4624a76e1aa7b25f0fad5b278c5850e32",
+        "8722ff974fddc5872f35d565d9cf72c5563def1b8e267379e835ade40937c403",
     ),
     (
         ["moves", "--max-edges", "5"],

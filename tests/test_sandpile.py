@@ -362,6 +362,25 @@ def test_lattice_keys_split_like_burning():
         assert len(set(lattice[: len(classes)])) == len(classes)
 
 
+UNKNOWN_VERTEX_CALLS = {
+    "reduce": lambda g, d: sandpile.reduce(g, d, "u"),
+    "canonical_class": sandpile.canonical_class,
+    "is_reduced": lambda g, d: sandpile.is_reduced(g, d, "u"),
+    "laplacian_image_contains": sandpile.laplacian_image_contains,
+    "move_to_sink": lambda g, d: sandpile.move_to_sink(g, d, "u"),
+}
+
+
+@pytest.mark.parametrize("entry", list(UNKNOWN_VERTEX_CALLS))
+def test_unknown_divisor_vertices_are_named(triangle, entry):
+    # chips on a vertex the graph lacks were once dropped: reduce answered
+    # {v: 1} for {zz: 5, v: 1}
+    cases = [({"zz": 5, "v": 1}, "'zz'"), ({"zz": 1, "v": -1}, "'zz'"), ({"yy": 2, "zz": -2}, "'yy', 'zz'")]
+    for chips, named in cases:
+        with pytest.raises(ValueError, match=f"not in the graph: {named}$"):
+            UNKNOWN_VERTEX_CALLS[entry](triangle, Divisor(chips))
+
+
 def test_reduce_rejects_unknown_sink(triangle):
     with pytest.raises(KeyError):
         sandpile.reduce(triangle, Divisor({"u": 1}), "zz")
