@@ -11,7 +11,13 @@ its canonical code, and only the first member of each code becomes a
 ``RibbonGraph``.  Two symmetry normalizations keep the raw rotation product
 tame: edges of a parallel class, and pendant edges to interchangeable leaf
 twins, may be forced to appear in increasing id order at one designated
-endpoint, because permuting them extends to a graph automorphism.
+endpoint, because permuting them extends to a graph automorphism.  The
+cyclic shifts of a class that holds its endpoint's smallest edge keep that
+order, so they are left over; a member is labelled only if no such shift
+conjugates it to a member met earlier, whose code it shares (McKay's
+orderly rejection, "Isomorph-free exhaustive generation", 1998).  A
+multigraph candidate whose refined colouring is discrete is keyed straight
+from its colours.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ def _graph_key(n: int, pairs) -> tuple:
     The graph has vertices 0..n-1 and one (low, high) pair per edge; the key
     is (n, least sorted list of the codes low * n + high, which sort like the
     pairs) over the orders within the colour blocks.  Colours are renumbered
-    by rank after each refinement round, which keeps blocks and their order.
+    by rank after each refinement round, which keeps blocks and their order;
+    refinement stops once no block splits or every block is one vertex, and
+    then the colours alone are the order.
     """
     around = [[] for _ in range(n)]
     for a, b in pairs:
@@ -47,8 +55,11 @@ def _graph_key(n: int, pairs) -> tuple:
         rank = {c: r for r, c in enumerate(sorted(set(nxt)))}
         stable = len(rank) == len(set(colors))
         colors = [rank[c] for c in nxt]
-        if stable:
+        if stable or len(rank) == n:
             break
+    if len(rank) == n:  # discrete: the colours are the one bijection left
+        ends = [(colors[a], colors[b]) for a, b in pairs]
+        return (n, tuple(sorted([a * n + b if a < b else b * n + a for a, b in ends])))
     blocks = [[] for _ in rank]
     for v in range(n):
         blocks[colors[v]].append(v)
@@ -153,11 +164,18 @@ def _successor_orders(k: int, classes: tuple) -> tuple[tuple[int, ...], ...]:
 
 
 def _rotation_product(g: Multigraph):
-    """The dart rotations sigma of the normalised rotation product, in product order.
+    """(members, shifts): the normalised rotation product and its residual relabellings.
 
-    Each vertex lists its incident edges from the smallest id on, in every
-    order that the symmetry normalizations of the module docstring allow,
-    as position classes over its sorted incident edges (_successor_orders).
+    members yields the dart rotations sigma in product order: each vertex
+    lists its incident edges from the smallest id on, in every order that
+    the symmetry normalizations of the module docstring allow, as position
+    classes over its sorted incident edges (_successor_orders).  A class
+    holding its vertex's smallest edge is still read in increasing order
+    after a cyclic shift of its ids, from that edge's new place; each of its
+    k - 1 shifts is a graph automorphism, which moves each class edge's
+    dart at the vertex to the next one's and the far dart (``d ^ 1``, at
+    the one far end or at a leaf twin's own leaf) with it.  shifts lists
+    them as (pi, itemgetter of pi's inverse).
     """
     from .ribbon import dart_numbering  # the multigraph levels never load ribbon
 
@@ -168,8 +186,10 @@ def _rotation_product(g: Multigraph):
         constraints[center].append(es)
 
     dart, _ = dart_numbering(g)
+    identity = range(2 * len(g.edges))
     slots = []  # darts in the order their successors are listed below
     successors = []
+    shifts = []
     for v in g.vertices:
         inc = sorted(g.incident(v))
         if not inc:
@@ -179,10 +199,22 @@ def _rotation_product(g: Multigraph):
         classes = tuple(tuple(sorted(map(inc.index, es))) for es in constraints[v])
         orders = _successor_orders(len(inc), classes)
         successors.append([tuple(map(darts.__getitem__, succ)) for succ in orders])
+        for cl in classes:
+            if cl[0]:
+                continue
+            near = [darts[i] for i in cl]
+            perms = []
+            for j in range(1, len(near)):
+                pi = list(identity)
+                for a, b in zip(near, near[j:] + near[:j]):
+                    pi[a], pi[a ^ 1] = b, b ^ 1
+                perms.append(tuple(pi))
+            # the shift by j is undone by the shift by k - j
+            shifts += [(pi, itemgetter(*inverse)) for pi, inverse in zip(perms, perms[::-1])]
 
     scatter = itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
-    for nexts in product(*successors):
-        yield scatter(tuple(chain.from_iterable(nexts)))
+    members = (scatter(tuple(chain.from_iterable(nexts))) for nexts in product(*successors))
+    return members, shifts
 
 
 def _face_count(sigma) -> int:
@@ -206,16 +238,26 @@ def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGra
     Each member of the rotation product is filtered (faces = 2 - V + E when
     plane_only) and keyed by its canonical code on sigma alone; a
     ``RibbonGraph`` is built, unchecked, only for the first member of each code.
+    A member that a residual shift conjugates to a member met earlier is
+    not labelled: the shift is an automorphism of g, so the two share a
+    code, which the earlier one already holds in found.
     """
     from .ribbon import RibbonGraph, canonical_labelling
 
     vcount = len(g.vertices)
     plane_faces = 2 - vcount + len(g.edges)
+    members, shifts = _rotation_product(g)
+    seen = set()  # the members met so far, past the face filter
     found = {}
-    for sigma in _rotation_product(g):
+    for sigma in members:
         if plane_only and _face_count(sigma) != plane_faces:
             continue
-        found.setdefault(canonical_labelling(sigma, vcount)[0], sigma)
+        for pi, after in shifts:
+            if itemgetter(*after(sigma))(pi) in seen:
+                break  # a conjugate met earlier: its code, so this one's, is in found
+        else:
+            found.setdefault(canonical_labelling(sigma, vcount)[0], sigma)
+        seen.add(sigma)
     return tuple(RibbonGraph.from_sigma(g, found[k]) for k in sorted(found))
 
 

@@ -89,12 +89,15 @@ def _check(suite, variant, rg):
 
 
 def _pool_map(fn, payloads, workers):
+    """fn of each payload, yielded in payload order as each is ready, so the
+    caller holds one result at a time; the pool closes once all are read."""
     if workers <= 1:
-        return [fn(p) for p in payloads]
+        yield from map(fn, payloads)
+        return
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
-        return list(pool.imap(fn, payloads, chunksize=4))
+        yield from pool.imap(fn, payloads, chunksize=4)
 
 
 def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements=6, workers=1):
@@ -122,7 +125,9 @@ def sweep(suite, max_edges=5, variant="r", include_nonplanar=False, max_elements
         else:
             graphs = catalog.plane_graphs(max_edges, two_connected=suite == "moves")
         reported = []
-        for rg, (checked, violations, notes) in zip(graphs, _pool_map(check, graphs, workers)):
+        results = _pool_map(check, graphs, workers)
+        # strict: zip reads results past the last one, which closes the pool
+        for rg, (checked, violations, notes) in zip(graphs, results, strict=True):
             out["instances"] += 1
             out["checked"] += checked
             if nonplane and not rg.is_plane() and NO_WITNESS not in violations:

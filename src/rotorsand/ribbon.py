@@ -305,19 +305,22 @@ def canonical_labelling(sigma, vertex_count: int) -> tuple[tuple, tuple[tuple[in
     labels its darts breadth-first in lockstep: each round takes the next dart
     of every surviving anchor, reads the labels of its rotation successor and
     its edge twin (new darts get the next label), and keeps only the anchors
-    whose pair is least, in anchor order.  Leaf darts, whose first pair is
-    (0, 1), are the only anchors when there are any.  Once one anchor is
-    left, its labelling finishes without comparisons; anchors that tie to
-    the end have each labelled every dart, and all their orders come back,
-    in anchor order.  A map whose darts lie in more than one component
-    raises ValueError: the walk from one anchor would describe only its own
-    component.
+    whose pair is least, in anchor order.  Only the anchors that can be
+    least start: the leaf darts, whose first pair is (0, 1) where any other
+    reads (1, 2), if there are any; else the darts at degree-2 vertices,
+    whose second pair is (0, 3) where any other reads (3, 4); else every
+    dart.  Once one anchor is left, its labelling finishes without
+    comparisons; anchors that tie to the end have each labelled every dart,
+    and all their orders come back, in anchor order.  A map whose darts lie
+    in more than one component raises ValueError: the walk from one anchor
+    would describe only its own component.
     """
     n = len(sigma)
     if not n:
         return (vertex_count,), ((),)
     runs = []  # (labels, order) of each surviving anchor
-    for a in [d for d in range(n) if sigma[d] == d] or range(n):
+    leaves = [d for d in range(n) if sigma[d] == d]
+    for a in leaves or [d for d in range(n) if sigma[sigma[d]] == d] or range(n):
         labels = [-1] * n
         labels[a] = 0
         runs.append((labels, [a]))

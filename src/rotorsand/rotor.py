@@ -162,15 +162,21 @@ def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
     """Route a whole divisor of Div^0_s: one chip per positive unit, sorted order.
 
     The rotors carry over from chip to chip, and are asserted acyclic once,
-    where the last chip's are read as a tree.
+    where the last chip's are read as a tree.  Chips on a vertex the graph
+    lacks raise ValueError, naming those vertices, as
+    ``sandpile.vertex_chips`` does.
     """
     vs = rg.graph.vertices
+    chips = [d[v] for v in vs]
+    if len(d.items()) != len(chips) - chips.count(0):
+        unknown = ", ".join(repr(v) for v, _ in d.items() if v not in vs)
+        raise ValueError(f"divisor names vertices not in the graph: {unknown}")
     if d.degree() != 0:
         raise ValueError("route_divisor expects a degree-0 divisor")
     if any(d[v] < 0 for v in vs if v != s):
         raise ValueError("divisor must be nonnegative away from the sink")
     rotors = _tree_darts(rg.graph, tree, s)
-    _route_chips(rg, rotors, [d[v] for v in vs], vs.index(s))
+    _route_chips(rg, rotors, chips, vs.index(s))
     return _tree_of(rg, rotors)
 
 

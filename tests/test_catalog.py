@@ -167,7 +167,7 @@ def rotation_product_reference(g: Multigraph):
 def test_rotation_product_matches_reference():
     members = 0
     for g in connected_multigraphs(6):
-        got = list(catalog._rotation_product(g))
+        got = list(catalog._rotation_product(g)[0])
         assert got == list(rotation_product_reference(g)), g.to_json()
         members += len(got)
     assert members == 2125
@@ -176,13 +176,60 @@ def test_rotation_product_matches_reference():
 def test_sigma_code_matches_ribbon_labelling():
     members = 0
     for g in connected_multigraphs(5):
-        for sigma in catalog._rotation_product(g):
+        for sigma in catalog._rotation_product(g)[0]:
             rg = RibbonGraph(g, RibbonGraph.from_sigma(g, sigma).rotation)
             assert sigma == rg.sigma
             code = canonical_labelling(sigma, len(g.vertices))[0]
             assert code == rg.canonical_labelling()[0]
             members += 1
     assert members == 267
+
+
+def unpruned_rotation_systems(g: Multigraph, plane_only: bool):
+    """rotation_systems without the residual shifts: every member of the
+    product that is plane when plane_only is labelled."""
+    n = len(g.vertices)
+    found = {}
+    for sigma in catalog._rotation_product(g)[0]:
+        rg = RibbonGraph.from_sigma(g, sigma)
+        if not plane_only or rg.is_plane():
+            found.setdefault(canonical_labelling(sigma, n)[0], rg)
+    return tuple(found[k] for k in sorted(found))
+
+
+def test_pruned_rotation_systems_match_unpruned_labelling():
+    shifted = 0
+    for g in connected_multigraphs(6):
+        _, shifts = catalog._rotation_product(g)
+        for pi, after in shifts:
+            assert after(pi) == tuple(range(len(pi)))
+            assert all(pi[d ^ 1] == pi[d] ^ 1 for d in range(len(pi)))
+        shifted += bool(shifts)
+        for plane_only in (False, True):
+            assert rotation_systems(g, plane_only) == unpruned_rotation_systems(g, plane_only)
+    assert shifted == 108
+
+
+def test_residual_shifts_skip_labellings(monkeypatch):
+    # pinned, so that the pruning cannot switch off unseen: unpruned, the
+    # 6-edge catalogs label all 2,125 members of the product, and the 714
+    # plane ones
+    from rotorsand import ribbon
+
+    calls = []
+
+    def counting(sigma, vertex_count):
+        calls.append(sigma)
+        return canonical_labelling(sigma, vertex_count)
+
+    monkeypatch.setattr(ribbon, "canonical_labelling", counting)
+    counts = []
+    for plane_only in (False, True):
+        calls.clear()
+        uncached = rotation_systems.__wrapped__
+        maps = [rg for g in connected_multigraphs(6) for rg in uncached(g, plane_only)]
+        counts.append((len(maps), len(calls)))
+    assert counts == [(699, 1047), (311, 408)]
 
 
 def test_triple_edge_structures():

@@ -964,6 +964,16 @@ def test_spawn_pool_matches_serial(monkeypatch, suite, max_edges):
     assert cli.sweep(suite, max_edges, workers=2) == serial
 
 
+def test_pool_map_yields_each_result_when_read():
+    # sweep holds one check result at a time, not every map's at once
+    calls = []
+    results = cli._pool_map(lambda p: calls.append(p) or -p, [1, 2, 3], 1)
+    assert calls == []
+    assert next(results) == -1 and calls == [1]
+    assert list(results) == [-2, -3] and calls == [1, 2, 3]
+    assert list(cli._pool_map(abs, [-1, 2, -3], 2)) == [1, 2, 3]
+
+
 def test_nonplane_sink_invariance_maps_go_through_the_pool(monkeypatch):
     seen, calls = [], []
     pool_map = cli._pool_map

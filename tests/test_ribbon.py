@@ -432,7 +432,7 @@ def test_isomorphisms_refuse_maps_split_into_components():
 def test_lockstep_labelling_matches_anchor_search_on_rotation_products():
     members = 0
     for g in connected_multigraphs(6):
-        for sigma in catalog._rotation_product(g):
+        for sigma in catalog._rotation_product(g)[0]:
             assert first_order(canonical_labelling(sigma, len(g.vertices))) == anchor_labelling(
                 sigma, len(g.vertices)
             ), sigma
@@ -457,6 +457,26 @@ def test_lockstep_labelling_matches_anchor_search_on_minors():
                         m.canonical_labelling()
                 edgeless += not m.graph.edges
     assert edgeless > 0 and split > 0
+
+
+def test_lockstep_labelling_matches_anchor_search_on_minor_darts():
+    # the consistency check keys each minor by minor_darts' rotation; the
+    # oracle tries every anchor, not only the leaf or degree-2 darts
+    minors = split = 0
+    for rg in plane_graphs(6):
+        n = len(rg.graph.vertices)
+        for e in rg.graph.edges:
+            for contract in (True, False):
+                _, sigma = rg.minor_darts(e, contract)
+                expected = anchor_labelling(sigma, n - contract)
+                if len(expected[1]) == len(sigma):
+                    assert first_order(canonical_labelling(sigma, n - contract)) == expected, sigma
+                    minors += 1
+                else:
+                    with pytest.raises(ValueError, match="one component"):
+                        canonical_labelling(sigma, n - contract)
+                    split += 1
+    assert (minors, split) == (3380, 142)
 
 
 def test_canonical_form_refuses_maps_split_into_components():

@@ -304,6 +304,18 @@ def test_route_divisor_rejects_bad_input(square_ribbon):
         route_divisor(square_ribbon, t, Divisor({"a": -1, "c": 1}), "s")
 
 
+def test_route_divisor_rejects_unknown_vertices():
+    # on the triple edge {zz: 1, x: -1} has degree 0, and its chip on zz
+    # used to be dropped, so it routed like the zero divisor
+    rg = RibbonGraph(banana_graph(3), {"x": ("e0", "e1", "e2"), "y": ("e0", "e1", "e2")})
+    t = frozenset({"e0"})
+    assert route_divisor(rg, t, Divisor({"y": 1, "x": -1}), "x") != t
+    with pytest.raises(ValueError, match="not in the graph: 'zz'$"):
+        route_divisor(rg, t, Divisor({"zz": 1, "x": -1}), "x")
+    with pytest.raises(ValueError, match="not in the graph: 'aa', 'zz'$"):
+        route_divisor(rg, t, Divisor({"zz": 1, "aa": 2, "y": 1, "x": -4}), "x")
+
+
 def test_unicycle_step_and_full_spin(square_ribbon):
     g = square_ribbon.graph
     u = (tuple(sorted({"a": "ac", "b": "bc", "c": "cs", "s": "sa"}.items())), "a")
