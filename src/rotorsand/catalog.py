@@ -3,8 +3,8 @@
 Graphs are produced up to graph isomorphism by edge augmentation on integer
 endpoint pairs: each candidate is keyed by its canonical encoding, and only
 the first candidate of each key becomes a ``Multigraph``.  The 2-connected
-catalog tests its candidates with the integer cut-vertex kernel
-``multigraph.cut_points`` before it keys them.  Ribbon structures
+catalog tests its candidates for cut vertices with the integer union-find
+kernel ``multigraph.unite`` before it keys them.  Ribbon structures
 are produced up to ribbon isomorphism on the dart rotation sigma alone: each
 member of the rotation product is filtered by its face count and keyed by
 its canonical code, and only the first member of each code becomes a
@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from operator import itemgetter
 
-from .multigraph import Multigraph, cut_points
+from .multigraph import Multigraph, unite
 
 
 def _relabel_sorted(pairs):
@@ -86,16 +86,14 @@ def _augmentations(n: int, pairs: tuple):
             yield n + (j == n), tuple(sorted(pairs + ((i, j),)))
 
 
-def connected_multigraphs(max_edges: int, min_edges: int = 1) -> tuple[Multigraph, ...]:
-    """All connected loopless multigraphs with min..max edges, up to isomorphism.
+def connected_multigraphs(max_edges: int) -> tuple[Multigraph, ...]:
+    """All connected loopless multigraphs with 1..max edges, up to isomorphism.
 
     Augmentation search: every (m+1)-edge connected multigraph arises from an
     m-edge one by adding an edge between existing vertices or hanging a new
     leaf, so level-by-level growth with canonical deduplication is exhaustive.
     """
-    return tuple(
-        g for m in range(min_edges, max_edges + 1) for g in _multigraph_level(m)
-    )
+    return tuple(g for m in range(1, max_edges + 1) for g in _multigraph_level(m))
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +122,12 @@ def _pair_level(m: int, *, two_connected: bool = False) -> tuple[tuple[int, tupl
 
 
 def _two_connected(n: int, pairs) -> bool:
-    """The candidate test: no cut vertex (Multigraph.is_two_connected's kernel)."""
-    return next(cut_points(n, pairs), None) is None
+    """The candidate test: no vertex whose removal leaves the others in more
+    than one union-find class (Multigraph.cut_vertices' kernel)."""
+    for v in range(n):
+        if unite(n, pairs, v)[1] > 1:
+            return False
+    return True
 
 
 def _parallel_classes(g: Multigraph):
@@ -177,7 +179,7 @@ def _rotation_product(g: Multigraph):
     the one far end or at a leaf twin's own leaf) with it.  shifts lists
     them as (pi, itemgetter of pi's inverse).
     """
-    from .ribbon import dart_numbering  # the multigraph levels never load ribbon
+    from .ribbon import dart_numbering, inverse  # the multigraph levels never load ribbon
 
     constraints = {v: [] for v in g.vertices}
     for (u, w), es in _parallel_classes(g):
@@ -203,16 +205,13 @@ def _rotation_product(g: Multigraph):
             if cl[0]:
                 continue
             near = [darts[i] for i in cl]
-            perms = []
             for j in range(1, len(near)):
                 pi = list(identity)
                 for a, b in zip(near, near[j:] + near[:j]):
                     pi[a], pi[a ^ 1] = b, b ^ 1
-                perms.append(tuple(pi))
-            # the shift by j is undone by the shift by k - j
-            shifts += [(pi, itemgetter(*inverse)) for pi, inverse in zip(perms, perms[::-1])]
+                shifts.append((pi, itemgetter(*inverse(pi))))
 
-    scatter = itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
+    scatter = itemgetter(*inverse(slots))
     members = (scatter(tuple(chain.from_iterable(nexts))) for nexts in product(*successors))
     return members, shifts
 
@@ -261,27 +260,26 @@ def rotation_systems(g: Multigraph, plane_only: bool = False) -> tuple[RibbonGra
     return tuple(RibbonGraph.from_sigma(g, found[k]) for k in sorted(found))
 
 
-def ribbon_graphs(max_edges: int, min_edges: int = 1):
-    """Every ribbon graph in the size range, up to ribbon isomorphism."""
+def ribbon_graphs(max_edges: int):
+    """Every ribbon graph with 1..max_edges edges, up to ribbon isomorphism."""
     out = []
-    for g in connected_multigraphs(max_edges, min_edges):
+    for g in connected_multigraphs(max_edges):
         out.extend(rotation_systems(g))
     return out
 
 
-def plane_graphs(max_edges: int, min_edges: int = 1, two_connected: bool = False):
-    """Every plane ribbon graph in the size range, up to ribbon isomorphism.
+def plane_graphs(max_edges: int, two_connected: bool = False):
+    """Every plane ribbon graph with 1..max_edges edges, up to ribbon isomorphism.
 
     With two_connected, only those whose graph is 2-connected, in the same
     order; the lower levels, complete as the top one's parents, are tested
     before any Multigraph is built, and the top level before it is keyed.
     """
     if not two_connected:
-        graphs = connected_multigraphs(max_edges, min_edges)
+        graphs = connected_multigraphs(max_edges)
     else:
-        levels = [_pair_level(m) for m in range(min_edges, max_edges)]
-        if min_edges <= max_edges:
-            levels.append(_pair_level(max_edges, two_connected=True))
+        levels = [_pair_level(m) for m in range(1, max_edges)]
+        levels.append(_pair_level(max_edges, two_connected=True))
         graphs = [_relabel_sorted(ps) for level in levels for n, ps in level if _two_connected(n, ps)]
     out = []
     for g in graphs:

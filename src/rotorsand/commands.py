@@ -40,13 +40,22 @@ def _load_ribbon(path) -> RibbonGraph:
     return rg
 
 
+def _distinct(ids: list, what: str) -> frozenset:
+    """The ids as a set; naming one twice is an input error."""
+    out = frozenset(ids)
+    if len(out) != len(ids):
+        twice = sorted({x for x in ids if ids.count(x) > 1})
+        raise InputError(f"{what} names {', '.join(map(repr, twice))} twice")
+    return out
+
+
 def _load_tree(path):
     obj = _load_json(path)
     if isinstance(obj, dict):
         obj = obj.get("edges")
     if not isinstance(obj, list) or not all(isinstance(e, str) for e in obj):
         raise InputError("tree file must be a list of edge ids")
-    return frozenset(obj)
+    return _distinct(obj, "tree file")
 
 
 def _load_spanning_tree(path, g: Multigraph):
@@ -72,10 +81,12 @@ def _load_divisor(path, g: Multigraph) -> Divisor:
     obj = _load_json(path)
     if not isinstance(obj, dict) or not all(type(n) is int for n in obj.values()):
         raise InputError("divisor file must map vertex ids to integers")
-    unknown = sorted(set(obj) - set(g.vertices))
-    if unknown:
-        raise InputError(f"divisor names vertices not in the graph: {unknown}")
-    return Divisor(obj)
+    d = Divisor(obj)
+    try:
+        d.chips(g.vertices)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    return d
 
 
 def _emit(obj):
@@ -285,7 +296,7 @@ def cmd_bby(args):
 
     m = _load_matroid(args)
     pair = _load_signatures(args, m)
-    basis = frozenset(_parts(args.basis, ","))
+    basis = _distinct(_parts(args.basis, ","), "--basis")
     if basis not in m.bases():
         raise InputError(f"{sorted(basis)} is not a basis of the matroid")
     if args.action == "vector":

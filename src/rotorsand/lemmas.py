@@ -5,8 +5,9 @@ run of ``rotor``'s routing loop: no directed edge is crossed twice, every
 directed cycle that appears mid-run also appears reversed, and the chip stays
 off the right side of the cycle that a non-tree c-s edge closes, whose
 sink-free run sweeps the left side both ways.  Left and right are read off
-the faces of a plane ribbon graph (``classify_sides``).  No verification
-sweep runs these checks, so no sweep loads this module.
+the faces of a plane ribbon graph (``classify_sides``).  The run records
+only the darts it turns, and ``replay`` rebuilds its states from them.  No
+verification sweep runs these checks, so no sweep loads this module.
 """
 
 from __future__ import annotations
@@ -95,6 +96,20 @@ def classify_sides(rg: RibbonGraph, cycle) -> SideClassification:
     )
 
 
+def replay(rg: RibbonGraph, rotors, x: int, turned) -> list[tuple]:
+    """The states (rotors, chip) of a run from rotors with the chip at x:
+    one before each move and one after the last, rebuilt from the darts it
+    turned.  The rotor that turns onto d is the chip's, at d's vertex, and
+    the chip crosses d to the far end."""
+    dv = rg.dart_vertex
+    rotors = list(rotors)
+    states = [(tuple(rotors), x)]
+    for d in turned:
+        rotors[dv[d]] = d
+        states.append((tuple(rotors), dv[d ^ 1]))
+    return states
+
+
 def _heads(rg: RibbonGraph, rotors) -> list:
     """Where each rotor points: the functional graph of a dart array."""
     dv = rg.dart_vertex
@@ -148,16 +163,16 @@ def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
     tree = frozenset(tree)
     ci, si = vs.index(c), vs.index(s)
     rotors = _tree_darts(rg.graph, tree, s)
-    unicycle = list(rotors)  # closed at s below, once per non-tree c-s edge
+    unicycle = list(rotors)  # the start: replayed, then closed at s once per non-tree c-s edge
     cycle = [ci]  # the rotor path from c to s
     while cycle[-1] != si:
         cycle.append(dv[rotors[cycle[-1]] ^ 1])
-    states, turned = {}, []
-    _route(rg, rotors, ci, si, states, turned)
+    turned = []
+    _route(rg, rotors, ci, si, turned)
     _tree_of(rg, rotors)  # asserts the routed rotors acyclic
     violations = list(check_no_repeated_crossing(_steps(rg, turned)))
 
-    configs = [cfg for cfg, _ in states] + [tuple(rotors)]
+    configs = [cfg for cfg, _ in replay(rg, unicycle, ci, turned)]
     for i, cfg in enumerate(configs):
         for cyc in functional_cycles(_heads(rg, cfg)):
             reverse = _reversed(rg, cfg, cyc)
@@ -178,7 +193,7 @@ def check_cycle_reversal(rg: RibbonGraph, tree, c: str, s: str) -> list[str]:
         for e in crossed & sides.right_edges:
             violations.append(f"chip crossed right-side edge {e}")
         unicycle[si] = rg.dart(f, s)
-        violations += _check_unicycle_leftright(rg, list(unicycle), cycle, sides)
+        violations += _check_unicycle_leftright(rg, unicycle, cycle, sides)
     return violations
 
 
@@ -186,9 +201,9 @@ def _check_unicycle_leftright(rg: RibbonGraph, rotors: list, cycle, sides) -> li
     """Spin the unicycle with its chip at cycle[0] until its cycle is reversed."""
     chip = cycle[0]
     target = (_reversed(rg, rotors, cycle), chip)
-    seen, turned = {}, []
-    end = _spin(rg, rotors, chip, len(rg.sigma), None, seen, turned)
-    states = [*seen, (tuple(rotors), end)]
+    turned = []
+    _spin(rg, list(rotors), chip, len(rg.sigma), turned=turned)
+    states = replay(rg, rotors, chip, turned)
     if target not in states:
         return [f"reversal of the starting cycle never reached from chip {rg.graph.vertices[chip]}"]
     forward = set(turned[: states.index(target)])

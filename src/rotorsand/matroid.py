@@ -418,23 +418,6 @@ def bby_table(m: RegularMatroid, pair: SignaturePair, variant: str = "bby") -> d
     return dict(zip(index, basis_at))
 
 
-def bby_action(m: RegularMatroid, pair: SignaturePair, variant: str = "bby"):
-    """act(j, b): the basis that the class of the j-th unit vector sends b to
-    under the variant.
-
-    One bby_table, with its checks, per call; each act is then a lookup in
-    the matroid's class table, with no reduction.
-    """
-    _, succ = m.class_table()
-    basis_at = list(bby_table(m, pair, variant).values())
-    at = {b: i for i, b in enumerate(basis_at)}
-
-    def act(j, b):
-        return basis_at[succ[at[b]][j]]
-
-    return act
-
-
 def bby_act(m: RegularMatroid, pair: SignaturePair, vector, basis: frozenset) -> frozenset:
     """Translate the basis tag by the vector and return the tagged basis."""
     table = bby_table(m, pair)

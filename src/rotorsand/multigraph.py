@@ -107,29 +107,15 @@ class Multigraph:
 
     # -- connectivity ------------------------------------------------------
 
-    def _components(self, skip_vertex=None):
-        seen = set()
-        comps = []
-        for start in self._vertices:
-            if start == skip_vertex or start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for e in self._incident[x]:
-                    y = self.other(e, x)
-                    if y != skip_vertex and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(comp)
-        return comps
+    def _pairs(self) -> list:
+        """Each edge's endpoint positions in vertices, in edge id order."""
+        ix = self._index
+        return [(ix[u], ix[v]) for u, v in map(self._ends.__getitem__, self._edge_ids)]
 
     def is_connected(self) -> bool:
-        """Exactly one component (cached)."""
+        """Exactly one union-find class (cached)."""
         if self._connected is None:
-            self._connected = len(self._components()) == 1
+            self._connected = unite(len(self._vertices), self._pairs())[1] == 1
         return self._connected
 
     def cut_vertices(self) -> frozenset[str]:
@@ -137,9 +123,8 @@ class Multigraph:
         if self._cuts is None:
             if not self.is_connected():
                 raise ValueError("graph must be connected")
-            ix, vs = self._index, self._vertices
-            pairs = [(ix[u], ix[v]) for u, v in self._ends.values()]
-            self._cuts = frozenset(vs[i] for i in cut_points(len(vs), pairs))
+            vs, pairs = self._vertices, self._pairs()
+            self._cuts = frozenset(vs[i] for i in range(len(vs)) if unite(len(vs), pairs, i)[1] > 1)
         return self._cuts
 
     def is_two_connected(self) -> bool:
@@ -151,16 +136,18 @@ class Multigraph:
 
         Two edges share a block iff no cut vertex separates them, i.e. iff
         for every cut vertex x some component of the graph minus x touches
-        an end of both other than x.  One component pass per cut vertex:
-        the label's entry for x numbers the component holding the edge's
-        ends other than x (one or two ends, one component, since the graph
-        is loopless).
+        an end of both other than x.  One union-find pass per cut vertex:
+        the label's entry for x is the root of the class holding the edge's
+        ends other than x (one or two ends, one class, since the graph is
+        loopless).
         """
+        ix, pairs = self._index, self._pairs()
         labels = {e: [] for e in self._edge_ids}
         for x in sorted(self.cut_vertices()):
-            side = {v: k for k, comp in enumerate(self._components(skip_vertex=x)) for v in comp}
-            for e, (u, w) in self._ends.items():
-                labels[e].append(side[w if u == x else u])
+            i = ix[x]
+            parent, _ = unite(len(self._vertices), pairs, i)
+            for e, (a, b) in zip(self._edge_ids, pairs):
+                labels[e].append(find_root(parent, b if a == i else a))
         return {e: tuple(label) for e, label in labels.items()}
 
     # -- minors ------------------------------------------------------------
@@ -207,8 +194,7 @@ class Multigraph:
         n = len(self._vertices)
         need = n - 1
         slack = len(self._edge_ids) - need  # edges each tree leaves out
-        ix, ids = self._index, self._edge_ids
-        epairs = [(ix[self._ends[e][0]], ix[self._ends[e][1]]) for e in ids]
+        ids, epairs = self._edge_ids, self._pairs()
         out = []
         chosen = []
         stack = [(0, 0, list(range(n)))]  # (next edge, edges taken, union-find parent)
@@ -231,21 +217,13 @@ class Multigraph:
         return out
 
     def is_spanning_tree(self, edge_set) -> bool:
+        """n - 1 edges of the graph that leave one union-find class."""
         edge_set = frozenset(edge_set)
         n = len(self._vertices)
-        if len(edge_set) != n - 1:
+        if len(edge_set) != n - 1 or not edge_set <= self._ends.keys():
             return False
         ix = self._index
-        parent = list(range(n))
-        for e in edge_set:
-            pair = self._ends.get(e)
-            if pair is None:
-                return False
-            a, b = find_root(parent, ix[pair[0]]), find_root(parent, ix[pair[1]])
-            if a == b:
-                return False
-            parent[a] = b
-        return True
+        return unite(n, [(ix[u], ix[v]) for u, v in map(self._ends.__getitem__, edge_set)])[1] == 1
 
     # -- serialization -------------------------------------------------------
 
@@ -300,21 +278,20 @@ def find_root(parent: list[int], i: int) -> int:
     return i
 
 
-def cut_points(n: int, pairs):
-    """The cut vertices, in increasing order, of the connected graph on
-    0..n-1 with one (a, b) pair per edge: those whose removal leaves the
-    other vertices in more than one union-find class."""
-    for v in range(n):
-        parent = list(range(n))
-        parts = n - 1
-        for a, b in pairs:
-            if a != v and b != v:
-                ra, rb = find_root(parent, a), find_root(parent, b)
-                if ra != rb:
-                    parent[ra] = rb
-                    parts -= 1
-        if parts > 1:
-            yield v
+def unite(n: int, pairs, skip=None) -> tuple[list[int], int]:
+    """(parent, classes): union-find over 0..n-1 joined by one (a, b) pair
+    per edge, vertex skip and its edges left out, and the number of classes
+    of the other vertices, counted down as they unite."""
+    parent = list(range(n))
+    classes = n if skip is None else n - 1
+    find = find_root  # a local name: the catalog's 2-connected test runs this per vertex
+    for a, b in pairs:
+        if a != skip and b != skip:
+            ra, rb = find(parent, a), find(parent, b)
+            if ra != rb:
+                parent[ra] = rb
+                classes -= 1
+    return parent, classes
 
 
 def complete_graph(n: int) -> Multigraph:

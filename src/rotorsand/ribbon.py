@@ -25,6 +25,14 @@ from .errors import InvariantViolation
 from .multigraph import Multigraph, string_lists
 
 
+def inverse(perm) -> tuple:
+    """The inverse of a permutation of range(len(perm)), as a tuple."""
+    out = [0] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return tuple(out)
+
+
 def functional_cycles(succ) -> list[list[int]]:
     """Every cycle of the functional graph i -> succ[i] on range(len(succ)).
 
@@ -186,8 +194,7 @@ class RibbonGraph:
 
     def reverse(self) -> "RibbonGraph":
         """Reverse the cyclic order around every vertex (mirror embedding): sigma inverted."""
-        inverse = sorted(range(len(self.sigma)), key=self.sigma.__getitem__)
-        return RibbonGraph.from_sigma(self.graph, tuple(inverse))
+        return RibbonGraph.from_sigma(self.graph, inverse(self.sigma))
 
     def delete(self, e: str) -> "RibbonGraph":
         """Delete e: its two darts leave their rotations."""

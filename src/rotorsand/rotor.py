@@ -92,23 +92,18 @@ def _tree_of(rg: RibbonGraph, rotors: list) -> frozenset:
     return tree
 
 
-def _spin(
-    rg: RibbonGraph, rotors: list, x: int, bound: int, sink=None, seen=None, turned=None
-) -> int:
+def _spin(rg: RibbonGraph, rotors: list, x: int, bound: int, sink=None, turned=None) -> int:
     """Move a chip from position x until it reaches sink or has moved bound times.
 
     Each move turns the rotor at the chip to the next dart counterclockwise
     and carries the chip across it; rotors change in place.  Returns the
-    chip's final position.  seen, when given, maps each (rotors, chip)
-    before its move to the first of them, and turned gets each dart turned.
+    chip's final position.  turned, when given, gets each dart turned, from
+    which ``lemmas.replay`` rebuilds the states.
     """
     sigma, dv = rg.sigma, rg.dart_vertex
-    first = (tuple(rotors), x) if seen is not None else None
     for _ in range(bound):
         if x == sink:
             break
-        if seen is not None:
-            seen[tuple(rotors), x] = first
         d = sigma[rotors[x]]
         rotors[x] = d
         if turned is not None:
@@ -117,11 +112,11 @@ def _spin(
     return x
 
 
-def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, seen=None, turned=None) -> None:
+def _route(rg: RibbonGraph, rotors: list, x: int, sink: int, turned=None) -> None:
     """Move one chip from position x to sink within the routing step bound,
-    turning the dart array in place; seen and turned are passed to _spin."""
+    turning the dart array in place; turned is passed to _spin."""
     bound = 2 * len(rg.graph.edges) * (len(rotors) + 1) + 8
-    if _spin(rg, rotors, x, bound, sink, seen, turned) != sink:
+    if _spin(rg, rotors, x, bound, sink, turned) != sink:
         raise InvariantViolation("routing exceeded its step bound")
 
 
@@ -163,17 +158,13 @@ def route_divisor(rg: RibbonGraph, tree, d: Divisor, s: str):
 
     The rotors carry over from chip to chip, and are asserted acyclic once,
     where the last chip's are read as a tree.  Chips on a vertex the graph
-    lacks raise ValueError, naming those vertices, as
-    ``sandpile.vertex_chips`` does.
+    lacks raise ValueError, naming those vertices (``Divisor.chips``).
     """
     vs = rg.graph.vertices
-    chips = [d[v] for v in vs]
-    if len(d.items()) != len(chips) - chips.count(0):
-        unknown = ", ".join(repr(v) for v, _ in d.items() if v not in vs)
-        raise ValueError(f"divisor names vertices not in the graph: {unknown}")
-    if d.degree() != 0:
+    chips = d.chips(vs)
+    if sum(chips) != 0:
         raise ValueError("route_divisor expects a degree-0 divisor")
-    if any(d[v] < 0 for v in vs if v != s):
+    if any(n < 0 for v, n in zip(vs, chips) if v != s):
         raise ValueError("divisor must be nonnegative away from the sink")
     rotors = _tree_darts(rg.graph, tree, s)
     _route_chips(rg, rotors, chips, vs.index(s))

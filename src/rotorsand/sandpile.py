@@ -9,8 +9,9 @@ the ``reduce`` command use it, and it cross-checks the lattice keys.  Every
 answer is exact; the one float computation picks where ``reduce`` starts.
 
 Chip-firing runs on integer vertex positions, read off a divisor by
-``vertex_chips``, which refuses a vertex the graph lacks; ``_neighbours``
-lists each position's (neighbour, edge multiplicity) pairs once per graph.
+``Divisor.chips``, which refuses a vertex the graph lacks; ``_neighbours``
+lists each position's (neighbour, edge multiplicity) pairs once per graph,
+and the Laplacian is read off them.
 ``_lift`` moves a divisor's debt onto a sink by firing balls around it, one
 layer of graph distance at a time (``_shells``); ``move_to_sink`` is that
 lift.
@@ -60,6 +61,16 @@ class Divisor:
     def degree(self) -> int:
         return sum(self._map.values())
 
+    def chips(self, vertices) -> list:
+        """The chips on vertices, in their order; a ValueError names every
+        vertex holding chips that vertices lacks."""
+        get = self._map.get
+        out = [get(v, 0) for v in vertices]
+        if len(self._map) != len(out) - out.count(0):
+            unknown = ", ".join(sorted(repr(v) for v in self._map if v not in vertices))
+            raise ValueError(f"divisor names vertices not in the graph: {unknown}")
+        return out
+
     def to_dict(self) -> dict:
         return dict(self.items())
 
@@ -91,15 +102,6 @@ class Divisor:
         return "Divisor({" + body + "})"
 
 
-def vertex_chips(g: Multigraph, d: Divisor) -> list:
-    """d's chips in vertex order; a ValueError names the vertices g lacks."""
-    chips = [d[v] for v in g.vertices]
-    if len(d._map) != len(chips) - chips.count(0):
-        unknown = ", ".join(sorted(repr(v) for v in d._map if v not in g.vertices))
-        raise ValueError(f"divisor names vertices not in the graph: {unknown}")
-    return chips
-
-
 def chip(c, s=None) -> Divisor:
     """The divisor c - s (or just c when no sink is given)."""
     if s is None:
@@ -115,16 +117,15 @@ class GroupStructure(NamedTuple):
 
 
 def laplacian(g: Multigraph) -> list[list[int]]:
-    """Laplacian matrix in the order of g.vertices."""
-    vs = g.vertices
-    ix = {v: i for i, v in enumerate(vs)}
-    m = [[0] * len(vs) for _ in vs]
-    for v in vs:
-        m[ix[v]][ix[v]] = g.degree(v)
-    for e in g.edges:
-        u, w = g.ends(e)
-        m[ix[u]][ix[w]] -= 1
-        m[ix[w]][ix[u]] -= 1
+    """Laplacian matrix in the order of g.vertices, read off _neighbours."""
+    nbrs = _neighbours(g)
+    m = []
+    for i, row in enumerate(nbrs):
+        out = [0] * len(nbrs)
+        for j, k in row:
+            out[j] = -k
+            out[i] += k
+        m.append(out)
     return m
 
 
@@ -213,7 +214,7 @@ def _lift(g: Multigraph, chips: list, q: str) -> bool:
 
 def move_to_sink(g: Multigraph, d: Divisor, s: str) -> Divisor:
     """An equivalent divisor with all debt on s (nonnegative elsewhere)."""
-    chips = vertex_chips(g, d)
+    chips = d.chips(g.vertices)
     if sum(chips) != 0:
         raise ValueError("move_to_sink expects a degree-0 divisor")
     _shells(g, s)  # an unknown sink or a disconnected graph raises here, for every d
@@ -308,7 +309,7 @@ def reduce(g: Multigraph, d: Divisor, q: str) -> Divisor:
     A Divisor wrapper around reduce_chips; raises ValueError on a
     disconnected graph or on chips at a vertex g lacks.
     """
-    chips = vertex_chips(g, d)
+    chips = d.chips(g.vertices)
     reduce_chips(g, chips, q)
     return Divisor(dict(zip(g.vertices, chips)))
 
@@ -351,7 +352,7 @@ def reduce_chips(g: Multigraph, chips: list, q: str) -> None:
 
 
 def is_reduced(g: Multigraph, d: Divisor, q: str) -> bool:
-    vs, chips = g.vertices, vertex_chips(g, d)
+    vs, chips = g.vertices, d.chips(g.vertices)
     if any(n < 0 for v, n in zip(vs, chips) if v != q):
         return False
     return all(_burn(_neighbours(g), chips, vs.index(q))[0])
@@ -369,7 +370,7 @@ def _class_lattice(g: Multigraph) -> ColumnLattice:
 
 def canonical_class(g: Multigraph, d: Divisor) -> tuple:
     """Class key: the degree, and the canonical coset vector off vertices[0]."""
-    return d.degree(), _class_lattice(g).reduce(vertex_chips(g, d)[1:])
+    return d.degree(), _class_lattice(g).reduce(d.chips(g.vertices)[1:])
 
 
 def same_class(g: Multigraph, d1: Divisor, d2: Divisor) -> bool:
@@ -387,7 +388,7 @@ def laplacian_image_contains(g: Multigraph, d: Divisor) -> bool:
 
     Independent of the class keys and of burning; a cross-check for both.
     """
-    return _laplacian_lattice(g).contains(vertex_chips(g, d))
+    return _laplacian_lattice(g).contains(d.chips(g.vertices))
 
 
 def group_structure(g: Multigraph) -> GroupStructure:

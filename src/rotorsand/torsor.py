@@ -29,7 +29,7 @@ from __future__ import annotations
 from . import sandpile
 from .errors import InvariantViolation
 from .multigraph import Multigraph
-from .ribbon import RibbonGraph, canonical_labelling
+from .ribbon import RibbonGraph, canonical_labelling, inverse
 from .rotor import chip_rows, route_divisor, route_first_tree
 from .sandpile import Divisor, chip
 
@@ -49,13 +49,6 @@ _minor_actions: dict = {}
 # verify_sink_invariance's violation for a non-plane map whose generator rows
 # agree at every sink
 NO_WITNESS = {"witness": None, "expected": "a sink whose generator rows differ off the plane"}
-
-
-def _inverse(row) -> tuple:
-    out = [0] * len(row)
-    for i, j in enumerate(row):
-        out[j] = i
-    return tuple(out)
 
 
 class TorsorAction:
@@ -92,7 +85,7 @@ class TorsorAction:
         result does not depend on it (which verify_sink_invariance shows).
         """
         g = self.graph
-        if sum(sandpile.vertex_chips(g, d)) != 0:  # a vertex g lacks raises here
+        if sum(d.chips(g.vertices)) != 0:  # a vertex g lacks raises here
             raise ValueError("torsor actions act by degree-0 classes")
         s = g.vertices[0]
         rd = sandpile.reduce(g, -d if self.variant in INVERSES else d, s)
@@ -116,9 +109,9 @@ class TorsorAction:
         """
         if s not in self._gens:
             vs = self.graph.vertices
-            back = _inverse(self.chip_table(vs[0], s))
+            back = inverse(self.chip_table(vs[0], s))
             rows = [tuple([r[x] for x in back]) for r in [self.chip_table(v, s) for v in vs]]
-            self._gens[s] = [_inverse(r) for r in rows] if self.variant in INVERSES else rows
+            self._gens[s] = [inverse(r) for r in rows] if self.variant in INVERSES else rows
         return self._gens[s]
 
     def _check(self, d: Divisor, row) -> None:
@@ -158,7 +151,7 @@ class TorsorAction:
             vs = self.graph.vertices
             gens = self._generators(vs[0])
             gc = gens[vs.index(c)]
-            row = tuple([gc[x] for x in _inverse(gens[vs.index(s)])])
+            row = tuple([gc[x] for x in inverse(gens[vs.index(s)])])
             self._check(chip(c, s), row)
             self._pairs[c, s] = row
         return row

@@ -477,6 +477,26 @@ def test_tree_entries_must_be_edge_ids(triangle_files, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_repeated_tree_edges_are_rejected(triangle_files, tmp_path, capsys):
+    # once read as a set, so ["ab", "ab", "bc"] passed for the tree ab, bc
+    g = triangle_files["graph"]
+    divisor = _write(tmp_path, "divisor", {"b": 1, "a": -1})
+    for tree, rc in ((triangle_files["tree"], 0), (_write(tmp_path, "twice", ["ab", "ab", "bc"]), 2)):
+        assert main(["act", "--graph", g, "--tree", tree, "--divisor", divisor]) == rc
+        assert main(["route", "--graph", g, "--tree", tree, "--chip", "b", "--sink", "a"]) == rc
+    assert capsys.readouterr().err.count("tree file names 'ab' twice") == 2
+
+
+def test_repeated_basis_elements_are_rejected(tmp_path, capsys):
+    # a repeat in --basis was dropped; in --class it is a sum and stays legal
+    m = _write(tmp_path, "m", TRIANGLE_MATROID)
+    assert main(["bby", "vector", "--matroid", m, "--basis", "e1,e2"]) == 0
+    assert main(["bby", "act", "--matroid", m, "--class", "e3+e3", "--basis", "e1,e2"]) == 0
+    assert main(["bby", "vector", "--matroid", m, "--basis", "e1,e1,e2"]) == 2
+    assert main(["bby", "act", "--matroid", m, "--class", "e3", "--basis", "e2,e1,e2"]) == 2
+    assert capsys.readouterr().err.count("--basis names ") == 2
+
+
 @pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
 def test_matroid_entries_must_be_integers(tmp_path, capsys, entry):
     path = _write(tmp_path, "m", {"labels": ["a", "b"], "matrix": [[entry, 1]]})

@@ -15,7 +15,6 @@ from rotorsand.matroid import (
     RegularMatroid,
     SignaturePair,
     bby_act,
-    bby_action,
     bby_table,
     bby_vector,
     check_acyclic,
@@ -447,6 +446,23 @@ def test_matroid_families_pinned():
 # sha256 of every act the consistency harness reads: for each graphic matroid
 # with at most 5 edges, then R10, in catalog order, each variant of the
 # default signatures, each generator f and each basis B, the JSON row
+def bby_action(m: RegularMatroid, pair, variant: str = "bby"):
+    """act(j, b): the basis that the class of the j-th unit vector sends b to
+    under the variant.
+
+    One bby_table, with its checks, per call; each act is then a lookup in
+    the matroid's class table, with no reduction.
+    """
+    _, succ = m.class_table()
+    basis_at = list(bby_table(m, pair, variant).values())
+    at = {b: i for i, b in enumerate(basis_at)}
+
+    def act(j, b):
+        return basis_at[succ[at[b]][j]]
+
+    return act
+
+
 # [variant, f, sorted(B), sorted(B')] with B' the basis [e_f] sends B to;
 # taken from a fresh Hermite reduction of tag(B) + e_f per act, before acts
 # were read off class tables.

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from rotorsand import sandpile
+from rotorsand import multigraph, sandpile
 from rotorsand.catalog import connected_multigraphs, plane_graphs
 from rotorsand.multigraph import Multigraph, banana_graph, cycle_graph
 
@@ -12,9 +12,27 @@ def graph_from_json(text: str) -> Multigraph:
     return Multigraph.from_obj(json.loads(text))
 
 
-def vertex_splits(g) -> dict:
-    """Vertex -> the components of the graph with it removed."""
-    return {v: g._components(skip_vertex=v) for v in g.vertices}
+def vertex_split(g, x: str) -> list[set]:
+    """The components of the graph with vertex x removed, each found by a
+    depth-first search over incident edges: an oracle that shares no code
+    with the union-find kernel ``multigraph.unite``."""
+    if x not in g.vertices:
+        raise KeyError(f"unknown vertex id {x!r}")
+    seen, comps = {x}, []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for e in g.incident(v):
+                w = g.other(e, v)
+                if w not in seen and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def separates(g, x: str, a: str, b: str) -> bool:
@@ -24,11 +42,9 @@ def separates(g, x: str, a: str, b: str) -> bool:
     component touches a non-x endpoint of both a and b.  The oracle for
     ``Multigraph.block_labels``.
     """
-    if x not in g.vertices:
-        raise KeyError(f"unknown vertex id {x!r}")
     ea = set(g.ends(a)) - {x}
     eb = set(g.ends(b)) - {x}
-    for comp in vertex_splits(g)[x]:
+    for comp in vertex_split(g, x):
         if comp & ea and comp & eb:
             return False
     return True
@@ -184,11 +200,12 @@ def test_two_connected_and_cut_vertices(fig_graph):
 
 def test_block_labels_match_separates_oracle():
     # condition 3 of the consistency check reads the edges cut off from an
-    # anchor edge off the block labels; on every plane map they list what
-    # the per-vertex separates oracle lists
-    for rg in plane_graphs(6):
-        g = rg.graph
+    # anchor edge off the block labels; on every plane map's graph and every
+    # connected multigraph they list what the per-vertex separates oracle
+    # lists, and the cut vertices are those the depth-first oracle splits
+    for g in [rg.graph for rg in plane_graphs(6)] + list(connected_multigraphs(6)):
         cuts = g.cut_vertices()
+        assert cuts == {x for x in g.vertices if len(vertex_split(g, x)) > 1}
         blocks = g.block_labels()
         for f0 in g.edges:
             want = [e for e in g.edges if e != f0 and any(separates(g, x, e, f0) for x in cuts)]
@@ -209,8 +226,8 @@ def test_malformed_json_rejected():
 def test_connectivity_is_cached(triangle, monkeypatch):
     assert triangle.is_connected() and triangle.is_two_connected()
 
-    def boom(self, skip_vertex=None):
-        raise AssertionError("components recomputed")
+    def boom(n, pairs, skip=None):
+        raise AssertionError("classes recomputed")
 
-    monkeypatch.setattr(Multigraph, "_components", boom)
+    monkeypatch.setattr(multigraph, "unite", boom)
     assert triangle.is_connected() and triangle.is_two_connected()

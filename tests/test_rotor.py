@@ -15,6 +15,7 @@ from rotorsand.lemmas import (
     check_cycle_reversal,
     check_no_repeated_crossing,
     classify_sides,
+    replay,
 )
 from rotorsand.ribbon import RibbonGraph
 from rotorsand.rotor import (
@@ -321,12 +322,14 @@ def test_unicycle_step_and_full_spin(square_ribbon):
     u = (tuple(sorted({"a": "ac", "b": "bc", "c": "cs", "s": "sa"}.items())), "a")
     orbit = string_orbit(square_ribbon, u)
     assert len(orbit) == 2 * len(g.edges)
-    # the dart spin passes the oracle's states in the same order, and returns
+    # the states replayed from the darts the spin turns are the oracle's, in
+    # the same order, and the spin returns to its start
     start = [square_ribbon.dart(e, v) for v, e in u[0]]
-    rotors, seen, a = list(start), {}, g.vertices.index("a")
-    assert _spin(square_ribbon, rotors, a, len(orbit), seen=seen) == a
-    assert [(named(square_ribbon, r), g.vertices[x]) for r, x in seen] == orbit
-    assert set(seen.values()) == {(tuple(start), a)}
+    rotors, turned, a = list(start), [], g.vertices.index("a")
+    assert _spin(square_ribbon, rotors, a, len(orbit), turned=turned) == a
+    states = replay(square_ribbon, start, a, turned)
+    assert [(named(square_ribbon, r), g.vertices[x]) for r, x in states[:-1]] == orbit
+    assert states[-1] == (tuple(start), a)
     assert rotors == start
 
 
